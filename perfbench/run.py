@@ -8,8 +8,9 @@ metrics from a traced run.
 One process, one thread, a closed loop with one caller: each operation
 starts when the previous one returns.  Operations run in complete passes
 (see workloads.py) until `--seconds` of operation time is spent.  Times are
-CPU time of the one thread: on a shared virtual machine, wall time also
-counts the time the host gives this CPU to other machines.  Each
+CPU time of the one thread, scaled to a reference host speed (speed.py): on
+a shared virtual machine, wall time also counts the time the host gives this
+CPU to other machines, and CPU time the time neighbours slow it down.  Each
 operation runs under its workload's budget; one that exceeds it is
 interrupted, counted as failed and listed, never dropped or redrawn.  Every
 output is checked outside the timed region.  The last line of standard
@@ -33,7 +34,8 @@ import time
 HERE = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(HERE)
 SRC = os.path.join(ROOT, "src")
-SETUP_REPEATS = 5
+SETUP_REPEATS = 15
+CALIBRATE_EVERY_S = 0.2  # CPU seconds of operations between two speed measurements
 PERCENTILES = (50, 75)
 END_TO_END = {
     "ops_per_s": "1/s",
@@ -48,8 +50,8 @@ END_TO_END = {
 
 class OverBudget(BaseException):
     """Raised by the profiling timer inside an operation that has used more
-    than its budget of CPU time.  A CPU-time budget stops the same inputs on
-    a loaded machine as on an idle one.
+    than its budget of CPU time at reference speed.  Such a budget stops the
+    same inputs on a loaded or slowed machine as on an idle one.
 
     A BaseException, so no `except Exception` in the program can swallow it.
     """
@@ -63,14 +65,14 @@ class Phase:
     """The outcome of the operations of one timed phase."""
 
     def __init__(self):
-        self.latencies: list[float] = []  # CPU seconds per operation
+        self.latencies: list[float] = []  # CPU seconds per operation, at reference speed
         self.busy_s = 0.0  # wall time inside operations
-        self.cpu_s = 0.0
+        self.cpu_s = 0.0  # at reference speed
         self.completed = 0
         self.over_budget: list[str] = []
         self.passes = 0
-        self.pass_rates: list[float] = []  # completed operations per CPU second
-        self.pass_cpu: list[float] = []  # CPU seconds per attempted operation
+        self.pass_rates: list[float] = []  # completed operations per CPU second, at reference speed
+        self.pass_cpu: list[float] = []  # CPU seconds per attempted operation, at reference speed
 
     @property
     def attempted(self) -> int:
@@ -83,13 +85,20 @@ class Phase:
 
 
 def run_phase(wl, seed, seconds, checks, tracer=None) -> Phase:
-    """Run complete passes until the next one would end past `seconds`."""
+    """Run complete passes until the next one would end past `seconds` of
+    operation time.
+
+    The host's speed is measured (speed.py) before each pass and after each
+    stretch of at least CALIBRATE_EVERY_S of operations.  The operations of
+    a stretch are scaled by the speed around it, and budgets are set in
+    reference seconds by the last speed measured."""
     ph = Phase()
     while ph.passes == 0 or ph.busy_s * (ph.passes + 0.5) / ph.passes < seconds:
         inputs = wl.inputs(seed, ph.passes)
         outputs = []
-        cpu0, done0 = ph.cpu_s, ph.completed
-        for inp in inputs:
+        cpu0, done0, first = ph.cpu_s, ph.completed, len(ph.latencies)
+        cost, stretch, stretch_s = speed.reference_cost(), first, 0.0
+        for i, inp in enumerate(inputs):
             if tracer:
                 tracer.op += 1
                 tracer.active = True
@@ -97,7 +106,7 @@ def run_phase(wl, seed, seconds, checks, tracer=None) -> Phase:
             # timer is armed Linux advances the process clock only at ticks.
             c0, t0 = time.thread_time(), time.perf_counter()
             try:
-                signal.setitimer(signal.ITIMER_PROF, wl.budget_s)
+                signal.setitimer(signal.ITIMER_PROF, wl.budget_s * cost / speed.REFERENCE_S)
                 try:
                     out = wl.op(*inp.args)
                 finally:
@@ -111,8 +120,19 @@ def run_phase(wl, seed, seconds, checks, tracer=None) -> Phase:
                 tracer.active = False
             ph.latencies.append(c1 - c0)
             ph.busy_s += t1 - t0
-            ph.cpu_s += c1 - c0
+            stretch_s += c1 - c0
             outputs.append(out)
+            if i == len(inputs) - 1 or stretch_s >= CALIBRATE_EVERY_S:
+                after = speed.reference_cost()
+                k = speed.scale(cost, after)
+                ph.latencies[stretch:] = [x * k for x in ph.latencies[stretch:]]
+                cost, stretch, stretch_s = after, len(ph.latencies), 0.0
+        # An interrupted operation ran for its budget, which is set in
+        # reference seconds; how the host's speed moved during it is unknown.
+        for i, out in enumerate(outputs):
+            if out is OverBudget:
+                ph.latencies[first + i] = wl.budget_s
+        ph.cpu_s += sum(ph.latencies[first:])
         for i, (inp, out) in enumerate(zip(inputs, outputs)):
             where = f"workload={wl.name} seed={seed} input={ph.passes}.{i} kind={inp.kind}"
             if out is OverBudget:
@@ -143,19 +163,21 @@ def tail(latencies) -> tuple[float, float]:
 
 def setup_seconds(wl, seed) -> float:
     """Median CPU time of a fresh interpreter that imports tubular and
-    finishes the workload's first operation, after one run that warms file
-    caches."""
+    finishes the workload's first operation, at reference speed, after one
+    run that warms file caches."""
     inp = wl.make_pass(random.Random(f"{wl.name}/{seed}/setup"))[0]
     env = dict(os.environ, PYTHONPATH=SRC)
     cmd = [sys.executable, os.path.join(HERE, "ops.py"), wl.name]
     stdin = json.dumps(inp.args)
     times = []
     for _ in range(SETUP_REPEATS + 1):
+        cost = speed.reference_cost()
         before = resource.getrusage(resource.RUSAGE_CHILDREN)
         subprocess.run(cmd, input=stdin, text=True, env=env, cwd=ROOT, check=True,
                        stdout=subprocess.DEVNULL, timeout=120)
         after = resource.getrusage(resource.RUSAGE_CHILDREN)
-        times.append(after.ru_utime + after.ru_stime - before.ru_utime - before.ru_stime)
+        k = speed.scale(cost, speed.reference_cost())
+        times.append(k * (after.ru_utime + after.ru_stime - before.ru_utime - before.ru_stime))
     return statistics.median(times[1:])
 
 
@@ -248,7 +270,7 @@ def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--workload", required=True)
     ap.add_argument("--seed", type=int, default=1)
-    ap.add_argument("--seconds", type=float, default=20)
+    ap.add_argument("--seconds", type=float, default=15)
     ap.add_argument("--trace", type=int, choices=(0, 1), default=0)
     args = ap.parse_args()
     if args.workload == "all":
@@ -267,6 +289,7 @@ if __name__ == "__main__":
     import tubular.corpus  # the checks load corpus presentations from it
 
     import spans
+    import speed
     import workloads
 
     sys.exit(main())
