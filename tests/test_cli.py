@@ -1,18 +1,67 @@
 import json
+import re
+from pathlib import Path
 
 import pytest
 
 from tubular.cli import main
+from tubular.core import GpqParams
 from tubular.dsl import unparse
-from tubular.corpus import eg2_g1, gersten_presentation
+from tubular.corpus import corpus, eg2_g1, gersten_presentation
 
 SCHEMA_KEYS = {"group", "property", "verdict", "route", "certificate", "citation", "notes"}
+
+GOLDEN_DIR = Path(__file__).parent / "golden"
+CORPUS_NAMES = [e.name for e in corpus()]
+GPQ_NAMES = [e.name for e in corpus() if isinstance(e.presentation, GpqParams)]
+
+
+def _slug(name: str) -> str:
+    return re.sub(r"[^A-Za-z0-9]+", "-", name).strip("-")
+
+
+# (golden file, argv); "{g}" stands for a file holding the eg2-g1 presentation.
+GOLDEN = [
+    ("corpus.txt", ["corpus"]),
+    ("corpus-run.txt", ["corpus", "--run"]),
+    ("corpus-run.json", ["corpus", "--run", "--json"]),
+    *[(f"analyze-{_slug(n)}.txt", ["analyze", "--corpus", n]) for n in CORPUS_NAMES],
+    *[
+        (f"analyze-{_slug(n)}.json", ["analyze", "--corpus", n, "--json"])
+        for n in CORPUS_NAMES
+    ],
+    *[
+        (f"{cmd}-{_slug(n)}.txt", [cmd, "--corpus", n])
+        for cmd in ("cat0", "fbc", "special")
+        for n in CORPUS_NAMES
+    ],
+    *[(f"vrc-{_slug(n)}.txt", ["vrc", "--corpus", n]) for n in GPQ_NAMES],
+    ("cubulate-gersten.txt", ["cubulate", "--corpus", "gersten"]),
+    ("cubulate-gersten.json", ["cubulate", "--corpus", "gersten", "--json"]),
+    ("cubulate-gersten.dot", ["cubulate", "--corpus", "gersten", "--dot"]),
+    (
+        "cubulate-gersten-all-matchings.json",
+        ["cubulate", "--corpus", "gersten", "--all-matchings", "--json"],
+    ),
+    ("cubulate-bs12.txt", ["cubulate", "--corpus", "bs12"]),
+    ("amalgam-retractor.txt", ["amalgam", "{g}", "1,0", "{g}", "1,0"]),
+    ("amalgam-button.txt", ["amalgam", "{g}", "1,-1", "{g}", "1,0"]),
+]
 
 
 def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+@pytest.mark.parametrize("golden,argv", GOLDEN, ids=[f for f, _ in GOLDEN])
+def test_golden_output(capsys, tmp_path, golden, argv):
+    path = tmp_path / "g.tub"
+    path.write_text(unparse(eg2_g1()))
+    code, out, err = run(capsys, *(str(path) if a == "{g}" else a for a in argv))
+    assert code == 0 and err == ""
+    assert out.encode() == (GOLDEN_DIR / golden).read_bytes()
 
 
 def test_analyze_corpus_gersten_text(capsys):
