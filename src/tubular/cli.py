@@ -4,19 +4,27 @@ Subcommands: analyze, cat0, fbc, special, cubulate, vrc, corpus, amalgam.
 Input is the presentation DSL from a file or stdin ('-'), or a named corpus
 entry via --corpus.  Output is deterministic text, or the JSON report schema
 with --json.  Exit status is 0 whenever the run completes, regardless of
-verdicts; nonzero only for input or usage errors.
+verdicts; 2 for input or usage errors, with the message on stderr.
+
+Every report comes from one row of the PROPERTIES table.  Deciders are called
+by their module-global names at call time, never held in the table, so
+anything that patches those names sees every call.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import dataclass
+from functools import cached_property
 
 from .cat0 import decide_cat0, vertex_necessary_checks
 from .core import GpqParams, IntVec2, TubularPresentation, VertexId
 from .corpus import corpus, corpus_entry
 from .cubulate import (
+    EquitableSet,
     NotFound,
+    WallGraph,
     all_matching_verdicts,
     dilation_decide,
     equitable_search,
@@ -24,8 +32,14 @@ from .cubulate import (
     export_dot,
     wall_graph,
 )
-from .dsl import DslError, parse
-from .fbc import amalgam_fbc_sufficient, button_decide, decide_fbc_single_vertex
+from .dsl import parse
+from .fbc import (
+    AmalgamAnalysis,
+    FbcVerdict,
+    amalgam_fbc_sufficient,
+    button_decide,
+    decide_fbc_single_vertex,
+)
 from .report import (
     NO,
     UNKNOWN,
@@ -51,16 +65,26 @@ from .special import (
 from .vrc import vrc_obstruction
 
 
+def _read(path: str) -> str:
+    with open(path) as fh:
+        return fh.read()
+
+
 def _load(args) -> tuple[TubularPresentation | GpqParams, str]:
     if getattr(args, "corpus_name", None):
-        entry = corpus_entry(args.corpus_name)
-        obj = entry.presentation
-        return obj, entry.name
+        try:
+            entry = corpus_entry(args.corpus_name)
+        except KeyError:
+            names = ", ".join(e.name for e in corpus())
+            raise ValueError(
+                f"unknown corpus entry {args.corpus_name!r} (entries: {names})"
+            ) from None
+        return entry.presentation, entry.name
     path = args.input
     if path is None:
-        raise SystemExit("error: no input given (file, '-', or --corpus NAME)")
-    text = sys.stdin.read() if path == "-" else open(path).read()
-    obj = parse(text)
+        print("error: no input given (file, '-', or --corpus NAME)", file=sys.stderr)
+        raise SystemExit(2)
+    obj = parse(sys.stdin.read() if path == "-" else _read(path))
     name = obj.name if isinstance(obj, TubularPresentation) and obj.name else "G"
     if isinstance(obj, GpqParams):
         name = "gpq"
@@ -73,54 +97,102 @@ def _as_tubular(obj) -> TubularPresentation:
     return obj
 
 
-def report_fbc(obj, name: str) -> DecisionReport:
-    g = _as_tubular(obj)
-    if len(g.vertices) == 1:
-        verdict = decide_fbc_single_vertex(g.single_vertex_pairs())
-        route = "LineCriterion"
-        citation = "common line of difference vectors avoiding the attaching vectors"
-    else:
-        verdict = button_decide(g)
-        route = "ButtonCriterion"
-        citation = "homomorphism to Z nonzero on every edge group"
-    if verdict.answer:
+@dataclass
+class _Input:
+    """One input to report on: a tubular presentation, gpq parameters, or an
+    amalgam analysis.  The equitable-set search and its wall graph run at most
+    once and are shared by every report and export."""
+
+    obj: TubularPresentation | GpqParams | AmalgamAnalysis
+    name: str
+    coord_bound: int = 3
+    size_bound: int = 3
+
+    @cached_property
+    def g(self) -> TubularPresentation:
+        return _as_tubular(self.obj)
+
+    @cached_property
+    def search(self) -> tuple[EquitableSet | NotFound, WallGraph | None]:
+        found = equitable_search(self.g, self.coord_bound, self.size_bound)
+        if isinstance(found, NotFound):
+            return found, None
+        return found, wall_graph(self.g, found)
+
+
+LINE = ("LineCriterion", "common line of difference vectors avoiding the attaching vectors")
+BUTTON = ("ButtonCriterion", "homomorphism to Z nonzero on every edge group")
+
+
+def _from_fbc(v: FbcVerdict, route: str, citation: str) -> dict:
+    """Report fields of a free-by-cyclic verdict."""
+    if v.answer:
         notes = (
             "kernel is finitely generated free: the group is F_n-by-Z",
             "cyclic subgroups are separable",
         )
-        return DecisionReport(
-            name,
-            "fbc",
-            YES,
-            route,
-            certificate=serialize_functional(verdict.witness),
+        return dict(
+            verdict=YES,
+            route=route,
+            certificate=serialize_functional(v.witness),
             citation=citation,
             notes=notes,
         )
-    return DecisionReport(
-        name, "fbc", NO, route, citation=citation, notes=(verdict.obstruction,)
+    return dict(verdict=NO, route=route, citation=citation, notes=(v.obstruction,))
+
+
+def _from_special(v) -> dict:
+    """Report fields of a SpecialVerdict-shaped result."""
+    return dict(
+        verdict=v.answer.value, route=v.route.value, citation=v.citation, notes=v.notes
     )
 
 
-def report_cat0(obj, name: str) -> DecisionReport:
-    g = _as_tubular(obj)
+def _fbc(s: _Input, done) -> dict:
+    if isinstance(s.obj, AmalgamAnalysis):
+        return _amalgam_fbc(s.obj)
+    if len(s.g.vertices) == 1:
+        return _from_fbc(decide_fbc_single_vertex(s.g.single_vertex_pairs()), *LINE)
+    return _from_fbc(button_decide(s.g), *BUTTON)
+
+
+def _amalgam_fbc(a: AmalgamAnalysis) -> dict:
+    """The retractor sufficiency rule when it applies, otherwise the Button
+    verdict on the glued presentation; notes lead with the retractor checks."""
+    notes = tuple(
+        f"gluing element {i} retractor certificate: "
+        f"{'found' if r.answer else 'not found'}"
+        for i, r in ((1, a.retractor_1), (2, a.retractor_2))
+    )
+    if a.rule_applies:
+        citation = "amalgam of free-by-cyclic groups over generalized retractors"
+        fields = _from_fbc(a.button, "RetractorSufficiency", citation)
+        return {**fields, "verdict": YES, "notes": notes}
+    fields = _from_fbc(a.button, *BUTTON)
+    if a.button.answer:
+        return {**fields, "notes": notes}
+    necessary = (
+        "necessary condition: both gluing elements would have to be "
+        "generalized retractors (or lie in free complements)"
+    )
+    return {**fields, "notes": notes + fields["notes"] + (necessary,)}
+
+
+def _cat0(s: _Input, done) -> dict:
+    g = s.g
     citation = "positive-definite form equalizing each edge's attaching vectors"
     if len(g.vertices) == 1 and g.edges:
         verdict = decide_cat0(g.single_vertex_pairs())
         if verdict.answer:
-            return DecisionReport(
-                name,
-                "cat0",
-                YES,
-                "QuadraticFormEqualization",
+            return dict(
+                verdict=YES,
+                route="QuadraticFormEqualization",
                 certificate=serialize_qform(verdict.certificate, verdict.cos_phi),
                 citation=citation,
             )
-        return DecisionReport(
-            name,
-            "cat0",
-            NO,
-            "QuadraticFormEqualization",
+        return dict(
+            verdict=NO,
+            route="QuadraticFormEqualization",
             certificate=serialize_obstruction(verdict.obstruction),
             citation=citation,
             notes=(verdict.obstruction.describe(),),
@@ -129,150 +201,133 @@ def report_cat0(obj, name: str) -> DecisionReport:
     bad = {v: r for v, r in checks.items() if not r.answer}
     if bad:
         v, r = next(iter(sorted(bad.items())))
-        return DecisionReport(
-            name,
-            "cat0",
-            NO,
-            "VertexLoopObstruction",
+        return dict(
+            verdict=NO,
+            route="VertexLoopObstruction",
             certificate=serialize_obstruction(r.obstruction),
             citation="single-vertex obstruction applied to the loops at one vertex",
             notes=(f"vertex {v}: {r.obstruction.describe()}",),
         )
-    return DecisionReport(
-        name,
-        "cat0",
-        UNKNOWN,
-        "VertexLoopObstruction",
+    return dict(
+        verdict=UNKNOWN,
+        route="VertexLoopObstruction",
         citation="single-vertex obstruction applied to the loops at each vertex",
         notes=("per-vertex loop checks pass; criterion is necessary only",),
     )
 
 
-def report_vspecial(obj, name: str) -> DecisionReport:
-    if isinstance(obj, GpqParams):
-        v = gpq_vspecial_decide(obj)
-        return DecisionReport(
-            name, "vspecial", v.answer.value, v.route.value, citation=v.citation,
-            notes=v.notes,
-        )
-    g = _as_tubular(obj)
+def _vspecial(s: _Input, done) -> dict:
+    if isinstance(s.obj, GpqParams):
+        return _from_special(gpq_vspecial_decide(s.obj))
+    g = s.g
     if len(g.vertices) != 1 or not g.edges:
-        return DecisionReport(
-            name,
-            "vspecial",
-            UNKNOWN,
-            "None",
-            citation="",
+        return dict(
+            verdict=UNKNOWN,
+            route="None",
             notes=("no implemented criterion applies to this presentation",),
         )
     pairs = g.single_vertex_pairs()
     v = vspecial_sufficient(pairs)
     if v.answer is Answer.YES:
-        return DecisionReport(
-            name, "vspecial", YES, v.route.value, citation=v.citation, notes=v.notes
-        )
-    attempted = ["two-element equitable set sufficiency test: inconclusive"]
-    v2 = vspecial_fbc_decide(pairs)
-    if v2.answer is not Answer.UNKNOWN:
-        return DecisionReport(
-            name,
-            "vspecial",
-            v2.answer.value,
-            v2.route.value,
-            citation=v2.citation,
-            notes=v2.notes,
-        )
-    attempted.append("free-by-cyclic equivalence route: inconclusive")
-    return DecisionReport(
-        name,
-        "vspecial",
-        UNKNOWN,
-        "None",
-        citation="",
-        notes=tuple(attempted),
+        return _from_special(v)
+    v = vspecial_fbc_decide(pairs)
+    if v.answer is not Answer.UNKNOWN:
+        return _from_special(v)
+    notes = (
+        "two-element equitable set sufficiency test: inconclusive",
+        "free-by-cyclic equivalence route: inconclusive",
     )
+    return dict(verdict=UNKNOWN, route="None", notes=notes)
 
 
-def report_compact_special(params: GpqParams, name: str) -> DecisionReport:
-    v = gpq_compact_special_decide(params)
-    return DecisionReport(
-        name,
-        "compact_special",
-        v.answer.value,
-        v.route.value,
-        citation=v.citation,
-        notes=v.notes,
-    )
+def _compact_special(s: _Input, done) -> dict | None:
+    if not isinstance(s.obj, GpqParams):
+        return None
+    return _from_special(gpq_compact_special_decide(s.obj))
 
 
-def report_cocompact(obj, name: str, cat0_known: bool) -> DecisionReport:
-    g = _as_tubular(obj)
-    v = cocompact_cubulation_decide(g, cat0_known)
-    return DecisionReport(
-        name,
-        "cocompact_cubulation",
-        v.answer.value,
-        "ParallelismClassCount",
+def _cocompact(s: _Input, done) -> dict:
+    cat0 = done.get("cat0")
+    v = cocompact_cubulation_decide(s.g, cat0 is not None and cat0.verdict == YES)
+    return dict(
+        verdict=v.answer.value,
+        route="ParallelismClassCount",
         citation=v.citation,
         notes=v.notes
         or tuple(f"vertex {vid}: {c} classes" for vid, c in v.class_counts),
     )
 
 
-def report_dilation(obj, name: str, coord_bound: int = 3, size_bound: int = 3):
-    g = _as_tubular(obj)
-    citation = "multiplicative holonomy of wall cycles"
-    found = equitable_search(g, coord_bound, size_bound)
+def _equitable_set(s: _Input, done) -> dict:
+    found, _ = s.search
+    citation = "bounded exhaustive equitable-set search"
     if isinstance(found, NotFound):
-        return (
-            DecisionReport(
-                name,
-                "dilation",
-                UNKNOWN,
-                "WallHolonomy",
-                citation=citation,
-                notes=(
-                    f"no equitable set found within bounds "
-                    f"({found.coord_bound}, {found.size_bound})",
-                ),
-            ),
-            None,
-        )
-    w = wall_graph(g, found)
-    d = dilation_decide(w)
-    if d.dilated:
-        return (
-            DecisionReport(
-                name,
-                "dilation",
-                "Dilated",
-                "WallHolonomy",
-                certificate=serialize_cycle(d.witness_cycle, d.holonomy),
-                citation=citation,
-                notes=(f"witness cycle holonomy {d.holonomy}",),
-            ),
-            w,
-        )
-    return (
-        DecisionReport(
-            name,
-            "dilation",
-            "NonDilated",
-            "WallHolonomy",
-            certificate=serialize_equitable(found),
+        return dict(
+            verdict="NotFound",
+            route="BoundedSearch",
             citation=citation,
-        ),
-        w,
+            notes=(
+                f"bounds ({found.coord_bound}, {found.size_bound}); "
+                "not a proof of nonexistence",
+            ),
+        )
+    return dict(
+        verdict="Found",
+        route="BoundedSearch",
+        certificate=serialize_equitable(found),
+        citation=citation,
     )
 
 
-def report_vrc(params: GpqParams, name: str) -> DecisionReport:
-    v = vrc_obstruction(params)
-    return DecisionReport(
-        name,
-        "vrc",
-        v.answer,
-        "ForcedValueAnalysis",
+def _dilation(s: _Input, done) -> dict:
+    found, wall = s.search
+    citation = "multiplicative holonomy of wall cycles"
+    if wall is None:
+        return dict(
+            verdict=UNKNOWN,
+            route="WallHolonomy",
+            citation=citation,
+            notes=(
+                f"no equitable set found within bounds "
+                f"({found.coord_bound}, {found.size_bound})",
+            ),
+        )
+    d = dilation_decide(wall)
+    if d.dilated:
+        return dict(
+            verdict="Dilated",
+            route="WallHolonomy",
+            certificate=serialize_cycle(d.witness_cycle, d.holonomy),
+            citation=citation,
+            notes=(f"witness cycle holonomy {d.holonomy}",),
+        )
+    return dict(
+        verdict="NonDilated",
+        route="WallHolonomy",
+        certificate=serialize_equitable(found),
+        citation=citation,
+    )
+
+
+def _dilation_spectrum(s: _Input, done) -> dict:
+    found, _ = s.search
+    verdicts, complete = all_matching_verdicts(s.g, found)
+    spectrum = sorted("Dilated" if d else "NonDilated" for d in verdicts)
+    return dict(
+        verdict="/".join(spectrum),
+        route="AllMatchings",
+        citation="dilation verdicts across all point matchings",
+        notes=() if complete else ("matching enumeration truncated",),
+    )
+
+
+def _vrc(s: _Input, done) -> dict | None:
+    if not isinstance(s.obj, GpqParams):
+        return None
+    v = vrc_obstruction(s.obj)
+    return dict(
+        verdict=v.answer,
+        route="ForcedValueAnalysis",
         certificate=serialize_forced_values(v.forced_values),
         citation="forced-value analysis of the norm-balance equations",
         notes=(
@@ -283,18 +338,59 @@ def report_vrc(params: GpqParams, name: str) -> DecisionReport:
     )
 
 
+# Each property and the function that reports it, in report order.  A
+# function takes the input and the reports made so far by property (the
+# cocompact verdict reads the cat0 one) and returns the report's fields, or
+# None where the property does not apply to the input.
+PROPERTIES = (
+    ("fbc", _fbc),
+    ("cat0", _cat0),
+    ("vspecial", _vspecial),
+    ("compact_special", _compact_special),
+    ("cocompact_cubulation", _cocompact),
+    ("equitable_set", _equitable_set),
+    ("dilation", _dilation),
+    ("dilation_spectrum", _dilation_spectrum),
+    ("vrc", _vrc),
+)
+
+# The properties each command reports.
+COMMANDS = {
+    "analyze": (
+        "fbc",
+        "cat0",
+        "vspecial",
+        "compact_special",
+        "cocompact_cubulation",
+        "dilation",
+        "vrc",
+    ),
+    "cat0": ("cat0",),
+    "fbc": ("fbc",),
+    "special": ("vspecial", "compact_special"),
+    "vrc": ("vrc",),
+    "amalgam": ("fbc",),
+    "cubulate": ("equitable_set", "dilation", "dilation_spectrum"),
+}
+
+
+def _reports(s: _Input, props) -> list[DecisionReport]:
+    done: dict[str, DecisionReport] = {}
+    for prop, fields_of in PROPERTIES:
+        if prop in props:
+            fields = fields_of(s, done)
+            if fields is not None:
+                done[prop] = DecisionReport(s.name, prop, **fields)
+    return list(done.values())
+
+
 def analyze(obj, name: str, coord_bound: int = 3, size_bound: int = 3):
     """Run all applicable deciders in dependency order."""
-    reports = [report_fbc(obj, name), report_cat0(obj, name)]
-    cat0_known = reports[1].verdict == YES
-    reports.append(report_vspecial(obj, name))
-    if isinstance(obj, GpqParams):
-        reports.append(report_compact_special(obj, name))
-    reports.append(report_cocompact(obj, name, cat0_known))
-    reports.append(report_dilation(obj, name, coord_bound, size_bound)[0])
-    if isinstance(obj, GpqParams):
-        reports.append(report_vrc(obj, name))
-    return reports
+    return _reports(_Input(obj, name, coord_bound, size_bound), COMMANDS["analyze"])
+
+
+def report_vspecial(obj, name: str) -> DecisionReport:
+    return _reports(_Input(obj, name), ("vspecial",))[0]
 
 
 def _emit(reports: list[DecisionReport], as_json: bool):
@@ -314,12 +410,14 @@ def _parse_vec_spec(spec: str, g: TubularPresentation) -> tuple[VertexId, IntVec
         vertex, coords = spec.split(":", 1)
     else:
         if len(g.vertices) != 1:
-            raise SystemExit(f"error: vector spec {spec!r} needs a vertex prefix")
+            print(f"error: vector spec {spec!r} needs a vertex prefix", file=sys.stderr)
+            raise SystemExit(2)
         vertex, coords = g.vertices[0], spec
     try:
         x, y = (int(t) for t in coords.split(","))
     except ValueError:
-        raise SystemExit(f"error: bad vector spec {spec!r} (expected V:x,y)")
+        print(f"error: bad vector spec {spec!r} (expected V:x,y)", file=sys.stderr)
+        raise SystemExit(2)
     return vertex, IntVec2(x, y)
 
 
@@ -368,10 +466,8 @@ def main(argv: list[str] | None = None) -> int:
     args = ap.parse_args(argv)
     try:
         return _dispatch(args)
-    except DslError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except (OSError, KeyError) as e:
+    except (ValueError, OSError, KeyError) as e:
+        # DslError is a ValueError.
         print(f"error: {e}", file=sys.stderr)
         return 2
 
@@ -391,128 +487,34 @@ def _dispatch(args) -> int:
         return 0
 
     if cmd == "amalgam":
-        g1 = _as_tubular(parse(open(args.input1).read()))
-        g2 = _as_tubular(parse(open(args.input2).read()))
+        g1 = _as_tubular(parse(_read(args.input1)))
+        g2 = _as_tubular(parse(_read(args.input2)))
         a = _parse_vec_spec(args.vec1, g1)
         b = _parse_vec_spec(args.vec2, g2)
         analysis = amalgam_fbc_sufficient(g1, a, g2, b)
-        name = analysis.amalgam.name
-        notes = [
-            f"gluing element 1 retractor certificate: "
-            f"{'found' if analysis.retractor_1.answer else 'not found'}",
-            f"gluing element 2 retractor certificate: "
-            f"{'found' if analysis.retractor_2.answer else 'not found'}",
-        ]
-        if analysis.rule_applies:
-            verdict, route = YES, "RetractorSufficiency"
-            citation = "amalgam of free-by-cyclic groups over generalized retractors"
-            cert = serialize_functional(analysis.button.witness) if (
-                analysis.button.answer
-            ) else None
-        else:
-            route = "ButtonCriterion"
-            citation = "homomorphism to Z nonzero on every edge group"
-            verdict = YES if analysis.button.answer else NO
-            cert = (
-                serialize_functional(analysis.button.witness)
-                if analysis.button.answer
-                else None
-            )
-            if not analysis.button.answer:
-                notes.append(analysis.button.obstruction)
-                notes.append(
-                    "necessary condition: both gluing elements would have to be "
-                    "generalized retractors (or lie in free complements)"
-                )
-        _emit(
-            [
-                DecisionReport(
-                    name, "fbc", verdict, route, certificate=cert,
-                    citation=citation, notes=tuple(notes),
-                )
-            ],
-            args.json,
-        )
-        return 0
+        s = _Input(analysis, analysis.amalgam.name)
+    else:
+        obj, name = _load(args)
+        if cmd == "vrc" and not isinstance(obj, GpqParams):
+            raise ValueError("vrc requires a gpq input")
+        s = _Input(obj, name)
+        if cmd in ("analyze", "cubulate"):
+            s.coord_bound, s.size_bound = args.coord_bound, args.size_bound
 
-    obj, name = _load(args)
-
-    if cmd == "analyze":
-        _emit(analyze(obj, name, args.coord_bound, args.size_bound), args.json)
-        return 0
-    if cmd == "cat0":
-        _emit([report_cat0(obj, name)], args.json)
-        return 0
-    if cmd == "fbc":
-        _emit([report_fbc(obj, name)], args.json)
-        return 0
-    if cmd == "special":
-        reports = [report_vspecial(obj, name)]
-        if isinstance(obj, GpqParams):
-            reports.append(report_compact_special(obj, name))
-        _emit(reports, args.json)
-        return 0
-    if cmd == "vrc":
-        if not isinstance(obj, GpqParams):
-            print("error: vrc requires a gpq input", file=sys.stderr)
-            return 2
-        _emit([report_vrc(obj, name)], args.json)
-        return 0
+    props, wall = COMMANDS[cmd], None
     if cmd == "cubulate":
-        g = _as_tubular(obj)
-        found = equitable_search(g, args.coord_bound, args.size_bound)
-        if isinstance(found, NotFound):
-            _emit(
-                [
-                    DecisionReport(
-                        name,
-                        "equitable_set",
-                        "NotFound",
-                        "BoundedSearch",
-                        citation="bounded exhaustive equitable-set search",
-                        notes=(
-                            f"bounds ({found.coord_bound}, {found.size_bound}); "
-                            "not a proof of nonexistence",
-                        ),
-                    )
-                ],
-                args.json,
-            )
+        _, wall = s.search
+        if wall is None:
+            props = ("equitable_set",)
+        elif args.dot:
+            sys.stdout.write(export_dot(wall))
             return 0
-        w = wall_graph(g, found)
-        if args.dot:
-            sys.stdout.write(export_dot(w))
-            return 0
-        report, _ = report_dilation(obj, name, args.coord_bound, args.size_bound)
-        reports = [
-            DecisionReport(
-                name,
-                "equitable_set",
-                "Found",
-                "BoundedSearch",
-                certificate=serialize_equitable(found),
-                citation="bounded exhaustive equitable-set search",
-            ),
-            report,
-        ]
-        if args.all_matchings:
-            verdicts, complete = all_matching_verdicts(g, found)
-            spectrum = sorted("Dilated" if d else "NonDilated" for d in verdicts)
-            reports.append(
-                DecisionReport(
-                    name,
-                    "dilation_spectrum",
-                    "/".join(spectrum),
-                    "AllMatchings",
-                    citation="dilation verdicts across all point matchings",
-                    notes=() if complete else ("matching enumeration truncated",),
-                )
-            )
-        _emit(reports, args.json)
-        if not args.json:
-            sys.stdout.write(export_arcs_text(w))
-        return 0
-    raise AssertionError(f"unhandled command {cmd}")
+        elif not args.all_matchings:
+            props = ("equitable_set", "dilation")
+    _emit(_reports(s, props), args.json)
+    if wall is not None and not args.json:
+        sys.stdout.write(export_arcs_text(wall))
+    return 0
 
 
 if __name__ == "__main__":

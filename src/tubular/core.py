@@ -70,50 +70,6 @@ def primitive_of(v: IntVec2) -> IntVec2:
     return IntVec2(v.x // g, v.y // g)
 
 
-def complete_basis(v: IntVec2) -> IntVec2:
-    """A vector v' with det2(v, v') = 1, completing primitive v to a basis of Z^2.
-
-    The solution set is v0' + Z*v; ties are broken deterministically by taking
-    the representative minimal under (|x|+|y|, x, y).  Golden values:
-    (1,0) -> (0,1) and (0,1) -> (-1,0).
-    """
-    if v.is_zero():
-        raise ValueError("complete_basis requires a nonzero vector")
-    if math.gcd(abs(v.x), abs(v.y)) != 1:
-        raise ValueError(f"complete_basis requires a primitive vector, got {v}")
-    # det2(v, v') = v.x*v'.y - v.y*v'.x = 1: extended gcd on (v.x, -v.y).
-    g, a, b = _xgcd(v.x, -v.y)
-    assert g == 1
-    cand = IntVec2(b, a)  # v.x*a - v.y*b = 1
-    assert det2(v, cand) == 1
-    # Reduce along the coset cand + t*v; the key is strictly convex in t away
-    # from the minimum, so step downhill until no neighbor improves.
-    def key(w: IntVec2):
-        return (abs(w.x) + abs(w.y), w.x, w.y)
-
-    while True:
-        down = min((cand + v, cand - v), key=key)
-        if key(down) < key(cand):
-            cand = down
-        else:
-            return cand
-
-
-def _xgcd(a: int, b: int) -> tuple[int, int, int]:
-    """Extended gcd: returns (g, s, t) with s*a + t*b = g = gcd(a, b)."""
-    old_r, r = a, b
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r != 0:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_s, s = s, old_s - q * s
-        old_t, t = t, old_t - q * t
-    if old_r < 0:
-        old_r, old_s, old_t = -old_r, -old_s, -old_t
-    return old_r, old_s, old_t
-
-
 @dataclass(frozen=True)
 class Mat2:
     """A 2x2 rational matrix, row-major: [[a, b], [c, d]]."""

@@ -24,7 +24,6 @@ from .core import (
     TubularPresentation,
     VertexId,
     det2,
-    single_vertex_presentation,
 )
 
 Pair = tuple[IntVec2, IntVec2]
@@ -392,6 +391,3 @@ def export_dot(w: WallGraph) -> str:
     lines.append("}")
     return "\n".join(lines) + "\n"
 
-
-def single_vertex(edges: list[Pair], name: str = "") -> TubularPresentation:
-    return single_vertex_presentation(edges, name=name)

@@ -28,9 +28,7 @@ from .core import (
     TubularPresentation,
     VertexId,
     det2,
-    complete_basis,
     primitive_of,
-    single_vertex_presentation,
 )
 
 Pair = tuple[IntVec2, IntVec2]
@@ -212,9 +210,12 @@ def _avoid_hyperplanes(
     raise AssertionError("unreachable: hyperplane avoidance always terminates")
 
 
-def button_decide(g: TubularPresentation) -> FbcVerdict:
-    """Button's criterion: free-by-cyclic iff some homomorphism to Z is
-    nonzero on every edge group."""
+def _nonvanishing_functional(
+    g: TubularPresentation, extra: list[tuple[tuple[Fraction, ...], str]]
+) -> FbcVerdict:
+    """An edge-compatible functional nonzero on every edge group and on each
+    extra row, or the obstruction of the first edge or row on which every such
+    functional vanishes.  `extra` pairs each row with its obstruction text."""
     space = hom_space(g)
     rows = [_edge_row(g, e) for e in g.edges]
     for e, row in zip(g.edges, rows):
@@ -226,12 +227,21 @@ def button_decide(g: TubularPresentation) -> FbcVerdict:
                     f"{e.label or e.id}"
                 ),
             )
+    for row, obstruction in extra:
+        if _vanishes_on(space, row):
+            return FbcVerdict(False, obstruction=obstruction)
     if not g.edges and space.dim == 0:
         # Cannot happen for a real presentation (no vertices), kept for safety.
         return FbcVerdict(False, obstruction="empty homomorphism space")
-    witness = _avoid_hyperplanes(space, rows)
+    witness = _avoid_hyperplanes(space, rows + [row for row, _ in extra])
     assert witness is not None
     return FbcVerdict(True, witness=witness)
+
+
+def button_decide(g: TubularPresentation) -> FbcVerdict:
+    """Button's criterion: free-by-cyclic iff some homomorphism to Z is
+    nonzero on every edge group."""
+    return _nonvanishing_functional(g, [])
 
 
 def decide_fbc_single_vertex(edges: list[Pair]) -> FbcVerdict:
@@ -298,33 +308,14 @@ def generalized_retractor(
         raise ValueError("generalized_retractor requires a nonzero element")
     if vertex not in g.vertices:
         raise ValueError(f"unknown vertex {vertex!r}")
-    space = hom_space(g)
-    rows = [_edge_row(g, e) for e in g.edges]
     idx = 2 * g.vertex_index(vertex)
     grow = [Fraction(0)] * (2 * len(g.vertices))
     grow[idx] += elem.x
     grow[idx + 1] += elem.y
-    constraints = rows + [tuple(grow)]
-    for e, row in zip(g.edges, rows):
-        if _vanishes_on(space, row):
-            return FbcVerdict(
-                False,
-                obstruction=(
-                    f"every edge-compatible functional vanishes on edge "
-                    f"{e.label or e.id}"
-                ),
-            )
-    if _vanishes_on(space, tuple(grow)):
-        return FbcVerdict(
-            False,
-            obstruction=(
-                f"every edge-compatible functional vanishes on {elem} at "
-                f"vertex {vertex}"
-            ),
-        )
-    witness = _avoid_hyperplanes(space, constraints)
-    assert witness is not None
-    return FbcVerdict(True, witness=witness)
+    obstruction = (
+        f"every edge-compatible functional vanishes on {elem} at vertex {vertex}"
+    )
+    return _nonvanishing_functional(g, [(tuple(grow), obstruction)])
 
 
 def amalgamate(
@@ -397,7 +388,3 @@ def amalgam_fbc_sufficient(
         amalgam=glued,
         button=button_decide(glued),
     )
-
-
-def as_presentation(edges: list[Pair], name: str = "") -> TubularPresentation:
-    return single_vertex_presentation(edges, name=name)

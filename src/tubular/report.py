@@ -9,7 +9,7 @@ floating point.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .cat0 import ObstructionDatum

@@ -24,10 +24,10 @@ from .core import (
     IntVec2,
     TubularPresentation,
     VertexId,
-    det2,
     primitive_of,
     single_vertex_presentation,
 )
+from .cubulate import CanonicalSetError, canonical_th3_set
 from .fbc import decide_fbc_single_vertex
 
 Pair = tuple[IntVec2, IntVec2]
@@ -55,44 +55,36 @@ class SpecialVerdict:
 
 
 def vspecial_sufficient(edges: list[Pair]) -> SpecialVerdict:
-    """Sufficient test: Yes when both determinant families agree up to sign.
+    """Sufficient test: Yes when both determinant families agree up to sign,
+    which is when the canonical two-element equitable set exists.
 
     Only ever answers Yes or Unknown; the condition is not necessary.
     """
     for v, w in edges:
         if v.is_zero() or w.is_zero():
             raise ValueError("attaching vectors must be nonzero")
-    base = next((i for i, (v, w) in enumerate(edges) if det2(v, w) != 0), None)
-    if base is None:
+    citation = "two-element equitable set sufficiency test"
+    try:
+        canonical_th3_set(edges)
+    except CanonicalSetError as e:
+        (d1v, d1w), (d2v, d2w) = e.pairs
         return SpecialVerdict(
             Answer.UNKNOWN,
             Route.DET_SUFFICIENT,
-            "two-element equitable set sufficiency test",
+            citation,
+            notes=(
+                f"edge {e.edge_index}: |det| families disagree "
+                f"({d1v} vs {d1w} and {d2v} vs {d2w})",
+            ),
+        )
+    except ValueError:
+        return SpecialVerdict(
+            Answer.UNKNOWN,
+            Route.DET_SUFFICIENT,
+            citation,
             notes=("no linearly independent attaching pair; test not applicable",),
         )
-    v1, w1 = edges[base]
-    z1, z2 = w1 - v1, w1 + v1
-    for i, (v, w) in enumerate(edges):
-        if i == base:
-            continue
-        if abs(det2(z1, v)) != abs(det2(z1, w)) or abs(det2(z2, v)) != abs(
-            det2(z2, w)
-        ):
-            return SpecialVerdict(
-                Answer.UNKNOWN,
-                Route.DET_SUFFICIENT,
-                "two-element equitable set sufficiency test",
-                notes=(
-                    f"edge {i}: |det| families disagree "
-                    f"({abs(det2(z1, v))} vs {abs(det2(z1, w))} and "
-                    f"{abs(det2(z2, v))} vs {abs(det2(z2, w))})",
-                ),
-            )
-    return SpecialVerdict(
-        Answer.YES,
-        Route.DET_SUFFICIENT,
-        "two-element equitable set sufficiency test",
-    )
+    return SpecialVerdict(Answer.YES, Route.DET_SUFFICIENT, citation)
 
 
 def vspecial_fbc_decide(edges: list[Pair]) -> SpecialVerdict:

@@ -1,9 +1,12 @@
+import gc
 import json
 import re
+import warnings
 from pathlib import Path
 
 import pytest
 
+import tubular.cli
 from tubular.cli import main
 from tubular.core import GpqParams
 from tubular.dsl import unparse
@@ -194,3 +197,51 @@ def test_parse_error_exit_code(capsys, tmp_path):
 def test_missing_input_is_usage_error(capsys):
     with pytest.raises(SystemExit):
         main(["cat0"])
+
+
+def test_cubulate_searches_once(capsys, monkeypatch):
+    calls = {"equitable_search": 0, "wall_graph": 0}
+    for name, orig in [(n, getattr(tubular.cli, n)) for n in calls]:
+
+        def counted(*args, _name=name, _orig=orig):
+            calls[_name] += 1
+            return _orig(*args)
+
+        monkeypatch.setattr(tubular.cli, name, counted)
+    for extra in ([], ["--json"], ["--dot"], ["--all-matchings"]):
+        calls.update(equitable_search=0, wall_graph=0)
+        code, _, _ = run(capsys, "cubulate", "--corpus", "gersten", *extra)
+        assert code == 0
+        assert calls == {"equitable_search": 1, "wall_graph": 1}, extra
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["cubulate", "--coord-bound", "0", "{g}"], "error: bounds must be >= 1\n"),
+        (["amalgam", "{g}", "W:1,0", "{g}", "V:1,0"], "error: unknown vertex 'W'\n"),
+        (["amalgam", "{g}", "V:0,0", "{g}", "V:1,0"], "nonzero element\n"),
+        (
+            ["analyze", "--corpus", "nosuch"],
+            "error: unknown corpus entry 'nosuch' (entries: gersten, lyman-psi(1,1),",
+        ),
+    ],
+    ids=["coord-bound-0", "unknown-vertex", "zero-vector", "unknown-corpus-entry"],
+)
+def test_user_errors_exit_2(capsys, tmp_path, argv, message):
+    path = tmp_path / "g.tub"
+    path.write_text(unparse(eg2_g1()))
+    code, out, err = run(capsys, *(str(path) if a == "{g}" else a for a in argv))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and message in err
+
+
+def test_input_files_are_closed(capsys, tmp_path):
+    path = tmp_path / "g.tub"
+    path.write_text(unparse(eg2_g1()))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        run(capsys, "cat0", str(path))
+        run(capsys, "amalgam", str(path), "1,0", str(path), "1,0")
+        gc.collect()
+    assert not [w for w in caught if issubclass(w.category, ResourceWarning)]

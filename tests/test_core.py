@@ -12,7 +12,6 @@ from tubular.core import (
     QForm2,
     TubularPresentation,
     change_basis,
-    complete_basis,
     det2,
     inv2,
     is_parallel,
@@ -56,28 +55,6 @@ def test_primitive_of(v):
     assert math.gcd(abs(p.x), abs(p.y)) == 1
     assert det2(p, v) == 0
     assert p.x * v.x + p.y * v.y > 0  # same direction
-
-
-def test_complete_basis_goldens():
-    assert complete_basis(IntVec2(1, 0)) == IntVec2(0, 1)
-    assert complete_basis(IntVec2(0, 1)) == IntVec2(-1, 0)
-
-
-@given(nonzero_vec.map(primitive_of))
-def test_complete_basis_is_unimodular_and_canonical(v):
-    w = complete_basis(v)
-    assert det2(v, w) == 1
-    # Minimal under (|x|+|y|, x, y) within the solution coset w + Z v.
-    key = lambda u: (abs(u.x) + abs(u.y), u.x, u.y)
-    assert key(w) <= key(w + v)
-    assert key(w) <= key(w - v)
-
-
-def test_complete_basis_rejects_imprimitive():
-    with pytest.raises(ValueError):
-        complete_basis(IntVec2(2, 4))
-    with pytest.raises(ValueError):
-        complete_basis(IntVec2(0, 0))
 
 
 def test_mat2_inverse():
