@@ -120,7 +120,10 @@ class _Input:
         return found, wall_graph(self.g, found)
 
 
-LINE = ("LineCriterion", "common line of difference vectors avoiding the attaching vectors")
+LINE = (
+    "LineCriterion",
+    "common line of difference vectors avoiding the attaching vectors",
+)
 BUTTON = ("ButtonCriterion", "homomorphism to Z nonzero on every edge group")
 
 
