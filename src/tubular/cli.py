@@ -421,6 +421,8 @@ def _parse_vec_spec(spec: str, g: TubularPresentation) -> tuple[VertexId, IntVec
     except ValueError:
         print(f"error: bad vector spec {spec!r} (expected V:x,y)", file=sys.stderr)
         raise SystemExit(2)
+    if x == 0 and y == 0:
+        raise ValueError(f"gluing vector {spec!r} must be nonzero")
     return vertex, IntVec2(x, y)
 
 
@@ -478,6 +480,8 @@ def main(argv: list[str] | None = None) -> int:
 def _dispatch(args) -> int:
     cmd = args.command
     if cmd == "corpus":
+        if args.json and not args.run:
+            raise ValueError("--json requires --run")
         if args.run:
             reports = []
             for entry in corpus():

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .core import (
+    Edge,
     IntVec2,
     Rat,
     TubularPresentation,
@@ -207,6 +208,14 @@ class WallGraph:
     matchings: tuple[tuple[str, tuple[tuple[int, int], ...]], ...]
 
 
+def _edge_points(s: EquitableSet, e: Edge) -> tuple[list[int], list[int]]:
+    """The edge's intersection points on each side, as circle indices listed
+    circle by circle in circle order (so both lists are sorted)."""
+    left = [i for i, x in enumerate(s.at(e.src)) for _ in range(abs(det2(x, e.v)))]
+    right = [j for j, x in enumerate(s.at(e.dst)) for _ in range(abs(det2(x, e.w)))]
+    return left, right
+
+
 def wall_graph(
     g: TubularPresentation, s: EquitableSet, matchings: dict[str, tuple] | None = None
 ) -> WallGraph:
@@ -225,12 +234,7 @@ def wall_graph(
     arcs: list[Arc] = []
     match_record = []
     for e in g.edges:
-        left_pts: list[int] = []
-        for i, x in enumerate(s.at(e.src)):
-            left_pts.extend([i] * abs(det2(x, e.v)))
-        right_pts: list[int] = []
-        for j, x in enumerate(s.at(e.dst)):
-            right_pts.extend([j] * abs(det2(x, e.w)))
+        left_pts, right_pts = _edge_points(s, e)
         assert len(left_pts) == len(right_pts)
         if matchings and e.id in matchings:
             right_order = list(matchings[e.id])
@@ -343,26 +347,55 @@ def all_matching_verdicts(
     g: TubularPresentation, s: EquitableSet, budget: int = 10000
 ) -> tuple[set[bool], bool]:
     """Dilation verdicts over all distinct point matchings, up to a budget of
-    wall graphs.  Returns (set of dilated flags, whether the enumeration was
-    exhausted within budget)."""
-    per_edge: list[tuple[str, list[tuple]]] = []
-    for e in g.edges:
-        right_pts: list[int] = []
-        for j, x in enumerate(s.at(e.dst)):
-            right_pts.extend([j] * abs(det2(x, e.w)))
-        perms = sorted({p for p in itertools.permutations(right_pts)})
-        per_edge.append((e.id, perms))
+    matchings.  Returns (set of dilated flags, whether the enumeration was
+    exhausted within budget).
+
+    Matchings are walked lazily in lexicographic order: each edge steps
+    through the distinct orderings of its right-hand points, and the edges
+    turn like an odometer with the last edge fastest.  An arc's weight
+    depends only on its edge and its two circles, and parallel arcs of equal
+    weight close a cycle of holonomy 1, so the dilated flag depends only on
+    the set of circle pairs each edge realizes.  Wall graphs are built and
+    decided once per such support.
+    """
+    points = [_edge_points(s, e) for e in g.edges]
+    lefts = [left for left, _ in points]
+    orders = [right for _, right in points]
+    supports = [frozenset(zip(left, order)) for left, order in zip(lefts, orders)]
+    flags: dict[tuple[frozenset, ...], bool] = {}
     verdicts: set[bool] = set()
-    count = 0
-    complete = True
-    for combo in itertools.product(*(perms for _, perms in per_edge)):
-        if count >= budget:
-            complete = False
-            break
-        count += 1
-        matching = {eid: perm for (eid, _), perm in zip(per_edge, combo)}
-        verdicts.add(dilation_decide(wall_graph(g, s, matching)).dilated)
-    return verdicts, complete
+    for _ in range(budget):
+        key = tuple(supports)
+        if key not in flags:
+            matching = {e.id: tuple(order) for e, order in zip(g.edges, orders)}
+            flags[key] = dilation_decide(wall_graph(g, s, matching)).dilated
+        verdicts.add(flags[key])
+        # Advance the odometer; an edge that wraps back to its first ordering
+        # carries into the edge before it.
+        for k in reversed(range(len(orders))):
+            advanced = _next_permutation(orders[k])
+            supports[k] = frozenset(zip(lefts[k], orders[k]))
+            if advanced:
+                break
+        else:
+            return verdicts, True
+    return verdicts, False
+
+
+def _next_permutation(a: list[int]) -> bool:
+    """Step `a` in place to its next distinct ordering in lexicographic order
+    (Knuth's Algorithm L).  From the last ordering, reset `a` to the first
+    (sorted) one and return False."""
+    i = len(a) - 2
+    while i >= 0 and a[i] >= a[i + 1]:
+        i -= 1
+    if i >= 0:
+        j = len(a) - 1
+        while a[j] <= a[i]:
+            j -= 1
+        a[i], a[j] = a[j], a[i]
+    a[i + 1 :] = reversed(a[i + 1 :])
+    return i >= 0
 
 
 def export_arcs_text(w: WallGraph) -> str:

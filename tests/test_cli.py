@@ -220,13 +220,23 @@ def test_cubulate_searches_once(capsys, monkeypatch):
     [
         (["cubulate", "--coord-bound", "0", "{g}"], "error: bounds must be >= 1\n"),
         (["amalgam", "{g}", "W:1,0", "{g}", "V:1,0"], "error: unknown vertex 'W'\n"),
-        (["amalgam", "{g}", "V:0,0", "{g}", "V:1,0"], "nonzero element\n"),
+        (
+            ["amalgam", "{g}", "V:0,0", "{g}", "V:1,0"],
+            "error: gluing vector 'V:0,0' must be nonzero\n",
+        ),
+        (["corpus", "--json"], "error: --json requires --run\n"),
         (
             ["analyze", "--corpus", "nosuch"],
             "error: unknown corpus entry 'nosuch' (entries: gersten, lyman-psi(1,1),",
         ),
     ],
-    ids=["coord-bound-0", "unknown-vertex", "zero-vector", "unknown-corpus-entry"],
+    ids=[
+        "coord-bound-0",
+        "unknown-vertex",
+        "zero-vector",
+        "corpus-json-without-run",
+        "unknown-corpus-entry",
+    ],
 )
 def test_user_errors_exit_2(capsys, tmp_path, argv, message):
     path = tmp_path / "g.tub"

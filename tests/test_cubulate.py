@@ -1,9 +1,12 @@
+import itertools
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
-from tubular.core import IntVec2, single_vertex_presentation
+import tubular.cubulate
+from tubular.core import IntVec2, det2, single_vertex_presentation
 from tubular.corpus import bs12_shape, gersten_presentation, lyman_psi
 from tubular.cubulate import (
     CanonicalSetError,
@@ -137,6 +140,93 @@ def test_all_matchings_spectrum_gersten():
     verdicts, complete = all_matching_verdicts(g, s)
     assert complete
     assert True in verdicts  # the default matching is dilated
+
+
+def _all_matching_verdicts_oracle(g, s, budget=10000):
+    """The eager enumerator that all_matching_verdicts replaced: every
+    ordering of every edge's points, one wall graph per matching."""
+    per_edge = []
+    for e in g.edges:
+        right_pts = []
+        for j, x in enumerate(s.at(e.dst)):
+            right_pts.extend([j] * abs(det2(x, e.w)))
+        perms = sorted({p for p in itertools.permutations(right_pts)})
+        per_edge.append((e.id, perms))
+    verdicts = set()
+    count = 0
+    complete = True
+    for combo in itertools.product(*(perms for _, perms in per_edge)):
+        if count >= budget:
+            complete = False
+            break
+        count += 1
+        matching = {eid: perm for (eid, _), perm in zip(per_edge, combo)}
+        verdicts.add(dilation_decide(wall_graph(g, s, matching)).dilated)
+    return verdicts, complete
+
+
+def _planted_spectrum_input(rng):
+    """One vertex, 1-3 edges with coordinates up to 1, each edge balanced
+    against a random set of 2-3 primitive circles with coordinates up to 2,
+    so an equitable set exists."""
+    prims = [
+        V(x, y)
+        for x in range(3)
+        for y in range(-2, 3)
+        if (x > 0 or y > 0) and math.gcd(x, abs(y)) == 1
+    ]
+    while True:
+        circles = rng.sample(prims, rng.randint(2, 3))
+        if any(det2(a, b) for a in circles for b in circles):
+            break
+    vecs = [V(x, y) for x in range(-1, 2) for y in range(-1, 2) if (x, y) != (0, 0)]
+
+    def norm(v):
+        return sum(abs(det2(c, v)) for c in circles)
+
+    pairs = []
+    for _ in range(rng.randint(1, 3)):
+        v = rng.choice(vecs)
+        pairs.append((v, rng.choice([w for w in vecs if norm(w) == norm(v)])))
+    return single_vertex_presentation(pairs)
+
+
+def test_all_matchings_agrees_with_eager_oracle():
+    rng = random.Random(20261018)
+    for _ in range(200):
+        g = _planted_spectrum_input(rng)
+        s = equitable_search(g, 3, 3)
+        assert isinstance(s, EquitableSet), g
+        for budget in (1, 3, 7, 50, 10000):
+            assert all_matching_verdicts(g, s, budget) == _all_matching_verdicts_oracle(
+                g, s, budget
+            ), (g, budget)
+
+
+def test_all_matchings_decides_each_support_once(monkeypatch):
+    """Thirteen points on one circle have a single distinct ordering; the
+    eager enumerator built all 13! orderings of them first."""
+    calls = []
+    decide = tubular.cubulate.dilation_decide
+
+    def counted(w):
+        calls.append(w)
+        return decide(w)
+
+    monkeypatch.setattr(tubular.cubulate, "dilation_decide", counted)
+    g = single_vertex_presentation([(V(1, 0), V(0, 1)), (V(13, 0), V(13, 0))])
+    s = equitable_search(g, 3, 3)
+    assert s.at("V") == (V(0, 1), V(1, 0))
+    assert all_matching_verdicts(g, s) == ({False}, True)
+    assert len(calls) == 1
+    # Three points on each of two circles: 20 orderings realize only three
+    # circle-pair sets (00 and 11, 01 and 10, all four), so three walls.
+    calls.clear()
+    g = single_vertex_presentation([(V(1, 0), V(0, 1)), (V(3, 3), V(3, 3))])
+    s = equitable_search(g, 3, 3)
+    assert s.at("V") == (V(0, 1), V(1, 0))
+    assert all_matching_verdicts(g, s) == ({False}, True)
+    assert len(calls) == 3
 
 
 def test_exports_are_deterministic():
