@@ -68,6 +68,11 @@ class Cat0Verdict:
     cos_phi: Rat | None = None
 
 
+# The verdict for loops that are all parallel with v = +-w, and for a vertex
+# without loops: the identity form works.
+_IDENTITY_YES = Cat0Verdict(True, QForm2.identity(), cos_phi=Fraction(0))
+
+
 def _cos_constraint(minv: Mat2, v: IntVec2, w: IntVec2) -> tuple[Rat, Rat]:
     """Coefficients (a, b) of the edge condition a = b * cos(phi).
 
@@ -104,8 +109,7 @@ def decide_cat0(edges: list[Pair]) -> Cat0Verdict:
 
     base = next((i for i, (v, w) in enumerate(edges) if det2(v, w) != 0), None)
     if base is None:
-        # Every pair parallel with v = +-w: the identity form works.
-        return Cat0Verdict(True, certificate=QForm2.identity(), cos_phi=Fraction(0))
+        return _IDENTITY_YES
 
     v1, w1 = edges[base]
     minv = inv2(Mat2.from_columns(v1, w1))
@@ -169,5 +173,5 @@ def vertex_necessary_checks(g: TubularPresentation) -> dict[str, Cat0Verdict]:
         if loops:
             out[v] = decide_cat0([(e.v, e.w) for e in loops])
         else:
-            out[v] = Cat0Verdict(True, certificate=QForm2.identity(), cos_phi=Fraction(0))
+            out[v] = _IDENTITY_YES
     return out

@@ -82,8 +82,7 @@ def _load(args) -> tuple[TubularPresentation | GpqParams, str]:
         return entry.presentation, entry.name
     path = args.input
     if path is None:
-        print("error: no input given (file, '-', or --corpus NAME)", file=sys.stderr)
-        raise SystemExit(2)
+        raise ValueError("no input given (file, '-', or --corpus NAME)")
     obj = parse(sys.stdin.read() if path == "-" else _read(path))
     name = obj.name if isinstance(obj, TubularPresentation) and obj.name else "G"
     if isinstance(obj, GpqParams):
@@ -413,14 +412,12 @@ def _parse_vec_spec(spec: str, g: TubularPresentation) -> tuple[VertexId, IntVec
         vertex, coords = spec.split(":", 1)
     else:
         if len(g.vertices) != 1:
-            print(f"error: vector spec {spec!r} needs a vertex prefix", file=sys.stderr)
-            raise SystemExit(2)
+            raise ValueError(f"vector spec {spec!r} needs a vertex prefix")
         vertex, coords = g.vertices[0], spec
     try:
         x, y = (int(t) for t in coords.split(","))
     except ValueError:
-        print(f"error: bad vector spec {spec!r} (expected V:x,y)", file=sys.stderr)
-        raise SystemExit(2)
+        raise ValueError(f"bad vector spec {spec!r} (expected V:x,y)") from None
     if x == 0 and y == 0:
         raise ValueError(f"gluing vector {spec!r} must be nonzero")
     return vertex, IntVec2(x, y)

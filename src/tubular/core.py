@@ -36,9 +36,6 @@ class IntVec2:
     def __neg__(self) -> "IntVec2":
         return IntVec2(-self.x, -self.y)
 
-    def __rmul__(self, k: int) -> "IntVec2":
-        return IntVec2(k * self.x, k * self.y)
-
     def is_zero(self) -> bool:
         return self.x == 0 and self.y == 0
 
@@ -53,13 +50,6 @@ def det2(u: IntVec2, v: IntVec2) -> int:
     geometric intersection number of the corresponding curves on the torus.
     """
     return u.x * v.y - u.y * v.x
-
-
-def is_parallel(u: IntVec2, v: IntVec2) -> bool:
-    """Whether two nonzero vectors span the same line through the origin."""
-    if u.is_zero() or v.is_zero():
-        raise ValueError("is_parallel requires nonzero vectors")
-    return det2(u, v) == 0
 
 
 def primitive_of(v: IntVec2) -> IntVec2:

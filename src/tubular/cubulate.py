@@ -15,6 +15,7 @@ dimensional exactly when every cycle of arcs has multiplicative holonomy 1
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -109,17 +110,13 @@ def canonical_th3_set(edges: list[Pair], vertex: VertexId = "V") -> EquitableSet
 def _candidate_vectors(coord_bound: int) -> list[IntVec2]:
     """Primitive vectors with |coords| <= bound, sign-normalized (first
     nonzero coordinate positive), in lexicographic order."""
-    import math
-
     out = []
     for x in range(0, coord_bound + 1):
         for y in range(-coord_bound, coord_bound + 1):
             if x == 0 and y <= 0:
                 continue
-            if x > 0 or y > 0:
-                if math.gcd(x, abs(y)) == 1:
-                    out.append(IntVec2(x, y))
-    out.sort(key=lambda v: (v.x, v.y))
+            if math.gcd(x, abs(y)) == 1:
+                out.append(IntVec2(x, y))
     return out
 
 

@@ -6,9 +6,11 @@ Two routes are implemented and cross-checked against each other:
   the differences v_i - w_i lie on a common line that avoids every v_i;
 * Button's criterion for arbitrary graphs: free-by-cyclic exactly when some
   homomorphism to Z is nonzero on every edge group.  The homomorphisms to Z
-  form a rational subspace S cut out by one linear constraint per edge, and a
-  suitable integer functional is found by deterministic hyperplane avoidance
-  over S.
+  form a rational subspace S cut out by one linear constraint per edge.  Each
+  required value (one per edge group) is tabulated once on the basis of S; an
+  all-zero row is the obstruction.  Otherwise a greedy walk over the basis
+  picks the witness sum c_i b_i with every c_i in 1..k+1 for k required
+  values, in at most dim(S) * (k+1) trials.
 
 The same machinery certifies generalized retractors (an extra required-nonzero
 value) and decides amalgams of two presentations over a cyclic subgroup.
@@ -134,22 +136,6 @@ def hom_space(g: TubularPresentation) -> HomSpace:
     return HomSpace(g.vertices, tuple(basis))
 
 
-def _vanishes_on(space: HomSpace, lin: tuple[Fraction, ...]) -> bool:
-    """Whether the linear functional with the given coordinate row is
-    identically zero on the solution space."""
-    return all(
-        sum(c * x for c, x in zip(lin, b)) == 0 for b in space.basis
-    )
-
-
-def _edge_row(g: TubularPresentation, e: Edge) -> tuple[Fraction, ...]:
-    idx = {v: 2 * i for i, v in enumerate(g.vertices)}
-    row = [Fraction(0)] * (2 * len(g.vertices))
-    row[idx[e.src]] += e.v.x
-    row[idx[e.src] + 1] += e.v.y
-    return tuple(row)
-
-
 def _integer_functional(space: HomSpace, coords: tuple[Rat, ...]) -> Functional:
     """Clear denominators and divide by the gcd, keeping the leading sign."""
     dens = [x.denominator for x in coords]
@@ -177,65 +163,58 @@ def _coefficient_tuples(dim: int):
                 yield tup
 
 
-def _avoid_hyperplanes(
-    space: HomSpace, required_nonzero: list[tuple[Fraction, ...]]
-) -> Functional | None:
-    """Find an integer functional in the span of `space` with every listed
-    linear value nonzero, or None when some constraint vanishes on the space.
+def _greedy_coefficients(table: list[list[Rat]], dim: int) -> list[int]:
+    """Coefficients c_1..c_dim with every table row nonzero at sum c_i b_i.
 
-    A point avoiding finitely many hyperplanes, none containing the space,
-    always exists; enumeration by increasing max-norm guarantees termination.
+    Row r of the table lists a required value on the basis vectors b_i, and
+    none is all zero.  Walking the basis, c_i is the least value in 1..k+1
+    (k rows) keeping nonzero every row that is nonzero at the previous partial
+    sum; a row zero there so far becomes c_i * r(b_i).  Each such row rules
+    out at most one c_i, so the walk makes at most dim * (k+1) trials and no
+    coefficient exceeds k+1.
     """
-    for lin in required_nonzero:
-        if _vanishes_on(space, lin):
-            return None
-    if not required_nonzero:
-        if space.dim == 0:
-            return None
-        return _integer_functional(space, space.basis[0])
-    # Precompute each constraint's value on each basis vector.
-    table = [
-        [sum(c * x for c, x in zip(lin, b)) for b in space.basis]
-        for lin in required_nonzero
-    ]
-    for tup in _coefficient_tuples(space.dim):
-        if all(
-            sum(t * val for t, val in zip(tup, vals)) != 0 for vals in table
-        ):
-            coords = tuple(
-                sum(t * b[j] for t, b in zip(tup, space.basis))
-                for j in range(2 * len(space.vertices))
-            )
-            return _integer_functional(space, coords)
-    raise AssertionError("unreachable: hyperplane avoidance always terminates")
+    at: list[Rat] = [Fraction(0)] * len(table)
+    coeffs = []
+    for i in range(dim):
+        ruled_out = {-a / row[i] for a, row in zip(at, table) if a and row[i]}
+        c = next(c for c in range(1, len(table) + 2) if c not in ruled_out)
+        at = [a + c * row[i] for a, row in zip(at, table)]
+        coeffs.append(c)
+    return coeffs
 
 
 def _nonvanishing_functional(
-    g: TubularPresentation, extra: list[tuple[tuple[Fraction, ...], str]]
+    g: TubularPresentation, extra: list[tuple[VertexId, IntVec2, str]]
 ) -> FbcVerdict:
     """An edge-compatible functional nonzero on every edge group and on each
-    extra row, or the obstruction of the first edge or row on which every such
-    functional vanishes.  `extra` pairs each row with its obstruction text."""
+    extra value, or the obstruction of the first edge or extra value on which
+    every such functional vanishes.  `extra` lists (vertex, vector, obstruction
+    text) triples."""
     space = hom_space(g)
-    rows = [_edge_row(g, e) for e in g.edges]
-    for e, row in zip(g.edges, rows):
-        if _vanishes_on(space, row):
-            return FbcVerdict(
-                False,
-                obstruction=(
-                    f"every edge-compatible functional vanishes on edge "
-                    f"{e.label or e.id}"
-                ),
-            )
-    for row, obstruction in extra:
-        if _vanishes_on(space, row):
+    required = [
+        (
+            e.src,
+            e.v,
+            f"every edge-compatible functional vanishes on edge {e.label or e.id}",
+        )
+        for e in g.edges
+    ] + extra
+    table = []
+    for vertex, vec, obstruction in required:
+        i = 2 * g.vertex_index(vertex)
+        row = [b[i] * vec.x + b[i + 1] * vec.y for b in space.basis]
+        if not any(row):
             return FbcVerdict(False, obstruction=obstruction)
-    if not g.edges and space.dim == 0:
-        # Cannot happen for a real presentation (no vertices), kept for safety.
+        table.append(row)
+    if space.dim == 0:
+        # Only a presentation without vertices gets here.
         return FbcVerdict(False, obstruction="empty homomorphism space")
-    witness = _avoid_hyperplanes(space, rows + [row for row, _ in extra])
-    assert witness is not None
-    return FbcVerdict(True, witness=witness)
+    coeffs = _greedy_coefficients(table, space.dim)
+    coords = tuple(
+        sum(c * b[j] for c, b in zip(coeffs, space.basis))
+        for j in range(2 * len(space.vertices))
+    )
+    return FbcVerdict(True, witness=_integer_functional(space, coords))
 
 
 def button_decide(g: TubularPresentation) -> FbcVerdict:
@@ -308,14 +287,10 @@ def generalized_retractor(
         raise ValueError("generalized_retractor requires a nonzero element")
     if vertex not in g.vertices:
         raise ValueError(f"unknown vertex {vertex!r}")
-    idx = 2 * g.vertex_index(vertex)
-    grow = [Fraction(0)] * (2 * len(g.vertices))
-    grow[idx] += elem.x
-    grow[idx + 1] += elem.y
     obstruction = (
         f"every edge-compatible functional vanishes on {elem} at vertex {vertex}"
     )
-    return _nonvanishing_functional(g, [(tuple(grow), obstruction)])
+    return _nonvanishing_functional(g, [(vertex, elem, obstruction)])
 
 
 def amalgamate(

@@ -179,24 +179,12 @@ def test_amalgam_subcommand(capsys, tmp_path):
     assert "fbc: No [ButtonCriterion]" in out
 
 
-def test_amalgam_bad_vector_spec(capsys, tmp_path):
-    p1 = tmp_path / "a.tub"
-    p1.write_text(unparse(eg2_g1()))
-    with pytest.raises(SystemExit):
-        main(["amalgam", str(p1), "nonsense", str(p1), "1,0"])
-
-
 def test_parse_error_exit_code(capsys, tmp_path):
     path = tmp_path / "bad.tub"
     path.write_text("group bad { vertex V; edge e : V(0,0) -> V(1,0); }")
     code, _, err = run(capsys, "cat0", str(path))
     assert code == 2
     assert "zero attaching vector" in err
-
-
-def test_missing_input_is_usage_error(capsys):
-    with pytest.raises(SystemExit):
-        main(["cat0"])
 
 
 def test_cubulate_searches_once(capsys, monkeypatch):
@@ -229,6 +217,11 @@ def test_cubulate_searches_once(capsys, monkeypatch):
             ["analyze", "--corpus", "nosuch"],
             "error: unknown corpus entry 'nosuch' (entries: gersten, lyman-psi(1,1),",
         ),
+        (["cat0"], "error: no input given (file, '-', or --corpus NAME)\n"),
+        (
+            ["amalgam", "{g}", "nonsense", "{g}", "1,0"],
+            "error: bad vector spec 'nonsense' (expected V:x,y)\n",
+        ),
     ],
     ids=[
         "coord-bound-0",
@@ -236,6 +229,8 @@ def test_cubulate_searches_once(capsys, monkeypatch):
         "zero-vector",
         "corpus-json-without-run",
         "unknown-corpus-entry",
+        "missing-input",
+        "bad-vector-spec",
     ],
 )
 def test_user_errors_exit_2(capsys, tmp_path, argv, message):

@@ -14,7 +14,6 @@ from tubular.core import (
     change_basis,
     det2,
     inv2,
-    is_parallel,
     primitive_of,
     single_vertex_presentation,
 )
@@ -28,7 +27,6 @@ def test_vector_arithmetic():
     assert IntVec2(1, 2) + IntVec2(3, -1) == IntVec2(4, 1)
     assert IntVec2(1, 2) - IntVec2(3, -1) == IntVec2(-2, 3)
     assert -IntVec2(1, -2) == IntVec2(-1, 2)
-    assert 3 * IntVec2(1, 2) == IntVec2(3, 6)
     assert str(IntVec2(-1, 2)) == "(-1,2)"
 
 
@@ -37,16 +35,6 @@ def test_det2_bilinear_antisymmetric():
     assert det2(u, v) == 11
     assert det2(v, u) == -11
     assert det2(u, u) == 0
-
-
-@given(nonzero_vec, nonzero_vec)
-def test_parallel_iff_det_zero(u, v):
-    assert is_parallel(u, v) == (det2(u, v) == 0)
-
-
-def test_is_parallel_rejects_zero():
-    with pytest.raises(ValueError):
-        is_parallel(IntVec2(0, 0), IntVec2(1, 0))
 
 
 @given(nonzero_vec)

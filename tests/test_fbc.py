@@ -1,8 +1,17 @@
+import itertools
 import random
+import time
 
 import pytest
 
-from tubular.core import IntVec2, det2, single_vertex_presentation
+from tubular import fbc
+from tubular.core import (
+    Edge,
+    IntVec2,
+    TubularPresentation,
+    det2,
+    single_vertex_presentation,
+)
 from tubular.corpus import (
     bare_z2,
     bs12_shape,
@@ -169,7 +178,8 @@ def test_button_necessary_direction_of_retractor_rule():
         while len(out) < k:
             v = V(rng.randint(-4, 4), rng.randint(-4, 4))
             if not v.is_zero() and det2(d, v) != 0:
-                out.append((v, v + rng.randint(-2, 2) * d))
+                j = rng.randint(-2, 2)
+                out.append((v, v + V(j * d.x, j * d.y)))
         return out
 
     tried = 0
@@ -188,3 +198,124 @@ def test_button_necessary_direction_of_retractor_rule():
         assert generalized_retractor(g1, "V", a).answer
         assert generalized_retractor(g2, "V", b).answer
     assert tried > 10
+
+
+def _gadget(d):
+    """A graph whose homomorphisms to Z are d free integers t_1..t_d, one per
+    vertex V_i, free-by-cyclic only through a functional with every t_i and
+    every t_i +- t_j nonzero."""
+    vs = [f"V{i}" for i in range(d)]
+    edges = [
+        Edge(f"l{i}", v, v, V(1, 0), V(0, 1 if i % 2 else -1))
+        for i, v in enumerate(vs)
+    ]
+    ws = []
+    for i, j in itertools.combinations(range(d), 2):
+        for s in (1, -1):
+            w = f"W{len(ws)}"
+            ws.append(w)
+            edges.append(Edge(f"a{w}", vs[i], w, V(1, 0), V(1, 0)))
+            edges.append(Edge(f"b{w}", vs[j], w, V(1, 0), V(0, 1)))
+            edges.append(Edge(f"c{w}", w, w, V(1, s), V(1, s)))
+    return TubularPresentation(tuple(vs + ws), tuple(edges), name=f"gadget{d}")
+
+
+def test_button_gadget_bounded_work():
+    g = _gadget(6)
+    k = len(g.edges)
+    t0 = time.process_time()
+    verdict = button_decide(g)
+    elapsed = time.process_time() - t0
+    assert verdict.answer
+    assert witness_is_valid(g, verdict.witness)
+    assert max(abs(c) for _, ab in verdict.witness.coeffs for c in ab) <= k + 1
+    assert elapsed < 2.0
+
+
+def _oracle(g, extra):
+    """The max-norm shell search that the greedy walk replaced, on dense
+    coordinate rows.  Returns its verdict and the table of required values on
+    the hom-space basis."""
+    space = hom_space(g)
+
+    def row(vertex, vec):
+        lin = [0] * (2 * len(g.vertices))
+        i = 2 * g.vertex_index(vertex)
+        lin[i], lin[i + 1] = vec.x, vec.y
+        return lin
+
+    required = [
+        (
+            row(e.src, e.v),
+            f"every edge-compatible functional vanishes on edge {e.label or e.id}",
+        )
+        for e in g.edges
+    ] + [(row(vertex, elem), text) for vertex, elem, text in extra]
+    table = [
+        [sum(c * x for c, x in zip(lin, b)) for b in space.basis] for lin, _ in required
+    ]
+    for vals, (_, text) in zip(table, required):
+        if not any(vals):
+            return fbc.FbcVerdict(False, obstruction=text), table
+    for tup in fbc._coefficient_tuples(space.dim):
+        if all(sum(t * x for t, x in zip(tup, vals)) != 0 for vals in table):
+            coords = tuple(
+                sum(t * b[j] for t, b in zip(tup, space.basis))
+                for j in range(2 * len(g.vertices))
+            )
+            witness = fbc._integer_functional(space, coords)
+            return fbc.FbcVerdict(True, witness=witness), table
+
+
+def _vec(rng):
+    while True:
+        v = V(rng.randint(-4, 4), rng.randint(-4, 4))
+        if not v.is_zero():
+            return v
+
+
+def _random_graph(rng):
+    """2-5 vertices joined by a random spanning tree plus up to n extra edges,
+    every coordinate in [-4, 4]."""
+    n = rng.randint(2, 5)
+    vs = [f"V{i}" for i in range(n)]
+    ends = [(vs[rng.randrange(i)], vs[i]) for i in range(1, n)]
+    ends += [(rng.choice(vs), rng.choice(vs)) for _ in range(rng.randint(0, n))]
+    edges = [
+        Edge(f"e{i}", src, dst, _vec(rng), _vec(rng)) for i, (src, dst) in enumerate(ends)
+    ]
+    return TubularPresentation(tuple(vs), tuple(edges))
+
+
+def test_greedy_search_agrees_with_shell_oracle():
+    rng = random.Random(20261018)
+    yes = dim_one = 0
+    for _ in range(300):
+        g = _random_graph(rng)
+        space = hom_space(g)
+        vertex, elem = rng.choice(g.vertices), _vec(rng)
+        text = f"every edge-compatible functional vanishes on {elem} at vertex {vertex}"
+        for extra, verdict in (
+            ([], button_decide(g)),
+            ([(vertex, elem, text)], generalized_retractor(g, vertex, elem)),
+        ):
+            expected, table = _oracle(g, extra)
+            assert verdict.answer == expected.answer
+            assert verdict.obstruction == expected.obstruction
+            if not verdict.answer:
+                continue
+            yes += 1
+            f = verdict.witness
+            assert witness_is_valid(g, f)
+            assert all(f.value(v, x) != 0 for v, x, _ in extra)
+            if space.dim == 1:
+                dim_one += 1
+                assert f == expected.witness
+            coeffs = fbc._greedy_coefficients(table, space.dim)
+            assert max(coeffs) <= len(table) + 1
+            coords = [
+                sum(c * b[j] for c, b in zip(coeffs, space.basis))
+                for j in range(2 * len(g.vertices))
+            ]
+            assert fbc._integer_functional(space, coords) == f
+    assert yes > 100 and dim_one > 20
