@@ -5,8 +5,11 @@ exactly when some invertible real matrix A equalizes ||A v_i|| = ||A w_i|| for
 every i.  Writing coordinates relative to an independent pair (v_1, w_1), the
 existence of A reduces to a single rational unknown c = cos(phi), the cosine of
 the angle between the images of v_1 and w_1, constrained to the open interval
-(-1, 1) by one linear equation per remaining edge.  A Yes verdict carries the
-positive-definite rational form Q = A^T A, checkable by exact arithmetic.
+(-1, 1) by one linear equation per remaining edge.  In Cramer coordinates
+scaled by det(v_1, w_1) every equation has integer coefficients, so the
+decider works in integers and builds Fractions only for the datum it returns.
+A Yes verdict carries the positive-definite rational form Q = A^T A, checkable
+by exact arithmetic.
 """
 
 from __future__ import annotations
@@ -15,15 +18,7 @@ import enum
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import (
-    IntVec2,
-    Mat2,
-    QForm2,
-    Rat,
-    TubularPresentation,
-    det2,
-    inv2,
-)
+from .core import IntVec2, QForm2, Rat, TubularPresentation, det2
 
 Pair = tuple[IntVec2, IntVec2]
 
@@ -73,19 +68,20 @@ class Cat0Verdict:
 _IDENTITY_YES = Cat0Verdict(True, QForm2.identity(), cos_phi=Fraction(0))
 
 
-def _cos_constraint(minv: Mat2, v: IntVec2, w: IntVec2) -> tuple[Rat, Rat]:
-    """Coefficients (a, b) of the edge condition a = b * cos(phi).
+def _cos_constraint(
+    v1: IntVec2, w1: IntVec2, v: IntVec2, w: IntVec2
+) -> tuple[int, int]:
+    """Integer coefficients (a, b) of the edge condition a = b * cos(phi).
 
-    With (x, y) and (x', y') the coordinates of v and w relative to the base
-    pair, expanding ||x B1 + y B2||^2 = ||x' B1 + y' B2||^2 for unit B1, B2 at
-    angle phi gives x^2+y^2+2xy c = x'^2+y'^2+2x'y' c, i.e.
-    a = (x^2+y^2) - (x'^2+y'^2) and b = 2 (x'y' - xy).
+    By Cramer's rule, D (x, y) = (det2(v, w1), det2(v1, v)) with D = det2(v1, w1),
+    where (x, y) are the coordinates of v relative to the base pair (v1, w1);
+    likewise D (x', y') for w.  Expanding ||x B1 + y B2||^2 = ||x' B1 + y' B2||^2
+    for unit B1, B2 at angle phi gives x^2+y^2+2xy c = x'^2+y'^2+2x'y' c; the
+    returned a = (x^2+y^2) - (x'^2+y'^2) and b = 2 (x'y' - xy) are scaled by D^2.
     """
-    x, y = minv.apply(v)
-    xp, yp = minv.apply(w)
-    a = (x * x + y * y) - (xp * xp + yp * yp)
-    b = 2 * (xp * yp - x * y)
-    return a, b
+    x, y = det2(v, w1), det2(v1, v)
+    xp, yp = det2(w, w1), det2(v1, w)
+    return (x * x + y * y) - (xp * xp + yp * yp), 2 * (xp * yp - x * y)
 
 
 def decide_cat0(edges: list[Pair]) -> Cat0Verdict:
@@ -112,46 +108,53 @@ def decide_cat0(edges: list[Pair]) -> Cat0Verdict:
         return _IDENTITY_YES
 
     v1, w1 = edges[base]
-    minv = inv2(Mat2.from_columns(v1, w1))
+    d2 = det2(v1, w1) ** 2
 
-    forced: dict[Rat, int] = {}
+    # (a, b, i) of the first forced cosine a/b and of the first one unequal to it.
+    forced: list[tuple[int, int, int]] = []
     for i, (v, w) in enumerate(edges):
         if i == base:
             continue
-        a, b = _cos_constraint(minv, v, w)
+        a, b = _cos_constraint(v1, w1, v, w)
         if b == 0:
             if a != 0:
                 return Cat0Verdict(
                     False,
                     obstruction=ObstructionDatum(
-                        ObstructionKind.INCONSISTENT_COS, (base, i), (a,)
+                        ObstructionKind.INCONSISTENT_COS, (base, i), (Fraction(a, d2),)
                     ),
                 )
-        else:
-            forced.setdefault(a / b, i)
+        elif not forced or (len(forced) == 1 and a * forced[0][1] != forced[0][0] * b):
+            forced.append((a, b, i))
 
     if len(forced) > 1:
-        (c1, i1), (c2, i2) = list(forced.items())[:2]
+        (a1, b1, i1), (a2, b2, i2) = forced
         return Cat0Verdict(
             False,
             obstruction=ObstructionDatum(
-                ObstructionKind.INCONSISTENT_COS, (i1, i2), (c1, c2)
+                ObstructionKind.INCONSISTENT_COS,
+                (i1, i2),
+                (Fraction(a1, b1), Fraction(a2, b2)),
             ),
         )
 
     # Unconstrained: phi = pi/2 gives the simplest certificate.
-    c = next(iter(forced)) if forced else Fraction(0)
+    ca, cb, i = forced[0] if forced else (0, 1, None)
+    c = Fraction(ca, cb)
     if not (-1 < c < 1):
         return Cat0Verdict(
             False,
-            obstruction=ObstructionDatum(
-                ObstructionKind.COS_OUT_OF_RANGE, (forced[c],), (c,)
-            ),
+            obstruction=ObstructionDatum(ObstructionKind.COS_OUT_OF_RANGE, (i,), (c,)),
         )
 
-    gram = Mat2(Fraction(1), c, c, Fraction(1))
-    q = minv.transpose() @ gram @ minv
-    cert = QForm2(q.a, q.b, q.d)
+    # Q(u) = X^2 + 2c XY + Y^2 over D^2, with X = det2(u, w1), Y = det2(v1, u).
+    (x1, y1), (x2, y2) = (v1.x, v1.y), (w1.x, w1.y)
+    den = cb * d2
+    cert = QForm2(
+        Fraction(cb * (y1 * y1 + y2 * y2) - 2 * ca * y1 * y2, den),
+        Fraction(ca * (x1 * y2 + x2 * y1) - cb * (x1 * y1 + x2 * y2), den),
+        Fraction(cb * (x1 * x1 + x2 * x2) - 2 * ca * x1 * x2, den),
+    )
     return Cat0Verdict(True, certificate=cert, cos_phi=c)
 
 

@@ -154,7 +154,8 @@ def _fbc(s: _Input, done) -> dict:
     if isinstance(s.obj, AmalgamAnalysis):
         return _amalgam_fbc(s.obj)
     if len(s.g.vertices) == 1:
-        return _from_fbc(decide_fbc_single_vertex(s.g.single_vertex_pairs()), *LINE)
+        verdict = decide_fbc_single_vertex(s.g.single_vertex_pairs(), s.g.vertices[0])
+        return _from_fbc(verdict, *LINE)
     return _from_fbc(button_decide(s.g), *BUTTON)
 
 

@@ -1,4 +1,4 @@
-"""Exact integer/rational 2x2 linear algebra and the tubular-presentation data model.
+"""Exact 2x2 integer arithmetic, binary quadratic forms and the presentation data model.
 
 A tubular group splits as a finite graph of groups with Z^2 vertex groups and
 Z edge groups.  Every vertex carries an implicit Z^2 with a fixed basis; every
@@ -58,49 +58,6 @@ def primitive_of(v: IntVec2) -> IntVec2:
         raise ValueError("primitive_of requires a nonzero vector")
     g = math.gcd(abs(v.x), abs(v.y))
     return IntVec2(v.x // g, v.y // g)
-
-
-@dataclass(frozen=True)
-class Mat2:
-    """A 2x2 rational matrix, row-major: [[a, b], [c, d]]."""
-
-    a: Rat
-    b: Rat
-    c: Rat
-    d: Rat
-
-    @staticmethod
-    def from_columns(u: IntVec2, v: IntVec2) -> "Mat2":
-        return Mat2(Fraction(u.x), Fraction(v.x), Fraction(u.y), Fraction(v.y))
-
-    @staticmethod
-    def identity() -> "Mat2":
-        return Mat2(Fraction(1), Fraction(0), Fraction(0), Fraction(1))
-
-    def det(self) -> Rat:
-        return self.a * self.d - self.b * self.c
-
-    def transpose(self) -> "Mat2":
-        return Mat2(self.a, self.c, self.b, self.d)
-
-    def __matmul__(self, other: "Mat2") -> "Mat2":
-        return Mat2(
-            self.a * other.a + self.b * other.c,
-            self.a * other.b + self.b * other.d,
-            self.c * other.a + self.d * other.c,
-            self.c * other.b + self.d * other.d,
-        )
-
-    def apply(self, v: IntVec2) -> tuple[Rat, Rat]:
-        return (self.a * v.x + self.b * v.y, self.c * v.x + self.d * v.y)
-
-
-def inv2(m: Mat2) -> Mat2:
-    """Exact rational inverse of a 2x2 matrix."""
-    d = m.det()
-    if d == 0:
-        raise ValueError("inv2: singular matrix")
-    return Mat2(m.d / d, -m.b / d, -m.c / d, m.a / d)
 
 
 @dataclass(frozen=True)

@@ -223,9 +223,10 @@ def button_decide(g: TubularPresentation) -> FbcVerdict:
     return _nonvanishing_functional(g, [])
 
 
-def decide_fbc_single_vertex(edges: list[Pair]) -> FbcVerdict:
+def decide_fbc_single_vertex(edges: list[Pair], vertex: VertexId = "V") -> FbcVerdict:
     """The line criterion: all differences v_i - w_i parallel, and their common
-    line avoids every v_i.  Witness built by projecting along the line."""
+    line avoids every v_i.  Witness at `vertex`, built by projecting along the
+    line."""
     for v, w in edges:
         if v.is_zero() or w.is_zero():
             raise ValueError("attaching vectors must be nonzero")
@@ -257,7 +258,7 @@ def decide_fbc_single_vertex(edges: list[Pair]) -> FbcVerdict:
     alpha, beta = -direction.y, direction.x
     if alpha < 0 or (alpha == 0 and beta < 0):
         alpha, beta = -alpha, -beta
-    witness = Functional((("V", (alpha, beta)),))
+    witness = Functional(((vertex, (alpha, beta)),))
     return FbcVerdict(True, witness=witness)
 
 

@@ -4,12 +4,15 @@ from fractions import Fraction
 import pytest
 
 from tubular.cat0 import (
+    Cat0Verdict,
+    ObstructionDatum,
     ObstructionKind,
+    _cos_constraint,
     check_certificate,
     decide_cat0,
     vertex_necessary_checks,
 )
-from tubular.core import IntVec2, det2
+from tubular.core import IntVec2, QForm2, det2
 from tubular.corpus import (
     bs12_shape,
     corlast,
@@ -80,12 +83,12 @@ def test_rejects_degenerate_input():
         decide_cat0(pairs(((0, 0), (1, 0))))
 
 
-def _random_pairs(rng, k):
+def _random_pairs(rng, k, bound=5):
     out = []
     for _ in range(k):
         while True:
-            v = V(rng.randint(-5, 5), rng.randint(-5, 5))
-            w = V(rng.randint(-5, 5), rng.randint(-5, 5))
+            v = V(rng.randint(-bound, bound), rng.randint(-bound, bound))
+            w = V(rng.randint(-bound, bound), rng.randint(-bound, bound))
             if not v.is_zero() and not w.is_zero():
                 out.append((v, w))
                 break
@@ -98,9 +101,6 @@ def test_yes_certificates_reverify_and_no_verdicts_are_complete():
     a fine grid satisfies every edge constraint (the constraints are linear in
     the cosine, so a consistent value would be the single forced one)."""
     rng = random.Random(20240817)
-    from tubular.cat0 import _cos_constraint
-    from tubular.core import Mat2, inv2
-
     for _ in range(400):
         edges = _random_pairs(rng, rng.randint(1, 4))
         verdict = decide_cat0(edges)
@@ -113,9 +113,9 @@ def test_yes_certificates_reverify_and_no_verdicts_are_complete():
             assert det2(v, w) == 0 and v != w and v != -w
             continue
         base = next(i for i, (v, w) in enumerate(edges) if det2(v, w) != 0)
-        minv = inv2(Mat2.from_columns(*edges[base]))
+        v1, w1 = edges[base]
         constraints = [
-            _cos_constraint(minv, v, w)
+            _cos_constraint(v1, w1, v, w)
             for i, (v, w) in enumerate(edges)
             if i != base
         ]
@@ -138,3 +138,117 @@ def test_vertex_necessary_checks_multi_vertex():
     checks = vertex_necessary_checks(corlast())
     assert not checks["g1.V"].answer  # the Gersten loops fail
     assert checks["g2.V"].answer  # no loops: vacuous pass
+
+
+def _oracle_decide_cat0(edges):
+    """The replaced decider, kept as an oracle: coordinates relative to the base
+    pair through the rational inverse of the matrix with columns v1, w1, and the
+    certificate M^-T [[1, c], [c, 1]] M^-1, all in Fractions."""
+    for i, (v, w) in enumerate(edges):
+        if det2(v, w) == 0 and v != w and v != -w:
+            return Cat0Verdict(
+                False,
+                obstruction=ObstructionDatum(ObstructionKind.PARALLEL_MISMATCH, (i,)),
+            )
+    base = next((i for i, (v, w) in enumerate(edges) if det2(v, w) != 0), None)
+    if base is None:
+        return Cat0Verdict(True, QForm2.identity(), cos_phi=Fraction(0))
+    v1, w1 = edges[base]
+    d = Fraction(det2(v1, w1))
+    (p, q), (r, s) = (w1.y / d, -w1.x / d), (-v1.y / d, v1.x / d)
+
+    forced = {}
+    for i, (v, w) in enumerate(edges):
+        if i == base:
+            continue
+        x, y = p * v.x + q * v.y, r * v.x + s * v.y
+        xp, yp = p * w.x + q * w.y, r * w.x + s * w.y
+        a = (x * x + y * y) - (xp * xp + yp * yp)
+        b = 2 * (xp * yp - x * y)
+        if b == 0:
+            if a != 0:
+                return Cat0Verdict(
+                    False,
+                    obstruction=ObstructionDatum(
+                        ObstructionKind.INCONSISTENT_COS, (base, i), (a,)
+                    ),
+                )
+        else:
+            forced.setdefault(a / b, i)
+    if len(forced) > 1:
+        (c1, i1), (c2, i2) = list(forced.items())[:2]
+        return Cat0Verdict(
+            False,
+            obstruction=ObstructionDatum(
+                ObstructionKind.INCONSISTENT_COS, (i1, i2), (c1, c2)
+            ),
+        )
+    c = next(iter(forced)) if forced else Fraction(0)
+    if not (-1 < c < 1):
+        return Cat0Verdict(
+            False,
+            obstruction=ObstructionDatum(
+                ObstructionKind.COS_OUT_OF_RANGE, (forced[c],), (c,)
+            ),
+        )
+    cert = QForm2(
+        p * p + 2 * c * p * r + r * r,
+        p * q + c * (p * s + q * r) + r * s,
+        q * q + 2 * c * q * s + s * s,
+    )
+    return Cat0Verdict(True, cert, cos_phi=c)
+
+
+def _planted_yes_pairs(rng, k):
+    """k pairs drawn from level sets of a random positive-definite integer form,
+    so the group is CAT(0) by construction."""
+    while True:
+        a, b, c = rng.randint(1, 4), rng.randint(-3, 3), rng.randint(1, 4)
+        if a * c - b * b > 0:
+            break
+    levels = {}
+    for x in range(-4, 5):
+        for y in range(-4, 5):
+            if x or y:
+                value = a * x * x + 2 * b * x * y + c * y * y
+                levels.setdefault(value, []).append(V(x, y))
+    rich = [vs for _, vs in sorted(levels.items()) if len(vs) > 2]
+    return [tuple(rng.sample(rng.choice(rich), 2)) for _ in range(k)]
+
+
+def _datum(verdict):
+    o = verdict.obstruction
+    q = verdict.certificate
+    return (
+        verdict.answer,
+        q and (q.a, q.b, q.c),
+        verdict.cos_phi,
+        o and (o.kind, o.indices, o.values, o.describe()),
+    )
+
+
+def test_integer_decider_agrees_with_fraction_oracle():
+    """Same answer, certificate, cosine, obstruction and description as the
+    Fraction inverse-matrix decider; every rational field is a Fraction."""
+    rng = random.Random(5150)
+    cases = [_random_pairs(rng, rng.randint(1, 4), bound=3) for _ in range(2500)]
+    planted = [_planted_yes_pairs(rng, rng.randint(2, 5)) for _ in range(600)]
+    kinds = set()
+    for edges in cases + planted:
+        verdict = decide_cat0(edges)
+        assert _datum(verdict) == _datum(_oracle_decide_cat0(edges)), edges
+        if verdict.answer:
+            q = verdict.certificate
+            assert all(type(f) is Fraction for f in (q.a, q.b, q.c, verdict.cos_phi))
+            assert check_certificate(q, edges)
+        else:
+            o = verdict.obstruction
+            assert all(type(f) is Fraction for f in o.values)
+            kinds.add((o.kind, len(o.values)))
+    assert all(decide_cat0(edges).answer for edges in planted)
+    assert kinds == {
+        (ObstructionKind.PARALLEL_MISMATCH, 0),
+        (ObstructionKind.INCONSISTENT_COS, 1),
+        (ObstructionKind.INCONSISTENT_COS, 2),
+        (ObstructionKind.COS_OUT_OF_RANGE, 1),
+    }

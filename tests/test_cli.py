@@ -115,6 +115,16 @@ def test_special_and_fbc_subcommands(capsys, tmp_path):
     assert "fbc: Yes" in out
 
 
+def test_fbc_witness_names_the_input_vertex(capsys, tmp_path):
+    path = tmp_path / "x.tub"
+    path.write_text("group G { vertex X; edge e : X(0,1) -> X(1,1); }\n")
+    code, out, _ = run(capsys, "fbc", "--json", str(path))
+    assert code == 0
+    (report,) = json.loads(out)
+    assert report["route"] == "LineCriterion"
+    assert report["certificate"]["coefficients"] == {"X": [0, 1]}
+
+
 def test_vrc_requires_gpq(capsys, tmp_path):
     path = tmp_path / "g.tub"
     path.write_text(unparse(gersten_presentation()))

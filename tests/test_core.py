@@ -8,12 +8,10 @@ from tubular.core import (
     Edge,
     IntMat2,
     IntVec2,
-    Mat2,
     QForm2,
     TubularPresentation,
     change_basis,
     det2,
-    inv2,
     primitive_of,
     single_vertex_presentation,
 )
@@ -43,14 +41,6 @@ def test_primitive_of(v):
     assert math.gcd(abs(p.x), abs(p.y)) == 1
     assert det2(p, v) == 0
     assert p.x * v.x + p.y * v.y > 0  # same direction
-
-
-def test_mat2_inverse():
-    m = Mat2(Fraction(2), Fraction(1), Fraction(7), Fraction(4))
-    prod = m @ inv2(m)
-    assert prod == Mat2.identity()
-    with pytest.raises(ValueError):
-        inv2(Mat2(Fraction(1), Fraction(2), Fraction(2), Fraction(4)))
 
 
 def test_edge_rejects_zero_vectors():
