@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections.abc import Hashable, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -133,76 +134,78 @@ def equitable_search(
 
     Candidate circles are primitive sign-normalized vectors with coordinates
     up to coord_bound; each vertex receives a multiset of at most size_bound
-    of them (repeats emulate non-primitive circles).  Enumeration order is
-    fixed (sizes, then lexicographic multisets), so the first valid set is
-    deterministic.  NotFound is relative to the bounds, never a proof that no
-    equitable set exists.
+    of them (repeats emulate non-primitive circles), listed by size and then
+    lexicographically.  The search walks the vertices in order, depth first:
+    each vertex's multisets are filtered once by its loops and keyed by their
+    intersection sums with the edges to earlier vertices, so every non-loop
+    edge is checked once, at its later end, by a key lookup.  The first set
+    found is the first in the order of the product of the per-vertex lists,
+    so it is deterministic.  NotFound is relative to the bounds, never a
+    proof that no equitable set exists.
     """
     if coord_bound < 1 or size_bound < 1:
         raise ValueError("bounds must be >= 1")
     cands = _candidate_vectors(coord_bound)
-    # Precompute each candidate's |det| against every edge-end it could meet.
-    ends: dict[VertexId, list[tuple[int, IntVec2, int]]] = {v: [] for v in g.vertices}
-    for ei, e in enumerate(g.edges):
-        ends[e.src].append((ei, e.v, 0))
-        ends[e.dst].append((ei, e.w, 1))
+    multisets = [
+        combo
+        for size in range(2, size_bound + 1)
+        for combo in itertools.combinations_with_replacement(cands, size)
+        if _has_independent_pair(combo)
+    ]
 
-    per_vertex: dict[VertexId, list[tuple[tuple[IntVec2, ...], tuple[int, ...]]]] = {}
-    for v in g.vertices:
-        options = []
-        for size in range(2, size_bound + 1):
-            for combo in itertools.combinations_with_replacement(cands, size):
-                if not _has_independent_pair(combo):
-                    continue
-                sums = tuple(
-                    sum(abs(det2(x, vec)) for x in combo) for _, vec, _ in ends[v]
-                )
-                options.append((combo, sums))
-        per_vertex[v] = options
+    def total(combo: tuple[IntVec2, ...], vec: IntVec2) -> int:
+        return sum(abs(det2(x, vec)) for x in combo)
 
-    for assignment in itertools.product(*(per_vertex[v] for v in g.vertices)):
-        chosen = {v: assignment[i] for i, v in enumerate(g.vertices)}
-        ok = True
-        for ei, e in enumerate(g.edges):
-            left = _end_sum(chosen, ends, e.src, ei, 0)
-            right = _end_sum(chosen, ends, e.dst, ei, 1)
-            if left != right:
-                ok = False
-                break
-        if ok:
-            return EquitableSet(
-                tuple((v, chosen[v][0]) for v in g.vertices)
-            )
-    return NotFound(coord_bound, size_bound)
+    pos = {v: i for i, v in enumerate(g.vertices)}
+    # Per vertex: its edges to earlier vertices as (earlier position, vector
+    # at the earlier end, vector here), and its multisets keyed by their sums
+    # against those edges.
+    levels = []
+    for i, v in enumerate(g.vertices):
+        back = [
+            (pos[e.src], e.v, e.w) if pos[e.dst] == i else (pos[e.dst], e.w, e.v)
+            for e in g.edges
+            if e.src != e.dst and max(pos[e.src], pos[e.dst]) == i
+        ]
+        loops = g.loops_at(v)
+        keyed: dict[tuple[int, ...], list[tuple[IntVec2, ...]]] = {}
+        for combo in multisets:
+            if all(total(combo, e.v) == total(combo, e.w) for e in loops):
+                key = tuple(total(combo, w) for _, _, w in back)
+                keyed.setdefault(key, []).append(combo)
+        levels.append((back, keyed))
 
-
-def _end_sum(chosen, ends, vertex, edge_index, side) -> int:
-    for pos, (ei, _, sd) in enumerate(ends[vertex]):
-        if ei == edge_index and sd == side:
-            return chosen[vertex][1][pos]
-    raise AssertionError("edge end not found")
+    chosen: list[tuple[IntVec2, ...]] = []
+    frames = []  # per chosen vertex, the iterator over its remaining options
+    while len(chosen) < len(levels):
+        back, keyed = levels[len(chosen)]
+        need = tuple(total(chosen[j], u) for j, u, _ in back)
+        frames.append(iter(keyed.get(need, ())))
+        while (combo := next(frames[-1], None)) is None:
+            frames.pop()
+            if not frames:
+                return NotFound(coord_bound, size_bound)
+            chosen.pop()
+        chosen.append(combo)
+    return EquitableSet(tuple(zip(g.vertices, chosen)))
 
 
 @dataclass(frozen=True)
 class Arc:
     """One connecting arc of an immersed wall, directed with its edge."""
 
-    edge_id: str
     edge_label: str
     src_circle: Circle
     dst_circle: Circle
     weight: Rat
-    index: int  # position among the edge's intersection points
 
 
 @dataclass(frozen=True)
 class WallGraph:
-    """Circles as nodes, connecting arcs as weighted directed edges, plus the
-    matching record (per edge, the circle pairing of intersection points)."""
+    """Circles as nodes, connecting arcs as weighted directed edges."""
 
     nodes: tuple[Circle, ...]
     arcs: tuple[Arc, ...]
-    matchings: tuple[tuple[str, tuple[tuple[int, int], ...]], ...]
 
 
 def _edge_points(s: EquitableSet, e: Edge) -> tuple[list[int], list[int]]:
@@ -229,7 +232,6 @@ def wall_graph(
         (v, i) for v in g.vertices for i in range(len(s.at(v)))
     )
     arcs: list[Arc] = []
-    match_record = []
     for e in g.edges:
         left_pts, right_pts = _edge_points(s, e)
         assert len(left_pts) == len(right_pts)
@@ -239,16 +241,12 @@ def wall_graph(
                 raise ValueError(f"invalid matching for edge {e.id}")
         else:
             right_order = right_pts
-        pairing = tuple(zip(left_pts, right_order))
-        match_record.append((e.id, pairing))
-        for k, (i, j) in enumerate(pairing):
+        for i, j in zip(left_pts, right_order):
             w = Fraction(
                 abs(det2(e.v, s.at(e.src)[i])), abs(det2(e.w, s.at(e.dst)[j]))
             )
-            arcs.append(
-                Arc(e.id, e.label or e.id, (e.src, i), (e.dst, j), w, k)
-            )
-    return WallGraph(nodes, tuple(arcs), tuple(match_record))
+            arcs.append(Arc(e.label or e.id, (e.src, i), (e.dst, j), w))
+    return WallGraph(nodes, tuple(arcs))
 
 
 @dataclass(frozen=True)
@@ -261,83 +259,73 @@ class DilationVerdict:
 
 
 def dilation_decide(w: WallGraph) -> DilationVerdict:
-    """Check that every cycle's multiplicative holonomy equals 1.
+    """Check that every cycle of the wall graph has multiplicative holonomy
+    1; when one does not, return the first cycle `holonomy_cycle` finds."""
+    found = holonomy_cycle(
+        w.nodes, [(a.src_circle, a.dst_circle, a.weight) for a in w.arcs]
+    )
+    if found is None:
+        return DilationVerdict(False)
+    steps, holonomy = found
+    return DilationVerdict(True, tuple((w.arcs[i], d) for i, d in steps), holonomy)
 
-    Per connected component, potentials are propagated along a spanning tree
-    (traversing an arc forward multiplies by its weight, backward divides);
-    every non-tree arc must then close up exactly.  Holonomy is a cycle
-    invariant, so the verdict does not depend on the tree.
+
+def holonomy_cycle(
+    nodes: Sequence[Hashable], arcs: Sequence[tuple[Hashable, Hashable, Rat]]
+) -> tuple[list[tuple[int, int]], Rat] | None:
+    """The first cycle of a graph with positive rational arc weights whose
+    multiplicative holonomy is not 1, as (arc index, direction) steps, with
+    that holonomy; None when every cycle has holonomy 1.
+
+    Per connected component, taken in the order of their first node, a
+    depth-first spanning tree assigns each node a potential (traversing an
+    arc forward multiplies by its weight, backward divides).  The component's
+    non-tree arcs are then checked once each, in index order: arc i from a to
+    b closes a cycle of holonomy potential[a]·weight/potential[b], which runs
+    from b up the tree to the common ancestor, down to a, and over arc i.
+    Holonomy is a cycle invariant, so whether a cycle is found does not
+    depend on the tree.
     """
-    adj: dict[Circle, list[tuple[int, int]]] = {n: [] for n in w.nodes}
-    for ai, arc in enumerate(w.arcs):
-        adj[arc.src_circle].append((ai, +1))
-        adj[arc.dst_circle].append((ai, -1))
-    potential: dict[Circle, Rat] = {}
-    parent: dict[Circle, tuple[Circle, int, int] | None] = {}
-    for root in w.nodes:
+    adj: dict[Hashable, list[tuple[int, int, Hashable]]] = {n: [] for n in nodes}
+    for i, (src, dst, _) in enumerate(arcs):
+        adj[src].append((i, +1, dst))
+        adj[dst].append((i, -1, src))
+    potential: dict[Hashable, Rat] = {}
+    parent: dict[Hashable, tuple[Hashable, int, int] | None] = {}
+
+    def path(node: Hashable) -> list[tuple[int, int]]:
+        steps = []
+        while parent[node] is not None:
+            node, i, d = parent[node]
+            steps.append((i, d))
+        return steps[::-1]
+
+    for root in nodes:
         if root in potential:
             continue
-        potential[root] = Fraction(1)
-        parent[root] = None
-        stack = [root]
-        tree_arcs = set()
+        potential[root], parent[root] = Fraction(1), None
+        stack, seen, tree = [root], set(), set()
         while stack:
             node = stack.pop()
-            for ai, direction in adj[node]:
-                arc = w.arcs[ai]
-                other = arc.dst_circle if direction == +1 else arc.src_circle
+            for i, d, other in adj[node]:
+                seen.add(i)
                 if other not in potential:
-                    factor = arc.weight if direction == +1 else 1 / arc.weight
-                    potential[other] = potential[node] * factor
-                    parent[other] = (node, ai, direction)
-                    tree_arcs.add(ai)
+                    weight = arcs[i][2] if d > 0 else 1 / arcs[i][2]
+                    potential[other] = potential[node] * weight
+                    parent[other] = (node, i, d)
+                    tree.add(i)
                     stack.append(other)
-        # Check all non-tree arcs in this component.
-        for ai, arc in enumerate(w.arcs):
-            if ai in tree_arcs or arc.src_circle not in potential:
-                continue
-            if arc.src_circle in parent and arc.dst_circle in parent:
-                holonomy = potential[arc.src_circle] * arc.weight / potential[
-                    arc.dst_circle
-                ]
-                if holonomy != 1:
-                    cycle = _fundamental_cycle(w, parent, ai)
-                    return DilationVerdict(True, cycle, _cycle_holonomy(cycle))
-    return DilationVerdict(False)
-
-
-def _tree_path(parent, node: Circle) -> list[tuple[int, int]]:
-    """Arc steps from the component root down to `node` (as (arc index, dir))."""
-    steps = []
-    while parent[node] is not None:
-        prev, ai, direction = parent[node]
-        steps.append((ai, direction))
-        node = prev
-    steps.reverse()
-    return steps
-
-
-def _fundamental_cycle(w: WallGraph, parent, ai: int) -> tuple[tuple[Arc, int], ...]:
-    arc = w.arcs[ai]
-    to_src = _tree_path(parent, arc.src_circle)
-    to_dst = _tree_path(parent, arc.dst_circle)
-    # Drop the common prefix so the path runs dst -> lca -> src.
-    k = 0
-    while k < len(to_src) and k < len(to_dst) and to_src[k] == to_dst[k]:
-        k += 1
-    steps: list[tuple[int, int]] = []
-    for aj, d in reversed(to_dst[k:]):
-        steps.append((aj, -d))
-    steps.extend(to_src[k:])
-    steps.append((ai, +1))
-    return tuple((w.arcs[aj], d) for aj, d in steps)
-
-
-def _cycle_holonomy(cycle: tuple[tuple[Arc, int], ...]) -> Rat:
-    h = Fraction(1)
-    for arc, d in cycle:
-        h = h * arc.weight if d == +1 else h / arc.weight
-    return h
+        for i in sorted(seen - tree):
+            src, dst, weight = arcs[i]
+            holonomy = potential[src] * weight / potential[dst]
+            if holonomy != 1:
+                to_src, to_dst = path(src), path(dst)
+                k = 0
+                while k < min(len(to_src), len(to_dst)) and to_src[k] == to_dst[k]:
+                    k += 1
+                back = [(j, -d) for j, d in reversed(to_dst[k:])]
+                return back + to_src[k:] + [(i, +1)], holonomy
+    return None
 
 
 def all_matching_verdicts(

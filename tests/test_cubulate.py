@@ -1,17 +1,30 @@
 import itertools
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
 import tubular.cubulate
-from tubular.core import IntVec2, det2, single_vertex_presentation
+from tubular.cli import main
+from tubular.core import (
+    Edge,
+    IntVec2,
+    TubularPresentation,
+    det2,
+    single_vertex_presentation,
+)
 from tubular.corpus import bs12_shape, gersten_presentation, lyman_psi
 from tubular.cubulate import (
+    Arc,
     CanonicalSetError,
+    DilationVerdict,
     EquitableSet,
     NotFound,
+    WallGraph,
+    _candidate_vectors,
+    _has_independent_pair,
     all_matching_verdicts,
     canonical_th3_set,
     dilation_decide,
@@ -21,6 +34,7 @@ from tubular.cubulate import (
     verify_equitable,
     wall_graph,
 )
+from tubular.dsl import parse
 from tubular.special import Answer, gpq_to_tubular, vspecial_sufficient
 
 V = IntVec2
@@ -104,6 +118,104 @@ def test_equitable_search_bounds_validated():
         equitable_search(gersten_presentation(), 0, 3)
 
 
+def _equitable_search_oracle(g, coord_bound, size_bound):
+    """The product enumerator that equitable_search replaced: every vertex's
+    full option list, their Cartesian product in vertex order, and every edge
+    checked against each assignment."""
+    cands = _candidate_vectors(coord_bound)
+    ends = {v: [] for v in g.vertices}
+    for ei, e in enumerate(g.edges):
+        ends[e.src].append((ei, e.v, 0))
+        ends[e.dst].append((ei, e.w, 1))
+    per_vertex = {}
+    for v in g.vertices:
+        options = []
+        for size in range(2, size_bound + 1):
+            for combo in itertools.combinations_with_replacement(cands, size):
+                if not _has_independent_pair(combo):
+                    continue
+                sums = tuple(
+                    sum(abs(det2(x, vec)) for x in combo) for _, vec, _ in ends[v]
+                )
+                options.append((combo, sums))
+        per_vertex[v] = options
+
+    def end_sum(chosen, vertex, edge_index, side):
+        for pos, (ei, _, sd) in enumerate(ends[vertex]):
+            if ei == edge_index and sd == side:
+                return chosen[vertex][1][pos]
+        raise AssertionError("edge end not found")
+
+    for assignment in itertools.product(*(per_vertex[v] for v in g.vertices)):
+        chosen = {v: assignment[i] for i, v in enumerate(g.vertices)}
+        if all(
+            end_sum(chosen, e.src, ei, 0) == end_sum(chosen, e.dst, ei, 1)
+            for ei, e in enumerate(g.edges)
+        ):
+            return EquitableSet(tuple((v, chosen[v][0]) for v in g.vertices))
+    return NotFound(coord_bound, size_bound)
+
+
+def _random_presentation(rng):
+    """1-3 vertices and 0-4 edges with coordinates up to 2; endpoints are
+    random (loops and bridges), and an edge sometimes repeats the endpoints
+    of an earlier one (parallel edges)."""
+    vertices = tuple(f"V{i}" for i in range(rng.randint(1, 3)))
+    vecs = [V(x, y) for x in range(-2, 3) for y in range(-2, 3) if (x, y) != (0, 0)]
+    edges = []
+    for k in range(rng.randint(0, 4)):
+        if edges and rng.random() < 0.2:
+            src, dst = rng.choice([(e.src, e.dst) for e in edges])
+        else:
+            src, dst = rng.choice(vertices), rng.choice(vertices)
+        edges.append(Edge(f"e{k}", src, dst, rng.choice(vecs), rng.choice(vecs)))
+    return TubularPresentation(vertices, tuple(edges))
+
+
+def test_equitable_search_agrees_with_product_oracle():
+    rng = random.Random(20261019)
+    seen = {key: 0 for key in ("loop", "bridge", "parallel", "bare", "found", "none")}
+    bounds_seen = set()
+    for _ in range(1500):
+        g = _random_presentation(rng)
+        # A vertex has 6, 22, 28 or 140 options at these bounds; keep the
+        # oracle's product at most about 10^4 assignments.
+        bounds = rng.choice([(1, 2), (1, 3), (2, 2), (2, 3)][: 5 - len(g.vertices)])
+        bounds_seen.add(bounds)
+        out = equitable_search(g, *bounds)
+        assert out == _equitable_search_oracle(g, *bounds), (g, bounds)
+        pairs = [frozenset((e.src, e.dst)) for e in g.edges]
+        seen["loop"] += any(len(p) == 1 for p in pairs)
+        seen["bridge"] += any(len(p) == 2 for p in pairs)
+        seen["parallel"] += len(set(pairs)) < len(pairs)
+        seen["bare"] += bool(g.edges) and any(
+            all(v not in p for p in pairs) for v in g.vertices
+        )
+        seen["found" if isinstance(out, EquitableSet) else "none"] += 1
+    assert len(bounds_seen) == 4
+    assert min(seen.values()) > 100, seen
+    no_edges = TubularPresentation(("A", "B"), ())
+    for bounds in bounds_seen:
+        out = equitable_search(no_edges, *bounds)
+        assert out == _equitable_search_oracle(no_edges, *bounds)
+        assert isinstance(out, EquitableSet) and out.at("A") == out.at("B")
+
+
+def test_chain_with_distorted_loop_first_is_not_found_quickly(capsys, tmp_path):
+    """ROADMAP item 2's chain: the product search did not finish at the CLI
+    bounds; the vertex walk stops at V0, whose loop no multiset balances."""
+    path = tmp_path / "chain.tub"
+    path.write_text(
+        "group c { vertex V0, V1, V2; edge d : V0(1,0) -> V0(2,0); "
+        "edge a : V0(1,0) -> V1(1,0); edge b : V1(1,0) -> V2(1,0); }\n"
+    )
+    t0 = time.process_time()
+    assert equitable_search(parse(path.read_text()), 3, 3) == NotFound(3, 3)
+    assert time.process_time() - t0 < 1.0
+    assert main(["analyze", str(path)]) == 0
+    assert "c dilation: Unknown" in capsys.readouterr().out
+
+
 def test_lyman_canonical_set_non_dilated():
     g = gpq_to_tubular(lyman_psi(1, 1))
     s = canonical_th3_set(g.single_vertex_pairs())
@@ -132,6 +244,26 @@ def test_dilation_verdict_independent_of_edge_order():
         rng.shuffle(order)
         g2 = single_vertex_presentation([(e.v, e.w) for e in order])
         assert dilation_decide(wall_graph(g2, s)).dilated == base
+
+
+def test_dilation_witness_is_first_in_component_order():
+    """Two components, A listed first; each has a failing non-tree arc, and
+    B's (arc 1) has the lower index.  The witness is A's fundamental cycle:
+    arc 2 backward, arc 4 backward, arc 3 forward."""
+    a0, a1, a2, b0, b1 = ("A", 0), ("A", 1), ("A", 2), ("B", 0), ("B", 1)
+    arcs = (
+        Arc("b", b0, b1, Fraction(1)),
+        Arc("b", b0, b1, Fraction(3)),
+        Arc("a", a0, a1, Fraction(2)),
+        Arc("a", a2, a1, Fraction(3)),
+        Arc("a", a2, a0, Fraction(5)),
+    )
+    d = dilation_decide(WallGraph((a0, a1, a2, b0, b1), arcs))
+    assert d.dilated and d.holonomy == Fraction(3, 10)
+    assert d.witness_cycle == ((arcs[2], -1), (arcs[4], -1), (arcs[3], 1))
+    loop = Arc("s", a0, a0, Fraction(2))
+    d = dilation_decide(WallGraph((a0,), (loop,)))
+    assert d == DilationVerdict(True, ((loop, 1),), Fraction(2))
 
 
 def test_all_matchings_spectrum_gersten():
