@@ -6,11 +6,15 @@ Two routes are implemented and cross-checked against each other:
   the differences v_i - w_i lie on a common line that avoids every v_i;
 * Button's criterion for arbitrary graphs: free-by-cyclic exactly when some
   homomorphism to Z is nonzero on every edge group.  The homomorphisms to Z
-  form a rational subspace S cut out by one linear constraint per edge.  Each
-  required value (one per edge group) is tabulated once on the basis of S; an
-  all-zero row is the obstruction.  Otherwise a greedy walk over the basis
-  picks the witness sum c_i b_i with every c_i in 1..k+1 for k required
-  values, in at most dim(S) * (k+1) trials.
+  form a rational subspace S cut out by one sparse integer constraint per
+  edge.  `linalg.nullspace` eliminates them fraction-free and returns the
+  reduced-row-echelon basis of S as integer vectors over one common
+  denominator.  Each required value (one per edge group) is tabulated once
+  on that integer basis; an all-zero row is the obstruction.  Otherwise a
+  greedy walk over the basis picks the witness sum c_i b_i with every c_i in
+  1..k+1 for k required values, in at most dim(S) * (k+1) trials.  The
+  common denominator changes no choice of the walk and not the primitive
+  witness, so all of this runs in integers.
 
 The same machinery certifies generalized retractors (an extra required-nonzero
 value) and decides amalgams of two presentations over a cyclic subgroup.
@@ -20,7 +24,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .core import (
@@ -32,6 +36,7 @@ from .core import (
     det2,
     primitive_of,
 )
+from .linalg import nullspace
 
 Pair = tuple[IntVec2, IntVec2]
 
@@ -66,15 +71,26 @@ class HomSpace:
 
     Coordinates are ordered (alpha_v1, beta_v1, alpha_v2, beta_v2, ...) in
     vertex order; the basis is the reduced-row-echelon free-variable basis, so
-    it is deterministic for a given presentation.
+    it is deterministic for a given presentation.  It is stored as integer
+    vectors `numerators` over one common positive `denominator`, the least
+    common denominator of the basis; `basis` gives it in Fractions.
+    `columns` maps each vertex to the column of its alpha coordinate.
     """
 
     vertices: tuple[VertexId, ...]
-    basis: tuple[tuple[Rat, ...], ...]
+    denominator: int
+    numerators: tuple[tuple[int, ...], ...]
+    columns: dict[VertexId, int] = field(compare=False, repr=False)
+
+    @property
+    def basis(self) -> tuple[tuple[Rat, ...], ...]:
+        return tuple(
+            tuple(Fraction(x, self.denominator) for x in b) for b in self.numerators
+        )
 
     @property
     def dim(self) -> int:
-        return len(self.basis)
+        return len(self.numerators)
 
 
 @dataclass(frozen=True)
@@ -84,65 +100,24 @@ class FbcVerdict:
     obstruction: str | None = None
 
 
-def _rref_nullspace(rows: list[list[Rat]], ncols: int) -> list[tuple[Rat, ...]]:
-    """Nullspace basis of the given constraint rows, via exact Gauss-Jordan.
-
-    Returns the standard free-variable basis in increasing free-column order.
-    """
-    m = [row[:] for row in rows]
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        piv = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        inv = 1 / m[r][c]
-        m[r] = [x * inv for x in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(m):
-            break
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for fc in free:
-        vec = [Fraction(0)] * ncols
-        vec[fc] = Fraction(1)
-        for ri, pc in enumerate(pivots):
-            vec[pc] = -m[ri][fc]
-        basis.append(tuple(vec))
-    return basis
-
-
 def hom_space(g: TubularPresentation) -> HomSpace:
     """Solve the edge compatibility constraints f_src(v_e) = f_dst(w_e)."""
-    idx = {v: 2 * i for i, v in enumerate(g.vertices)}
-    ncols = 2 * len(g.vertices)
+    columns = {v: 2 * i for i, v in enumerate(g.vertices)}
     rows = []
     for e in g.edges:
-        row = [Fraction(0)] * ncols
-        row[idx[e.src]] += e.v.x
-        row[idx[e.src] + 1] += e.v.y
-        row[idx[e.dst]] -= e.w.x
-        row[idx[e.dst] + 1] -= e.w.y
+        s, d = columns[e.src], columns[e.dst]
+        row = {s: e.v.x, s + 1: e.v.y}
+        row[d] = row.get(d, 0) - e.w.x
+        row[d + 1] = row.get(d + 1, 0) - e.w.y
         rows.append(row)
-    basis = _rref_nullspace(rows, ncols) if rows else [
-        tuple(Fraction(1 if j == i else 0) for j in range(ncols)) for i in range(ncols)
-    ]
-    return HomSpace(g.vertices, tuple(basis))
+    denominator, numerators = nullspace(rows, 2 * len(g.vertices))
+    return HomSpace(g.vertices, denominator, tuple(numerators), columns)
 
 
-def _integer_functional(space: HomSpace, coords: tuple[Rat, ...]) -> Functional:
-    """Clear denominators and divide by the gcd, keeping the leading sign."""
-    dens = [x.denominator for x in coords]
-    lcm = math.lcm(*dens) if dens else 1
-    ints = [int(x * lcm) for x in coords]
-    g = math.gcd(*(abs(v) for v in ints)) or 1
-    ints = [v // g for v in ints]
+def _integer_functional(space: HomSpace, coords: list[int]) -> Functional:
+    """Divide by the gcd, keeping the leading sign."""
+    g = math.gcd(*coords) or 1
+    ints = [v // g for v in coords]
     lead = next((v for v in ints if v != 0), 1)
     if lead < 0:
         ints = [-v for v in ints]
@@ -163,7 +138,7 @@ def _coefficient_tuples(dim: int):
                 yield tup
 
 
-def _greedy_coefficients(table: list[list[Rat]], dim: int) -> list[int]:
+def _greedy_coefficients(table: list[list[int]], dim: int) -> list[int]:
     """Coefficients c_1..c_dim with every table row nonzero at sum c_i b_i.
 
     Row r of the table lists a required value on the basis vectors b_i, and
@@ -173,10 +148,14 @@ def _greedy_coefficients(table: list[list[Rat]], dim: int) -> list[int]:
     out at most one c_i, so the walk makes at most dim * (k+1) trials and no
     coefficient exceeds k+1.
     """
-    at: list[Rat] = [Fraction(0)] * len(table)
+    at = [0] * len(table)
     coeffs = []
     for i in range(dim):
-        ruled_out = {-a / row[i] for a, row in zip(at, table) if a and row[i]}
+        ruled_out = {
+            -a // row[i]
+            for a, row in zip(at, table)
+            if a and row[i] and not a % row[i]
+        }
         c = next(c for c in range(1, len(table) + 2) if c not in ruled_out)
         at = [a + c * row[i] for a, row in zip(at, table)]
         coeffs.append(c)
@@ -189,7 +168,9 @@ def _nonvanishing_functional(
     """An edge-compatible functional nonzero on every edge group and on each
     extra value, or the obstruction of the first edge or extra value on which
     every such functional vanishes.  `extra` lists (vertex, vector, obstruction
-    text) triples."""
+    text) triples.  Everything runs on the integer form of the basis: one
+    common positive denominator changes no greedy choice and no primitive
+    witness."""
     space = hom_space(g)
     required = [
         (
@@ -201,8 +182,8 @@ def _nonvanishing_functional(
     ] + extra
     table = []
     for vertex, vec, obstruction in required:
-        i = 2 * g.vertex_index(vertex)
-        row = [b[i] * vec.x + b[i + 1] * vec.y for b in space.basis]
+        i = space.columns[vertex]
+        row = [b[i] * vec.x + b[i + 1] * vec.y for b in space.numerators]
         if not any(row):
             return FbcVerdict(False, obstruction=obstruction)
         table.append(row)
@@ -210,10 +191,10 @@ def _nonvanishing_functional(
         # Only a presentation without vertices gets here.
         return FbcVerdict(False, obstruction="empty homomorphism space")
     coeffs = _greedy_coefficients(table, space.dim)
-    coords = tuple(
-        sum(c * b[j] for c, b in zip(coeffs, space.basis))
+    coords = [
+        sum(c * b[j] for c, b in zip(coeffs, space.numerators))
         for j in range(2 * len(space.vertices))
-    )
+    ]
     return FbcVerdict(True, witness=_integer_functional(space, coords))
 
 

@@ -1,6 +1,8 @@
 import itertools
+import math
 import random
 import time
+from fractions import Fraction
 
 import pytest
 
@@ -31,6 +33,7 @@ from tubular.fbc import (
     generalized_retractor,
     hom_space,
 )
+from tubular.linalg import nullspace
 
 V = IntVec2
 
@@ -235,7 +238,7 @@ def test_button_gadget_bounded_work():
 def _oracle(g, extra):
     """The max-norm shell search that the greedy walk replaced, on dense
     coordinate rows.  Returns its verdict and the table of required values on
-    the hom-space basis."""
+    the integer form of the hom-space basis."""
     space = hom_space(g)
 
     def row(vertex, vec):
@@ -252,17 +255,18 @@ def _oracle(g, extra):
         for e in g.edges
     ] + [(row(vertex, elem), text) for vertex, elem, text in extra]
     table = [
-        [sum(c * x for c, x in zip(lin, b)) for b in space.basis] for lin, _ in required
+        [sum(c * x for c, x in zip(lin, b)) for b in space.numerators]
+        for lin, _ in required
     ]
     for vals, (_, text) in zip(table, required):
         if not any(vals):
             return fbc.FbcVerdict(False, obstruction=text), table
     for tup in fbc._coefficient_tuples(space.dim):
         if all(sum(t * x for t, x in zip(tup, vals)) != 0 for vals in table):
-            coords = tuple(
-                sum(t * b[j] for t, b in zip(tup, space.basis))
+            coords = [
+                sum(t * b[j] for t, b in zip(tup, space.numerators))
                 for j in range(2 * len(g.vertices))
-            )
+            ]
             witness = fbc._integer_functional(space, coords)
             return fbc.FbcVerdict(True, witness=witness), table
 
@@ -314,8 +318,217 @@ def test_greedy_search_agrees_with_shell_oracle():
             coeffs = fbc._greedy_coefficients(table, space.dim)
             assert max(coeffs) <= len(table) + 1
             coords = [
-                sum(c * b[j] for c, b in zip(coeffs, space.basis))
+                sum(c * b[j] for c, b in zip(coeffs, space.numerators))
                 for j in range(2 * len(g.vertices))
             ]
             assert fbc._integer_functional(space, coords) == f
     assert yes > 100 and dim_one > 20
+
+
+def _rref_nullspace(rows, ncols):
+    """The dense Fraction Gauss-Jordan that `linalg.nullspace` replaced: the
+    standard free-variable basis in increasing free-column order."""
+    m = [row[:] for row in rows]
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        piv = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
+        if piv is None:
+            continue
+        m[r], m[piv] = m[piv], m[r]
+        inv = 1 / m[r][c]
+        m[r] = [x * inv for x in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][c] != 0:
+                f = m[i][c]
+                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(m):
+            break
+    free = [c for c in range(ncols) if c not in pivots]
+    basis = []
+    for fc in free:
+        vec = [Fraction(0)] * ncols
+        vec[fc] = Fraction(1)
+        for ri, pc in enumerate(pivots):
+            vec[pc] = -m[ri][fc]
+        basis.append(tuple(vec))
+    return basis
+
+
+def _dense_hom_space(g):
+    """The dense Fraction hom_space: its Fraction basis, and the HomSpace
+    holding it over its least common denominator."""
+    columns = {v: 2 * i for i, v in enumerate(g.vertices)}
+    ncols = 2 * len(g.vertices)
+    rows = []
+    for e in g.edges:
+        row = [Fraction(0)] * ncols
+        row[columns[e.src]] += e.v.x
+        row[columns[e.src] + 1] += e.v.y
+        row[columns[e.dst]] -= e.w.x
+        row[columns[e.dst] + 1] -= e.w.y
+        rows.append(row)
+    basis = _rref_nullspace(rows, ncols)
+    den = math.lcm(*(x.denominator for b in basis for x in b))
+    numerators = tuple(tuple(int(x * den) for x in b) for b in basis)
+    return basis, fbc.HomSpace(g.vertices, den, numerators, columns)
+
+
+def _fraction_downstream(g, basis, extra):
+    """The Fraction witness path that the integer one replaced: the required
+    value table, the greedy walk and the coordinate sum on the dense Fraction
+    basis of g, then denominators cleared."""
+    required = [
+        (
+            e.src,
+            e.v,
+            f"every edge-compatible functional vanishes on edge {e.label or e.id}",
+        )
+        for e in g.edges
+    ] + extra
+    table = []
+    for vertex, vec, text in required:
+        i = 2 * g.vertex_index(vertex)
+        row = [b[i] * vec.x + b[i + 1] * vec.y for b in basis]
+        if not any(row):
+            return fbc.FbcVerdict(False, obstruction=text)
+        table.append(row)
+    if not basis:
+        return fbc.FbcVerdict(False, obstruction="empty homomorphism space")
+    at = [Fraction(0)] * len(table)
+    coeffs = []
+    for i in range(len(basis)):
+        ruled_out = {-a / row[i] for a, row in zip(at, table) if a and row[i]}
+        c = next(c for c in range(1, len(table) + 2) if c not in ruled_out)
+        at = [a + c * row[i] for a, row in zip(at, table)]
+        coeffs.append(c)
+    coords = [
+        sum(c * b[j] for c, b in zip(coeffs, basis))
+        for j in range(2 * len(g.vertices))
+    ]
+    den = math.lcm(*(x.denominator for x in coords))
+    ints = [int(x * den) for x in coords]
+    content = math.gcd(*ints)
+    ints = [v // content for v in ints]
+    if next(v for v in ints if v) < 0:
+        ints = [-v for v in ints]
+    pairs = tuple(
+        (v, (ints[2 * i], ints[2 * i + 1])) for i, v in enumerate(g.vertices)
+    )
+    return fbc.FbcVerdict(True, witness=Functional(pairs))
+
+
+def _workload_graph(rng, n, extra):
+    """A graph of the benchmark's shape: n vertices joined by a random
+    spanning tree plus `extra` edges, some of them loops, some parallel to an
+    earlier edge, and some loops with v == w, whose constraint row is zero."""
+    vs = [f"V{i}" for i in range(n)]
+    ends = [(vs[rng.randrange(i)], vs[i]) for i in range(1, n)]
+    for _ in range(extra):
+        kind = rng.randrange(4)
+        if kind == 0:
+            ends.append(rng.choice(ends))
+        elif kind == 1:
+            v = rng.choice(vs)
+            ends.append((v, v))
+        else:
+            ends.append((rng.choice(vs), rng.choice(vs)))
+    rng.shuffle(ends)
+    edges = []
+    for i, (src, dst) in enumerate(ends):
+        v = _vec(rng)
+        w = v if src == dst and rng.randrange(4) == 0 else _vec(rng)
+        edges.append(Edge(f"e{i}", src, dst, v, w))
+    return TubularPresentation(tuple(vs), tuple(edges))
+
+
+def _text(vertex, elem):
+    return f"every edge-compatible functional vanishes on {elem} at vertex {vertex}"
+
+
+def _assert_matches_dense(g, vertex, elem):
+    """hom_space, Button and the retractor certificate agree with the dense
+    Fraction path."""
+    basis, expected = _dense_hom_space(g)
+    space = hom_space(g)
+    assert space == expected
+    assert space.basis == tuple(basis)
+    assert button_decide(g) == _fraction_downstream(g, basis, [])
+    assert generalized_retractor(g, vertex, elem) == _fraction_downstream(
+        g, basis, [(vertex, elem, _text(vertex, elem))]
+    )
+
+
+def test_hom_space_and_witnesses_match_dense_fraction_path():
+    rng = random.Random(20261019)
+    zero_rows = 0
+    for n in range(2, 9):
+        for extra in range(n + 1):
+            for _ in range(4):
+                g = _workload_graph(rng, n, extra)
+                zero_rows += any(e.src == e.dst and e.v == e.w for e in g.edges)
+                _assert_matches_dense(g, rng.choice(g.vertices), _vec(rng))
+    assert zero_rows > 10
+    for _ in range(40):
+        g1 = _workload_graph(rng, rng.randint(2, 4), rng.randint(0, 4))
+        g2 = _workload_graph(rng, rng.randint(2, 4), rng.randint(0, 4))
+        a = (rng.choice(g1.vertices), _vec(rng))
+        b = (rng.choice(g2.vertices), _vec(rng))
+        analysis = amalgam_fbc_sufficient(g1, a, g2, b)
+        for h, (vertex, elem), verdict in (
+            (g1, a, analysis.retractor_1),
+            (g2, b, analysis.retractor_2),
+        ):
+            extra = [(vertex, elem, _text(vertex, elem))]
+            assert verdict == _fraction_downstream(h, _dense_hom_space(h)[0], extra)
+        _assert_matches_dense(analysis.amalgam, f"g1.{a[0]}", a[1])
+        assert analysis.button == button_decide(analysis.amalgam)
+    for d in range(3, 9):
+        g = _gadget(d)
+        _assert_matches_dense(g, "V0", V(1, 1))
+    for vs in ((), ("V",), ("V", "W")):
+        g = TubularPresentation(vs, ())
+        basis, expected = _dense_hom_space(g)
+        assert hom_space(g) == expected
+        assert button_decide(g) == _fraction_downstream(g, basis, [])
+    assert _rref_nullspace([], 4) == [
+        tuple(Fraction(int(i == j)) for j in range(4)) for i in range(4)
+    ]
+
+
+def test_nullspace_matches_dense_rref_on_integer_matrices():
+    """Random integer matrices, including zero rows, repeated rows and rank
+    deficiency; the basis is the dense one over its least common denominator."""
+    rng = random.Random(7)
+    for _ in range(300):
+        ncols = rng.randint(1, 7)
+        rows = [
+            [rng.choice((0, 0, 0, 1, -1, 2, -3, 5)) for _ in range(ncols)]
+            for _ in range(rng.randint(0, 7))
+        ]
+        if rows and rng.randrange(3) == 0:
+            rows.append([2 * x for x in rng.choice(rows)])
+        den, numerators = nullspace([dict(enumerate(r)) for r in rows], ncols)
+        dense = _rref_nullspace([[Fraction(x) for x in r] for r in rows], ncols)
+        assert den == math.lcm(*(x.denominator for b in dense for x in b))
+        assert [tuple(Fraction(x, den) for x in b) for b in numerators] == dense
+
+
+def test_sparse_kernel_bounded_work():
+    """The dense Fraction rref took 2.35 s for hom_space at d=14 and about
+    7.4 s for Button at d=18."""
+    g = _gadget(14)
+    t0 = time.process_time()
+    space = hom_space(g)
+    elapsed = time.process_time() - t0
+    assert space.dim == 14
+    assert elapsed < 2.0
+    g = _gadget(18)
+    t0 = time.process_time()
+    verdict = button_decide(g)
+    elapsed = time.process_time() - t0
+    assert verdict.answer
+    assert witness_is_valid(g, verdict.witness)
+    assert elapsed < 2.0
