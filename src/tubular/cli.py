@@ -16,7 +16,7 @@ from __future__ import annotations
 import argparse
 import sys
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 from .cat0 import decide_cat0, vertex_necessary_checks
 from .core import GpqParams, IntVec2, TubularPresentation, VertexId
@@ -424,7 +424,10 @@ def _parse_vec_spec(spec: str, g: TubularPresentation) -> tuple[VertexId, IntVec
     return vertex, IntVec2(x, y)
 
 
-def main(argv: list[str] | None = None) -> int:
+@lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and reused: parsing
+    leaves it unchanged, and building it costs more than most commands."""
     ap = argparse.ArgumentParser(
         prog="tubular",
         description="Decision procedures for tubular groups.",
@@ -465,8 +468,11 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("input2")
     p.add_argument("vec2", help="gluing element in the second group, as V:x,y")
     p.add_argument("--json", action="store_true")
+    return ap
 
-    args = ap.parse_args(argv)
+
+def main(argv: list[str] | None = None) -> int:
+    args = _parser().parse_args(argv)
     try:
         return _dispatch(args)
     except (ValueError, OSError, KeyError) as e:

@@ -14,9 +14,12 @@ dimensional exactly when every cycle of arcs has multiplicative holonomy 1
 
 from __future__ import annotations
 
+import bisect
+import functools
 import itertools
 import math
-from collections.abc import Hashable, Sequence
+import operator
+from collections.abc import Hashable, Iterator, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -127,6 +130,65 @@ class NotFound:
     size_bound: int
 
 
+@functools.lru_cache(maxsize=16)
+def _search_table(
+    coord_bound: int, size_bound: int
+) -> tuple[tuple[IntVec2, ...], tuple[tuple[int, ...], ...]]:
+    """The candidate circles, and every multiset of size_bound - 1 or fewer
+    candidate indices in (size, lexicographic) order."""
+    cands = tuple(_candidate_vectors(coord_bound))
+    prefixes = tuple(
+        p
+        for size in range(1, size_bound)
+        for p in itertools.combinations_with_replacement(range(len(cands)), size)
+    )
+    return cands, prefixes
+
+
+def _balanced_multisets(
+    coord_bound: int,
+    size_bound: int,
+    loops: list[Edge],
+    back: list[IntVec2],
+    ahead: list[IntVec2],
+) -> Iterator[tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]]:
+    """A vertex's multisets of candidate indices that balance its loops and
+    hold an independent pair, in (size, lexicographic) order, with their
+    intersection sums against the vectors `back` and `ahead`; of multisets
+    with the same sums only the first is listed.
+
+    Each candidate gets one integer vector: its imbalance |det(c, v)| -
+    |det(c, w)| on every loop, then its |det| against every back and ahead
+    vector.  A multiset balances its loops when its imbalances sum to zero,
+    so the last circle after a prefix is any candidate from the prefix's
+    last one on whose imbalances are the negated sums of the prefix: one
+    dict lookup and a bisect.
+    """
+    cands, prefixes = _search_table(coord_bound, size_bound)
+    n, b = len(loops), len(back)
+    vecs = [
+        tuple(abs(det2(c, e.v)) - abs(det2(c, e.w)) for e in loops)
+        + tuple(abs(det2(c, u)) for u in back + ahead)
+        for c in cands
+    ]
+    closing: dict[tuple[int, ...], list[int]] = {}
+    for k, vec in enumerate(vecs):
+        closing.setdefault(tuple(-x for x in vec[:n]), []).append(k)
+    seen = set()
+    for p in prefixes:
+        total = vecs[p[0]]
+        for k in p[1:]:
+            total = tuple(map(operator.add, total, vecs[k]))
+        last = closing.get(total[:n], ())
+        # Distinct candidates are never parallel, so a prefix of one
+        # repeated circle needs a different, later one.
+        for k in last[bisect.bisect_left(last, p[-1] + (p[0] == p[-1])) :]:
+            sums = tuple(map(operator.add, total[n:], vecs[k][n:]))
+            if sums not in seen:
+                seen.add(sums)
+                yield p + (k,), sums[:b], sums[b:]
+
+
 def equitable_search(
     g: TubularPresentation, coord_bound: int, size_bound: int
 ) -> EquitableSet | NotFound:
@@ -135,59 +197,152 @@ def equitable_search(
     Candidate circles are primitive sign-normalized vectors with coordinates
     up to coord_bound; each vertex receives a multiset of at most size_bound
     of them (repeats emulate non-primitive circles), listed by size and then
-    lexicographically.  The search walks the vertices in order, depth first:
-    each vertex's multisets are filtered once by its loops and keyed by their
-    intersection sums with the edges to earlier vertices, so every non-loop
-    edge is checked once, at its later end, by a key lookup.  The first set
-    found is the first in the order of the product of the per-vertex lists,
-    so it is deterministic.  NotFound is relative to the bounds, never a
-    proof that no equitable set exists.
+    lexicographically.  The set returned is the first in the order of the
+    product of the per-vertex lists, so it is deterministic.  NotFound is
+    relative to the bounds, never a proof that no equitable set exists.
+
+    The first set is found without listing the product:
+
+    - The candidates and the shorter multisets are tabled once per pair of
+      bounds.  A vertex's multisets that balance its loops come from one
+      lazy stream that finds each multiset's last circle by a lookup
+      (`_balanced_multisets`).
+    - Connected components do not constrain each other, and the first set
+      of a product is made of the first set of each factor, so each
+      component is searched alone.
+    - A component's vertices are walked in order, depth first.  A vertex's
+      options are its stream grouped by the sums against its edges to
+      earlier vertices, as it is consumed, so each such edge is checked
+      once, by a key lookup at its later end.
+    - A vertex's frontier key is the tuple of sums at the earlier ends of
+      the edges that cross into it or past it.  The later vertices depend
+      on the earlier choices only through it.  So a key whose subtree
+      failed is recorded as dead, and of a vertex's multisets with the same
+      sums on all its edges only the first is tried.
+    - When a vertex runs out of options, the search jumps back to the
+      latest vertex that its key depends on.  The key of each vertex it
+      passes over fixes this key, so those keys are dead too.
+    - A vertex is checked early, after each earlier vertex that its edges
+      back start at, except the one just before it: the sums fixed so far
+      must begin one of its keys.
+
+    Only subtrees known to fail are skipped, so the set found is the one a
+    plain walk of the product finds.
     """
     if coord_bound < 1 or size_bound < 1:
         raise ValueError("bounds must be >= 1")
-    cands = _candidate_vectors(coord_bound)
-    multisets = [
-        combo
-        for size in range(2, size_bound + 1)
-        for combo in itertools.combinations_with_replacement(cands, size)
-        if _has_independent_pair(combo)
-    ]
-
-    def total(combo: tuple[IntVec2, ...], vec: IntVec2) -> int:
-        return sum(abs(det2(x, vec)) for x in combo)
-
-    pos = {v: i for i, v in enumerate(g.vertices)}
-    # Per vertex: its edges to earlier vertices as (earlier position, vector
-    # at the earlier end, vector here), and its multisets keyed by their sums
-    # against those edges.
-    levels = []
-    for i, v in enumerate(g.vertices):
-        back = [
-            (pos[e.src], e.v, e.w) if pos[e.dst] == i else (pos[e.dst], e.w, e.v)
-            for e in g.edges
-            if e.src != e.dst and max(pos[e.src], pos[e.dst]) == i
-        ]
-        loops = g.loops_at(v)
-        keyed: dict[tuple[int, ...], list[tuple[IntVec2, ...]]] = {}
-        for combo in multisets:
-            if all(total(combo, e.v) == total(combo, e.w) for e in loops):
-                key = tuple(total(combo, w) for _, _, w in back)
-                keyed.setdefault(key, []).append(combo)
-        levels.append((back, keyed))
-
-    chosen: list[tuple[IntVec2, ...]] = []
-    frames = []  # per chosen vertex, the iterator over its remaining options
-    while len(chosen) < len(levels):
-        back, keyed = levels[len(chosen)]
-        need = tuple(total(chosen[j], u) for j, u, _ in back)
-        frames.append(iter(keyed.get(need, ())))
-        while (combo := next(frames[-1], None)) is None:
-            frames.pop()
-            if not frames:
+    cands, _ = _search_table(coord_bound, size_bound)
+    part = {v: {v} for v in g.vertices}  # per vertex, its component
+    for e in g.edges:
+        if part[e.src] is not part[e.dst]:
+            merged = part[e.src] | part[e.dst]
+            part.update(dict.fromkeys(merged, merged))
+    chosen: dict[VertexId, tuple[int, ...]] = {}
+    for v in g.vertices:
+        if v not in chosen:
+            vertices = [u for u in g.vertices if u in part[v]]
+            found = _search_component(g, vertices, coord_bound, size_bound)
+            if found is None:
                 return NotFound(coord_bound, size_bound)
-            chosen.pop()
-        chosen.append(combo)
-    return EquitableSet(tuple(zip(g.vertices, chosen)))
+            chosen.update(zip(vertices, found))
+    return EquitableSet(
+        tuple((v, tuple(cands[c] for c in chosen[v])) for v in g.vertices)
+    )
+
+
+def _search_component(
+    g: TubularPresentation, vertices: list[VertexId], coord_bound: int, size_bound: int
+) -> list[tuple[int, ...]] | None:
+    """The first multisets of candidate indices, one per vertex of a
+    connected component in vertex order, that balance every edge, or None;
+    see `equitable_search`."""
+    pos = {v: i for i, v in enumerate(vertices)}
+    # Non-loop edges as (earlier position, later position, vector at the
+    # earlier end, vector at the later end), by earlier position, so the
+    # edges that leave a vertex forward are a slice.
+    spans = sorted(
+        (
+            (pos[e.src], pos[e.dst], e.v, e.w)
+            if pos[e.src] < pos[e.dst]
+            else (pos[e.dst], pos[e.src], e.w, e.v)
+            for e in g.edges
+            if e.src != e.dst and e.src in pos
+        ),
+        key=lambda span: span[0],
+    )
+    starts = [a for a, _, _, _ in spans]
+    cut, back, ahead, streams = [], [], [], []
+    for i, v in enumerate(vertices):
+        cut.append([k for k, (a, b, _, _) in enumerate(spans) if a < i <= b])
+        back.append([k for k, (_, b, _, _) in enumerate(spans) if b == i])
+        ahead.append(slice(bisect.bisect_left(starts, i), bisect.bisect_right(starts, i)))
+        streams.append(
+            _balanced_multisets(
+                coord_bound,
+                size_bound,
+                g.loops_at(v),
+                [spans[k][3] for k in back[i]],
+                [u for _, _, u, _ in spans[ahead[i]]],
+            )
+        )
+    jump = [max((starts[k] for k in ks), default=-1) for ks in cut]
+    grouped: list[dict] = [{} for _ in vertices]  # per vertex: need -> options
+
+    def option(i: int, need: tuple[int, ...] | None, k: int) -> tuple | None:
+        """Vertex i's k-th (multiset, sums at its edges forward) among those
+        with sums `need` at its edges back, or None."""
+        group = grouped[i].get(need, ())
+        if k == len(group) and streams[i] is not None:
+            for combo, sums, forward in streams[i]:
+                grouped[i].setdefault(sums, []).append((combo, forward))
+                if sums == need:
+                    break
+            else:
+                streams[i] = None
+            group = grouped[i].get(need, ())
+        return group[k] if k < len(group) else None
+
+    # Per vertex i, the early checks due after it: (a later vertex j, its
+    # edges back from i or before).  These begin j's edges back, which are
+    # listed by earlier end.  Right after j - 1, j itself looks its key up.
+    checks: list[list] = [[] for _ in vertices]
+    for j, ks in enumerate(back):
+        for i in {starts[k] for k in ks} - {j - 1}:
+            checks[i].append((j, [k for k in ks if starts[k] <= i]))
+    begun: dict[tuple[int, int], set[tuple[int, ...]]] = {}
+
+    def fits(j: int, ks: list[int]) -> bool:
+        if (j, len(ks)) not in begun:
+            option(j, None, 0)  # no need is None: lists all of j's options
+            begun[j, len(ks)] = {need[: len(ks)] for need in grouped[j]}
+        return tuple(map(front.__getitem__, ks)) in begun[j, len(ks)]
+
+    front = [0] * len(spans)  # per edge, the sum at its earlier end
+    dead: list[set[tuple[int, ...]]] = [set() for _ in vertices]
+    frames: list[list] = []  # per vertex reached: [key, need, next option]
+    chosen: list[tuple[int, ...]] = []
+    while (i := len(chosen)) < len(vertices):
+        key = tuple(map(front.__getitem__, cut[i]))
+        need = None if key in dead[i] else tuple(map(front.__getitem__, back[i]))
+        frames.append([key, need, 0])
+        while True:
+            key, need, k = frame = frames[i]
+            found = None if need is None else option(i, need, k)
+            if found is not None:
+                frame[2] = k + 1
+                front[ahead[i]] = found[1]
+                if all(fits(j, ks) for j, ks in checks[i]):
+                    break
+                continue
+            # A key with no options at all is as quickly found again.
+            for j in range(jump[i] + 1, i + (k > 0)):
+                dead[j].add(frames[j][0])
+            if jump[i] < 0:
+                return None
+            del frames[jump[i] + 1 :], chosen[jump[i] :]
+            i = len(chosen)
+        chosen.append(found[0])
+    return chosen
 
 
 @dataclass(frozen=True)

@@ -260,3 +260,17 @@ def test_input_files_are_closed(capsys, tmp_path):
         run(capsys, "amalgam", str(path), "1,0", str(path), "1,0")
         gc.collect()
     assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
+
+
+def test_parser_is_built_once_and_keeps_no_state(capsys):
+    """main reuses one parser; a flag given to one call does not carry over
+    to the next, and a bad flag is still a usage error."""
+    code, out, _ = run(capsys, "cubulate", "--corpus", "bs12", "--coord-bound", "2")
+    assert code == 0 and "bounds (2, 3)" in out
+    code, out, _ = run(capsys, "cubulate", "--corpus", "bs12")
+    assert code == 0 and "bounds (3, 3)" in out
+    with pytest.raises(SystemExit) as exc:
+        main(["cubulate", "--corpus", "bs12", "--no-such-flag"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --no-such-flag" in capsys.readouterr().err
+    assert tubular.cli._parser() is tubular.cli._parser()

@@ -10,12 +10,13 @@ import tubular.cubulate
 from tubular.cli import main
 from tubular.core import (
     Edge,
+    GpqParams,
     IntVec2,
     TubularPresentation,
     det2,
     single_vertex_presentation,
 )
-from tubular.corpus import bs12_shape, gersten_presentation, lyman_psi
+from tubular.corpus import bs12_shape, corpus, gersten_presentation, lyman_psi
 from tubular.cubulate import (
     Arc,
     CanonicalSetError,
@@ -156,6 +157,50 @@ def _equitable_search_oracle(g, coord_bound, size_bound):
     return NotFound(coord_bound, size_bound)
 
 
+def _equitable_search_walk_oracle(g, coord_bound, size_bound):
+    """The vertex walk that equitable_search replaced: every vertex's
+    multisets filtered by its loops and keyed by their sums against its
+    edges to earlier vertices, then a plain depth-first walk in vertex order
+    with one key lookup per vertex."""
+    cands = _candidate_vectors(coord_bound)
+    multisets = [
+        combo
+        for size in range(2, size_bound + 1)
+        for combo in itertools.combinations_with_replacement(cands, size)
+        if _has_independent_pair(combo)
+    ]
+
+    def total(combo, vec):
+        return sum(abs(det2(x, vec)) for x in combo)
+
+    pos = {v: i for i, v in enumerate(g.vertices)}
+    levels = []
+    for i, v in enumerate(g.vertices):
+        back = [
+            (pos[e.src], e.v, e.w) if pos[e.dst] == i else (pos[e.dst], e.w, e.v)
+            for e in g.edges
+            if e.src != e.dst and max(pos[e.src], pos[e.dst]) == i
+        ]
+        keyed = {}
+        for combo in multisets:
+            if all(total(combo, e.v) == total(combo, e.w) for e in g.loops_at(v)):
+                keyed.setdefault(tuple(total(combo, w) for _, _, w in back), []).append(combo)
+        levels.append((back, keyed))
+
+    chosen, frames = [], []
+    while len(chosen) < len(levels):
+        back, keyed = levels[len(chosen)]
+        need = tuple(total(chosen[j], u) for j, u, _ in back)
+        frames.append(iter(keyed.get(need, ())))
+        while (combo := next(frames[-1], None)) is None:
+            frames.pop()
+            if not frames:
+                return NotFound(coord_bound, size_bound)
+            chosen.pop()
+        chosen.append(combo)
+    return EquitableSet(tuple(zip(g.vertices, chosen)))
+
+
 def _random_presentation(rng):
     """1-3 vertices and 0-4 edges with coordinates up to 2; endpoints are
     random (loops and bridges), and an edge sometimes repeats the endpoints
@@ -199,6 +244,176 @@ def test_equitable_search_agrees_with_product_oracle():
         out = equitable_search(no_edges, *bounds)
         assert out == _equitable_search_oracle(no_edges, *bounds)
         assert isinstance(out, EquitableSet) and out.at("A") == out.at("B")
+
+
+def _cli_traffic(rng):
+    """Presentations shaped like `analyze` and `cubulate --all-matchings`
+    traffic: the corpus, one vertex with 1-4 edges and coordinates up to 6,
+    two vertices with every edge joining ends of equal |x| + |y|, chains
+    with a distorted loop on V0, and planted one-vertex inputs."""
+    out = [
+        gpq_to_tubular(e.presentation) if isinstance(e.presentation, GpqParams) else e.presentation
+        for e in corpus()
+    ]
+    vecs = [V(x, y) for x in range(-6, 7) for y in range(-6, 7) if (x, y) != (0, 0)]
+    for n in range(12):
+        pairs = [(rng.choice(vecs), rng.choice(vecs)) for _ in range(1 + n % 4)]
+        out.append(single_vertex_presentation(pairs))
+    for n in range(8):
+        edges = []
+        for k in range(1 + n % 3):
+            src, dst = ("V", "W") if k == 0 else rng.choice(["VV", "VW", "WW", "WV"])
+            size = rng.randint(1, 3)
+            v, w = (
+                V(x * rng.choice((1, -1)), (size - x) * rng.choice((1, -1)))
+                for x in (rng.randint(0, size), rng.randint(0, size))
+            )
+            edges.append(Edge(f"e{k}", src, dst, v, w))
+        out.append(TubularPresentation(("V", "W"), tuple(edges)))
+    for n in (2, 3):
+        u = rng.choice([V(1, 0), V(1, 1), V(1, 2)])
+        edges = [Edge("d", "V0", "V0", u, V(2 * u.x, 2 * u.y))]
+        edges += [
+            Edge(f"b{i}", f"V{i}", f"V{i + 1}", rng.choice(vecs), rng.choice(vecs))
+            for i in range(n - 1)
+        ]
+        out.append(TubularPresentation(tuple(f"V{i}" for i in range(n)), tuple(edges)))
+    return out + [_planted_spectrum_input(rng) for _ in range(8)]
+
+
+@pytest.mark.parametrize("bounds", [(3, 3), (3, 4)])
+def test_equitable_search_agrees_with_walk_oracle_on_cli_traffic(bounds):
+    rng = random.Random(20261020)
+    found = 0
+    for g in _cli_traffic(rng):
+        out = equitable_search(g, *bounds)
+        assert out == _equitable_search_walk_oracle(g, *bounds), (g, bounds)
+        found += isinstance(out, EquitableSet)
+    assert 10 < found < 45, found
+
+
+def _random_graph(rng):
+    """1-4 vertices and 0-6 edges with coordinates up to 2.  The vertices
+    are split into random groups and each edge joins two of one group, so
+    graphs often have several components, and vertices of a group that no
+    edge picks are isolated; an edge sometimes repeats the endpoints of an
+    earlier one (parallel edges)."""
+    vertices = [f"V{i}" for i in range(rng.randint(1, 4))]
+    order = rng.sample(vertices, len(vertices))
+    cuts = sorted(rng.sample(range(1, len(order)), rng.randint(0, len(order) - 1)))
+    groups = [order[a:b] for a, b in zip([0] + cuts, cuts + [len(order)])]
+    vecs = [V(x, y) for x in range(-2, 3) for y in range(-2, 3) if (x, y) != (0, 0)]
+    edges = []
+    for k in range(rng.randint(0, 6)):
+        if edges and rng.random() < 0.2:
+            src, dst = rng.choice([(e.src, e.dst) for e in edges])
+        else:
+            group = rng.choice(groups)
+            src, dst = rng.choice(group), rng.choice(group)
+        edges.append(Edge(f"e{k}", src, dst, rng.choice(vecs), rng.choice(vecs)))
+    return TubularPresentation(tuple(vertices), tuple(edges))
+
+
+def _components(g):
+    part = {v: {v} for v in g.vertices}
+    for e in g.edges:
+        if part[e.src] is not part[e.dst]:
+            merged = part[e.src] | part[e.dst]
+            for v in merged:
+                part[v] = merged
+    return {frozenset(p) for p in part.values()}
+
+
+def test_equitable_search_agrees_with_walk_oracle_on_random_graphs():
+    rng = random.Random(20261021)
+    seen = dict.fromkeys(("parallel", "isolated", "components", "found", "none"), 0)
+    for _ in range(600):
+        g = _random_graph(rng)
+        # The walk is exponential; at these bounds a vertex has 6-140 options.
+        bounds = rng.choice([(1, 2), (1, 3), (2, 2), (2, 3), (3, 2)][: 7 - len(g.vertices)])
+        out = equitable_search(g, *bounds)
+        assert out == _equitable_search_walk_oracle(g, *bounds), (g, bounds)
+        pairs = [frozenset((e.src, e.dst)) for e in g.edges]
+        touched = set().union(*pairs)
+        seen["parallel"] += len(set(pairs)) < len(pairs)
+        seen["isolated"] += bool(g.edges) and len(touched) < len(g.vertices)
+        seen["components"] += sum(bool(c & touched) for c in _components(g)) > 1
+        seen["found" if isinstance(out, EquitableSet) else "none"] += 1
+    assert min(seen.values()) > 40, seen
+
+
+def _chain(n, w="(1,0)"):
+    """V0 - V1 - ... - V(n-1) by bridges (1,0) -> w, the last one (1,0) ->
+    (1,1), and a distorted loop on the last vertex, which no multiset
+    balances."""
+    edges = [f"edge b{i} : V{i}(1,0) -> V{i + 1}{w};" for i in range(n - 2)]
+    edges.append(f"edge b{n - 2} : V{n - 2}(1,0) -> V{n - 1}(1,1);")
+    edges.append(f"edge d : V{n - 1}(1,0) -> V{n - 1}(2,0);")
+    vertices = ", ".join(f"V{i}" for i in range(n))
+    return f"group c {{ vertex {vertices}; {' '.join(edges)} }}\n"
+
+
+def _group(n, *edges):
+    vertices = ", ".join(f"V{i}" for i in range(n))
+    body = " ".join(f"edge e{k} : {e};" for k, e in enumerate(edges))
+    return f"group t {{ vertex {vertices}; {body} }}\n"
+
+
+# Inputs on which the walk took from 4 s to minutes at the CLI bounds, with
+# the set or NotFound the search finds.
+BLOWUPS = {
+    "chain4": (_chain(4), None),
+    "chain10": (_chain(10), None),
+    # A vertex's sums on its two bridges are independent, so the walk
+    # searched every vertex again for each choice before it (52 s at 4).
+    "chain10-mixed": (_chain(10, "(0,1)"), None),
+    # V1 has no edges: the walk listed all of its multisets again for every
+    # choice at V0.
+    "isolated-middle": (
+        _group(3, "V2(-4,-4) -> V2(-1,5)", "V0(4,1) -> V2(-5,-1)",
+               "V2(-5,-3) -> V0(-2,0)", "V2(1,5) -> V0(-1,-5)"),
+        None,
+    ),
+    # Every edge crosses the cut before V3.
+    "wide-cut": (
+        _group(4, "V0(-4,-3) -> V3(-5,-4)", "V3(-2,-5) -> V1(1,-1)", "V3(0,-1) -> V2(2,0)",
+               "V3(0,1) -> V0(3,-2)", "V1(-5,-1) -> V0(-2,2)"),
+        None,
+    ),
+    # V4's edges back start at V0, V1 and V2, whose choices the walk
+    # multiplied before V4 could reject them.
+    "join": (
+        _group(5, "V0(0,4) -> V4(0,5)", "V2(4,-5) -> V3(2,2)", "V1(-4,5) -> V4(-5,2)",
+               "V4(3,-2) -> V0(-5,-3)", "V2(2,1) -> V4(5,-1)"),
+        "V0 (2,-1) (3,2); V1 (1,-3) (1,2); V2 (1,-3) (1,-2) (2,-3); "
+        "V3 (0,1) (2,-3); V4 (2,-3) (2,1)",
+    ),
+    # Three components, interleaved in vertex order; V0 - V4 fails.
+    "components": (
+        _group(6, "V1(1,2) -> V3(-5,0)", "V1(5,-4) -> V3(-1,-5)", "V4(-5,0) -> V0(-3,-1)",
+               "V4(0,-1) -> V4(-1,-5)", "V2(-5,-1) -> V5(-1,-1)"),
+        None,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", BLOWUPS)
+def test_search_blowups_finish_quickly(name):
+    text, expected = BLOWUPS[name]
+    t0 = time.process_time()
+    out = equitable_search(parse(text), 3, 3)
+    assert time.process_time() - t0 < 1.0
+    if expected is None:
+        assert out == NotFound(3, 3)
+    else:
+        assert "; ".join(f"{v} " + " ".join(map(str, c)) for v, c in out.sets) == expected
+
+
+def test_analyze_chain_with_distorted_loop_last(capsys, tmp_path):
+    path = tmp_path / "chain.tub"
+    path.write_text(_chain(4))
+    assert main(["analyze", str(path)]) == 0
+    assert "c dilation: Unknown" in capsys.readouterr().out
 
 
 def test_chain_with_distorted_loop_first_is_not_found_quickly(capsys, tmp_path):
