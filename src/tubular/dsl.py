@@ -11,13 +11,15 @@ Two forms are accepted:
     gpq p=[0,0] q=[1,2]
 
 Whitespace is insignificant, `#` starts a comment to end of line, and the
-semicolon before `}` is optional.  Errors carry 1-based line/column positions.
+semicolon before `}` is optional.  Names, vertex ids and edge labels are
+identifiers, `[A-Za-z_][A-Za-z0-9_.-]*`.  Errors carry 1-based line/column
+positions.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from itertools import islice
 
 from .core import Edge, GpqParams, IntVec2, TubularPresentation
 
@@ -29,162 +31,153 @@ class DslError(ValueError):
         super().__init__(f"{line}:{col}: {message}")
 
 
-@dataclass(frozen=True)
-class Token:
-    kind: str  # "ident", "int", "punct", "eof"
-    text: str
-    line: int
-    col: int
-
-
-_TOKEN_RE = re.compile(
-    r"""(?P<ws>[ \t\r\n]+)
-      | (?P<comment>\#[^\n]*)
-      | (?P<int>-?\d+)
-      | (?P<ident>[A-Za-z_][A-Za-z0-9_.-]*)
-      | (?P<punct>->|[{}();:,=\[\]])
-    """,
-    re.VERBOSE,
+# One match per token: skip whitespace and comments, then capture an integer,
+# an identifier, a punctuator or any other (bad) character; at the end of the
+# text every group is empty.  `findall` gives one 4-tuple per token, indexed
+# by the slots below, and always ends with an end-of-input tuple.
+_RE = re.compile(
+    r"""[ \t\r\n]*(?:\#[^\n]*[ \t\r\n]*)*
+        (?:(-?\d+)|([A-Za-z_][A-Za-z0-9_.-]*)|(->|[{}();:,=\[\]])|(.)|\Z)""",
+    re.VERBOSE | re.DOTALL,
 )
+INT, IDENT, PUNCT, BAD = range(4)
+_EOF = ("", "", "", "")
 
 
-def _tokenize(text: str) -> list[Token]:
-    tokens = []
-    pos, line, line_start = 0, 1, 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise DslError(
-                f"unexpected character {text[pos]!r}", line, pos - line_start + 1
-            )
-        col = pos - line_start + 1
-        kind = m.lastgroup
-        raw = m.group()
-        if kind not in ("ws", "comment"):
-            tokens.append(Token(kind, raw, line, col))
-        for i, ch in enumerate(raw):
-            if ch == "\n":
-                line += 1
-                line_start = pos + i + 1
-        pos = m.end()
-    tokens.append(Token("eof", "", line, len(text) - line_start + 1))
-    return tokens
+def _shown(tok: tuple[str, ...]) -> str:
+    return "".join(tok) or "end of input"
 
 
 class _Parser:
+    """Walks the token tuples by index; positions are found only on error."""
+
     def __init__(self, text: str):
-        self.tokens = _tokenize(text)
+        self.text = text
+        self.toks = _RE.findall(text)
         self.i = 0
 
-    def peek(self) -> Token:
-        return self.tokens[self.i]
+    def fail(self, message: str, k: int | None = None):
+        """Raise at token k (default: the next one); a bad character wins."""
+        toks, text = self.toks, self.text
+        k = self.i if k is None else k
+        for j, tok in enumerate(toks):
+            if tok[BAD]:
+                k, message = j, f"unexpected character {tok[BAD]!r}"
+                break
+        off = next(islice(_RE.finditer(text), k, None)).end() - len("".join(toks[k]))
+        line = text.count("\n", 0, off) + 1
+        raise DslError(message, line, off - text.rfind("\n", 0, off))
 
-    def next(self) -> Token:
-        t = self.tokens[self.i]
+    def expect(self, slot: int, text: str):
+        tok = self.toks[self.i]
+        if tok[slot] != text:
+            self.fail(f"expected {text!r}, got {_shown(tok)!r}")
         self.i += 1
-        return t
 
-    def fail(self, message: str, tok: Token | None = None):
-        tok = tok or self.peek()
-        raise DslError(message, tok.line, tok.col)
-
-    def expect(self, text: str) -> Token:
-        t = self.next()
-        if t.text != text:
-            self.fail(f"expected {text!r}, got {t.text or 'end of input'!r}", t)
-        return t
-
-    def ident(self, what: str) -> Token:
-        t = self.next()
-        if t.kind != "ident":
-            self.fail(f"expected {what}, got {t.text or 'end of input'!r}", t)
-        return t
+    def ident(self, what: str) -> str:
+        tok = self.toks[self.i]
+        if not tok[IDENT]:
+            self.fail(f"expected {what}, got {_shown(tok)!r}")
+        self.i += 1
+        return tok[IDENT]
 
     def integer(self) -> int:
-        t = self.next()
-        if t.kind != "int":
-            self.fail(f"expected integer, got {t.text or 'end of input'!r}", t)
-        return int(t.text)
+        tok = self.toks[self.i]
+        if not tok[INT]:
+            self.fail(f"expected integer, got {_shown(tok)!r}")
+        try:
+            n = int(tok[INT])
+        except ValueError:  # more digits than sys.get_int_max_str_digits()
+            self.fail("integer literal too long")
+        self.i += 1
+        return n
 
     def parse(self) -> TubularPresentation | GpqParams:
-        head = self.peek()
-        if head.text == "group":
+        head = self.toks[0][IDENT]
+        if head == "group":
             out = self.parse_group()
-        elif head.text == "gpq":
+        elif head == "gpq":
             out = self.parse_gpq()
         else:
             self.fail("expected 'group' or 'gpq'")
-        tail = self.next()
-        if tail.kind != "eof":
-            self.fail(f"unexpected trailing input {tail.text!r}", tail)
+        tail = self.toks[self.i]
+        if tail != _EOF:
+            self.fail(f"unexpected trailing input {_shown(tail)!r}")
         return out
 
     def parse_group(self) -> TubularPresentation:
-        self.expect("group")
-        name = self.ident("group name").text
-        self.expect("{")
-        self.expect("vertex")
-        vertices = [self.ident("vertex id").text]
-        while self.peek().text == ",":
-            self.next()
-            vertices.append(self.ident("vertex id").text)
-        self.expect(";")
-        vset = set(vertices)
-        if len(vset) != len(vertices):
-            self.fail("duplicate vertex id")
+        toks = self.toks
+        self.expect(IDENT, "group")
+        name = self.ident("group name")
+        self.expect(PUNCT, "{")
+        self.expect(IDENT, "vertex")
+        vertices = [self.ident("vertex id")]
+        vset, dup = set(vertices), None
+        while toks[self.i][PUNCT] == ",":
+            self.i += 1
+            v = self.ident("vertex id")
+            if v in vset and dup is None:
+                dup = self.i - 1
+            vset.add(v)
+            vertices.append(v)
+        self.expect(PUNCT, ";")
+        if dup is not None:
+            self.fail("duplicate vertex id", dup)
         edges: list[Edge] = []
         seen_labels: set[str] = set()
-        while self.peek().text == "edge":
-            self.next()
-            label_tok = self.ident("edge label")
-            if label_tok.text in seen_labels:
-                self.fail(f"duplicate edge label {label_tok.text!r}", label_tok)
-            seen_labels.add(label_tok.text)
-            self.expect(":")
+        while toks[self.i][IDENT] == "edge":
+            self.i += 1
+            label = self.ident("edge label")
+            if label in seen_labels:
+                self.fail(f"duplicate edge label {label!r}", self.i - 1)
+            seen_labels.add(label)
+            self.expect(PUNCT, ":")
             src, v = self.parse_end(vset)
-            self.expect("->")
+            self.expect(PUNCT, "->")
             dst, w = self.parse_end(vset)
-            edges.append(Edge(label_tok.text, src, dst, v, w, label=label_tok.text))
-            if self.peek().text == ";":
-                self.next()
-            elif self.peek().text != "}":
+            edges.append(Edge(label, src, dst, v, w, label=label))
+            sep = toks[self.i][PUNCT]
+            if sep == ";":
+                self.i += 1
+            elif sep != "}":
                 self.fail("expected ';' or '}'")
-        self.expect("}")
+        self.expect(PUNCT, "}")
         return TubularPresentation(tuple(vertices), tuple(edges), name=name)
 
     def parse_end(self, vset: set[str]) -> tuple[str, IntVec2]:
-        vtok = self.ident("vertex id")
-        if vtok.text not in vset:
-            self.fail(f"unknown vertex {vtok.text!r}", vtok)
-        self.expect("(")
+        k = self.i
+        vertex = self.ident("vertex id")
+        if vertex not in vset:
+            self.fail(f"unknown vertex {vertex!r}", k)
+        self.expect(PUNCT, "(")
         x = self.integer()
-        self.expect(",")
+        self.expect(PUNCT, ",")
         y = self.integer()
-        self.expect(")")
+        self.expect(PUNCT, ")")
         if x == 0 and y == 0:
-            self.fail("zero attaching vector", vtok)
-        return vtok.text, IntVec2(x, y)
+            self.fail("zero attaching vector", k)
+        return vertex, IntVec2(x, y)
 
     def parse_gpq(self) -> GpqParams:
-        self.expect("gpq")
-        self.expect("p")
-        self.expect("=")
+        self.expect(IDENT, "gpq")
+        self.expect(IDENT, "p")
+        self.expect(PUNCT, "=")
         p = self.parse_int_list()
-        self.expect("q")
-        self.expect("=")
-        q_tok = self.peek()
+        self.expect(IDENT, "q")
+        self.expect(PUNCT, "=")
+        k = self.i
         q = self.parse_int_list()
         if len(p) != len(q) or not p:
-            self.fail("p and q must have equal positive length", q_tok)
+            self.fail("p and q must have equal positive length", k)
         return GpqParams(tuple(p), tuple(q))
 
     def parse_int_list(self) -> list[int]:
-        self.expect("[")
+        self.expect(PUNCT, "[")
         out = [self.integer()]
-        while self.peek().text == ",":
-            self.next()
+        while self.toks[self.i][PUNCT] == ",":
+            self.i += 1
             out.append(self.integer())
-        self.expect("]")
+        self.expect(PUNCT, "]")
         return out
 
 
@@ -193,16 +186,23 @@ def parse(text: str) -> TubularPresentation | GpqParams:
     return _Parser(text).parse()
 
 
+def _checked(name: str) -> str:
+    if _RE.match(name)[IDENT + 1] != name:
+        raise ValueError(f"{name!r} is not a DSL identifier")
+    return name
+
+
 def unparse(obj: TubularPresentation | GpqParams) -> str:
-    """Print an object in the DSL; parse(unparse(x)) is structurally x."""
+    """Print an object in the DSL; parse(unparse(x)) is structurally x.
+    Raises ValueError when a name, vertex id or label is not an identifier."""
     if isinstance(obj, GpqParams):
         p = ",".join(str(n) for n in obj.p)
         q = ",".join(str(n) for n in obj.q)
         return f"gpq p=[{p}] q=[{q}]\n"
-    lines = [f"group {obj.name or 'G'} {{"]
-    lines.append("  vertex " + ", ".join(obj.vertices) + ";")
+    lines = [f"group {_checked(obj.name or 'G')} {{"]
+    lines.append("  vertex " + ", ".join(map(_checked, obj.vertices)) + ";")
     for e in obj.edges:
-        label = e.label or e.id
+        label = _checked(e.label or e.id)
         lines.append(
             f"  edge {label} : {e.src}({e.v.x},{e.v.y}) -> {e.dst}({e.w.x},{e.w.y});"
         )
