@@ -363,14 +363,6 @@ class WallGraph:
     arcs: tuple[Arc, ...]
 
 
-def _edge_points(s: EquitableSet, e: Edge) -> tuple[list[int], list[int]]:
-    """The edge's intersection points on each side, as circle indices listed
-    circle by circle in circle order (so both lists are sorted)."""
-    left = [i for i, x in enumerate(s.at(e.src)) for _ in range(abs(det2(x, e.v)))]
-    right = [j for j, x in enumerate(s.at(e.dst)) for _ in range(abs(det2(x, e.w)))]
-    return left, right
-
-
 def wall_graph(
     g: TubularPresentation, s: EquitableSet, matchings: dict[str, tuple] | None = None
 ) -> WallGraph:
@@ -383,23 +375,20 @@ def wall_graph(
     """
     if not verify_equitable(g, s):
         raise ValueError("wall_graph requires an equitable set")
-    nodes = tuple(
-        (v, i) for v in g.vertices for i in range(len(s.at(v)))
-    )
+    nodes = tuple((v, i) for v in g.vertices for i in range(len(s.at(v))))
     arcs: list[Arc] = []
     for e in g.edges:
-        left_pts, right_pts = _edge_points(s, e)
-        assert len(left_pts) == len(right_pts)
+        left = [i for i, x in enumerate(s.at(e.src)) for _ in range(abs(det2(x, e.v)))]
+        right = [j for j, x in enumerate(s.at(e.dst)) for _ in range(abs(det2(x, e.w)))]
+        assert len(left) == len(right)
         if matchings and e.id in matchings:
             right_order = list(matchings[e.id])
-            if sorted(right_order) != sorted(right_pts):
+            if sorted(right_order) != sorted(right):
                 raise ValueError(f"invalid matching for edge {e.id}")
         else:
-            right_order = right_pts
-        for i, j in zip(left_pts, right_order):
-            w = Fraction(
-                abs(det2(e.v, s.at(e.src)[i])), abs(det2(e.w, s.at(e.dst)[j]))
-            )
+            right_order = right
+        for i, j in zip(left, right_order):
+            w = Fraction(abs(det2(e.v, s.at(e.src)[i])), abs(det2(e.w, s.at(e.dst)[j])))
             arcs.append(Arc(e.label or e.id, (e.src, i), (e.dst, j), w))
     return WallGraph(nodes, tuple(arcs))
 
@@ -490,52 +479,102 @@ def all_matching_verdicts(
     matchings.  Returns (set of dilated flags, whether the enumeration was
     exhausted within budget).
 
-    Matchings are walked lazily in lexicographic order: each edge steps
-    through the distinct orderings of its right-hand points, and the edges
-    turn like an odometer with the last edge fastest.  An arc's weight
-    depends only on its edge and its two circles, and parallel arcs of equal
-    weight close a cycle of holonomy 1, so the dilated flag depends only on
-    the set of circle pairs each edge realizes.  Wall graphs are built and
-    decided once per such support.
+    Matchings count in lexicographic order, each edge running through the
+    orderings of its right-hand points, the last edge fastest.  The flag
+    depends only on the circle pairs each edge joins, its support, since
+    parallel arcs of equal weight close cycles of holonomy 1.  An edge with
+    a_i points on left circle i and b_j on right circle j has multinomial(b)
+    orderings; they realize the S on which an integer matrix M >= 0 with row
+    sums a and column sums b is positive: by Gale's theorem, when a and b
+    less one per pair of S stay >= 0 and each set of columns needs at most
+    what the rows S joins to it supply.  With digit q_e at edge e of the
+    budget in mixed radix, the first `budget` matchings agree with the digits
+    before some edge e, take one of the first q_e orderings at e, and any
+    after it.  Each distinct tuple of supports is decided once, on a wall
+    graph with one arc per edge and pair of circles, until both flags show.
     """
-    points = [_edge_points(s, e) for e in g.edges]
-    lefts = [left for left, _ in points]
-    orders = [right for _, right in points]
-    supports = [frozenset(zip(left, order)) for left, order in zip(lefts, orders)]
-    flags: dict[tuple[frozenset, ...], bool] = {}
+    if budget <= 0:
+        return set(), False
+    ends = [((e.src, e.v), (e.dst, e.w)) for e in g.edges]
+    counts = [tuple([abs(det2(x, u)) for x in s.at(v)] for v, u in end) for end in ends]
+    if not verify_equitable(g, s):
+        raise ValueError("wall_graph requires an equitable set")
+    sizes = [_orderings(b, budget + 1) for _, b in counts]
+    complete, keys, every = math.prod(sizes) <= budget, [], [()]
+    for e in reversed(range(len(counts))):  # tuples over edges e on: met, all
+        tail = math.prod(sizes[e + 1 :])
+        if not complete:
+            fixed, lower = _unrank(counts[e], budget // tail % sizes[e])
+            keys = [(fixed,) + k for k in keys] + [(S,) + k for S in lower for k in every]
+        if tail * sizes[e] <= budget:
+            every = [(S,) + k for S in _supports(frozenset(), *counts[e]) for k in every]
+    nodes = tuple((v, i) for v in g.vertices for i in range(len(s.at(v))))
     verdicts: set[bool] = set()
-    for _ in range(budget):
-        key = tuple(supports)
-        if key not in flags:
-            matching = {e.id: tuple(order) for e, order in zip(g.edges, orders)}
-            flags[key] = dilation_decide(wall_graph(g, s, matching)).dilated
-        verdicts.add(flags[key])
-        # Advance the odometer; an edge that wraps back to its first ordering
-        # carries into the edge before it.
-        for k in reversed(range(len(orders))):
-            advanced = _next_permutation(orders[k])
-            supports[k] = frozenset(zip(lefts[k], orders[k]))
-            if advanced:
+    for key in dict.fromkeys(every if complete else keys):
+        arcs = tuple(
+            Arc(e.label or e.id, (e.src, i), (e.dst, j), Fraction(a[i], b[j]))
+            for e, (a, b), support in zip(g.edges, counts, key)
+            for i, j in sorted(support)
+        )
+        verdicts.add(dilation_decide(WallGraph(nodes, arcs)).dilated)
+        if len(verdicts) == 2:
+            break
+    return verdicts, complete
+
+
+def _orderings(counts: list[int], cap: int) -> int:
+    """The number of distinct orderings of a multiset with these counts, or
+    `cap` if that is less; comb(n, k) >= 2**min(k, n - k) bounds the work."""
+    m, n = 1, 0
+    for k in counts:
+        n += k
+        m = cap if min(k, n - k) >= cap.bit_length() else min(cap, m * math.comb(n, k))
+    return m
+
+
+def _unrank(ab: tuple[list[int], list[int]], q: int) -> tuple[frozenset, list[frozenset]]:
+    """The support of an edge's ordering of rank q, and those of the lower
+    ones, which leave it at some point for a lower circle and then run free.
+    A circle with no lower one left is placed as often as the rank allows."""
+    a, b = map(list, ab)
+    fixed, lower, n = frozenset(), [], sum(b)
+    while n:
+        i = next(i for i, x in enumerate(a) if x)
+        if a[i] == n:  # one circle left: every ordering has the same support
+            fixed |= {(i, j) for j, y in enumerate(b) if y}
+            return fixed, lower + [fixed] * (q > 0)
+        for j in (j for j, y in enumerate(b) if y):
+            less = (a[:i] + [a[i] - 1] + a[i + 1 :], b[:j] + [b[j] - 1] + b[j + 1 :])
+            if q < (ways := _orderings(less[1], q + 1)):
                 break
-        else:
-            return verdicts, True
-    return verdicts, False
+            q -= ways
+            lower += _supports(fixed | {(i, j)}, *less)
+        top, rest = 1 if any(b[:j]) else min(a[i], b[j]), b[:j] + b[j + 1 :]
+        x = bisect.bisect_left(
+            range(1, top + 1),
+            True,
+            key=lambda x: _orderings(rest + [b[j] - x], q + 1) <= q,
+        )
+        fixed, a[i], b[j], n = fixed | {(i, j)}, a[i] - x, b[j] - x, n - x
+    return fixed, lower
 
 
-def _next_permutation(a: list[int]) -> bool:
-    """Step `a` in place to its next distinct ordering in lexicographic order
-    (Knuth's Algorithm L).  From the last ordering, reset `a` to the first
-    (sorted) one and return False."""
-    i = len(a) - 2
-    while i >= 0 and a[i] >= a[i + 1]:
-        i -= 1
-    if i >= 0:
-        j = len(a) - 1
-        while a[j] <= a[i]:
-            j -= 1
-        a[i], a[j] = a[j], a[i]
-    a[i + 1 :] = reversed(a[i + 1 :])
-    return i >= 0
+def _supports(fixed: frozenset, a: list[int], b: list[int]) -> list[frozenset]:
+    """`fixed` joined with each support of M >= 0 with row sums a and column
+    sums b: row i meets a set R_i of at most a_i columns, and each set J of
+    columns needs at most the sum over rows meeting J of a_i - |R_i - J|."""
+    need = [sum(y for j, y in enumerate(b) if J >> j & 1) for J in range(1 << len(b))]
+    full = sum(1 << j for j, y in enumerate(b) if y)
+    masks = [R for R in range(1, full + 1) if R & ~full == 0]
+    rows = [[R for R in masks if R.bit_count() <= x] or [0] for x in a]
+    return [
+        fixed | {(i, j) for i, R in enumerate(S) for j in range(len(b)) if R >> j & 1}
+        for S in itertools.product(*rows)
+        if all(
+            need[J] <= sum(x - (R & ~J).bit_count() for x, R in zip(a, S) if R & J)
+            for J in range(1, 1 << len(b))
+        )
+    ]
 
 
 def export_arcs_text(w: WallGraph) -> str:

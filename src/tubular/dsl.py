@@ -12,8 +12,8 @@ Two forms are accepted:
 
 Whitespace is insignificant, `#` starts a comment to end of line, and the
 semicolon before `}` is optional.  Names, vertex ids and edge labels are
-identifiers, `[A-Za-z_][A-Za-z0-9_.-]*`.  Errors carry 1-based line/column
-positions.
+identifiers, `[A-Za-z_][A-Za-z0-9_.-]*`, and integers are `-?[0-9]+`, ASCII
+digits only.  Errors carry 1-based line/column positions.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ class DslError(ValueError):
 # by the slots below, and always ends with an end-of-input tuple.
 _RE = re.compile(
     r"""[ \t\r\n]*(?:\#[^\n]*[ \t\r\n]*)*
-        (?:(-?\d+)|([A-Za-z_][A-Za-z0-9_.-]*)|(->|[{}();:,=\[\]])|(.)|\Z)""",
+        (?:(-?[0-9]+)|([A-Za-z_][A-Za-z0-9_.-]*)|(->|[{}();:,=\[\]])|(.)|\Z)""",
     re.VERBOSE | re.DOTALL,
 )
 INT, IDENT, PUNCT, BAD = range(4)
@@ -194,15 +194,21 @@ def _checked(name: str) -> str:
 
 def unparse(obj: TubularPresentation | GpqParams) -> str:
     """Print an object in the DSL; parse(unparse(x)) is structurally x.
-    Raises ValueError when a name, vertex id or label is not an identifier."""
+    Raises ValueError when a name, vertex id or label is not an identifier,
+    when two edges share a label, or when a label is not its edge's id (the
+    DSL gives an edge one name, which parses as both)."""
     if isinstance(obj, GpqParams):
         p = ",".join(str(n) for n in obj.p)
         q = ",".join(str(n) for n in obj.q)
         return f"gpq p=[{p}] q=[{q}]\n"
     lines = [f"group {_checked(obj.name or 'G')} {{"]
     lines.append("  vertex " + ", ".join(map(_checked, obj.vertices)) + ";")
-    for e in obj.edges:
-        label = _checked(e.label or e.id)
+    labels = [_checked(e.label or e.id) for e in obj.edges]
+    for e, label in zip(obj.edges, labels):
+        if labels.count(label) > 1:
+            raise ValueError(f"duplicate edge label {label!r}")
+        if label != e.id:
+            raise ValueError(f"edge label {label!r} differs from its edge id {e.id!r}")
         lines.append(
             f"  edge {label} : {e.src}({e.v.x},{e.v.y}) -> {e.dst}({e.w.x},{e.w.y});"
         )

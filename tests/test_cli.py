@@ -23,7 +23,11 @@ def _slug(name: str) -> str:
     return re.sub(r"[^A-Za-z0-9]+", "-", name).strip("-")
 
 
-# (golden file, argv); "{g}" stands for a file holding the eg2-g1 presentation.
+# (golden file, argv); "{g}" stands for a file holding the eg2-g1 presentation,
+# "{t}" for one holding TRUNCATED, whose matching spectrum exceeds the budget.
+TRUNCATED = (
+    "group G { vertex V; edge e1 : V(0,1) -> V(-1,-2); edge e2 : V(6,0) -> V(6,0); }\n"
+)
 GOLDEN = [
     ("corpus.txt", ["corpus"]),
     ("corpus-run.txt", ["corpus", "--run"]),
@@ -47,6 +51,11 @@ GOLDEN = [
         ["cubulate", "--corpus", "gersten", "--all-matchings", "--json"],
     ),
     ("cubulate-bs12.txt", ["cubulate", "--corpus", "bs12"]),
+    ("cubulate-truncated-all-matchings.txt", ["cubulate", "{t}", "--all-matchings"]),
+    (
+        "cubulate-truncated-all-matchings.json",
+        ["cubulate", "{t}", "--all-matchings", "--json"],
+    ),
     ("amalgam-retractor.txt", ["amalgam", "{g}", "1,0", "{g}", "1,0"]),
     ("amalgam-button.txt", ["amalgam", "{g}", "1,-1", "{g}", "1,0"]),
 ]
@@ -60,9 +69,10 @@ def run(capsys, *argv):
 
 @pytest.mark.parametrize("golden,argv", GOLDEN, ids=[f for f, _ in GOLDEN])
 def test_golden_output(capsys, tmp_path, golden, argv):
-    path = tmp_path / "g.tub"
-    path.write_text(unparse(eg2_g1()))
-    code, out, err = run(capsys, *(str(path) if a == "{g}" else a for a in argv))
+    files = {"{g}": tmp_path / "g.tub", "{t}": tmp_path / "t.tub"}
+    files["{g}"].write_text(unparse(eg2_g1()))
+    files["{t}"].write_text(TRUNCATED)
+    code, out, err = run(capsys, *(str(files.get(a, a)) for a in argv))
     assert code == 0 and err == ""
     assert out.encode() == (GOLDEN_DIR / golden).read_bytes()
 

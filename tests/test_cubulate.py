@@ -26,6 +26,9 @@ from tubular.cubulate import (
     WallGraph,
     _candidate_vectors,
     _has_independent_pair,
+    _orderings,
+    _supports,
+    _unrank,
     all_matching_verdicts,
     canonical_th3_set,
     dilation_decide,
@@ -575,6 +578,144 @@ def test_all_matchings_decides_each_support_once(monkeypatch):
     assert all_matching_verdicts(g, s) == ({False}, True)
     assert len(calls) == 3
 
+
+def _odometer_oracle(g, s, budget=10000):
+    """The lazy odometer that all_matching_verdicts replaced: every edge steps
+    in place through the distinct orderings of its right-hand points, the
+    last edge fastest, and each distinct tuple of per-edge supports met in
+    the first `budget` matchings is decided once."""
+    points = []
+    for e in g.edges:
+        left = [i for i, x in enumerate(s.at(e.src)) for _ in range(abs(det2(x, e.v)))]
+        right = [j for j, x in enumerate(s.at(e.dst)) for _ in range(abs(det2(x, e.w)))]
+        points.append((left, right))
+    lefts = [left for left, _ in points]
+    orders = [right for _, right in points]
+    supports = [frozenset(zip(left, order)) for left, order in zip(lefts, orders)]
+    flags = {}
+    verdicts = set()
+    for _ in range(budget):
+        key = tuple(supports)
+        if key not in flags:
+            matching = {e.id: tuple(order) for e, order in zip(g.edges, orders)}
+            flags[key] = dilation_decide(wall_graph(g, s, matching)).dilated
+        verdicts.add(flags[key])
+        for k in reversed(range(len(orders))):
+            advanced = _next_permutation(orders[k])
+            supports[k] = frozenset(zip(lefts[k], orders[k]))
+            if advanced:
+                break
+        else:
+            return verdicts, True
+    return verdicts, False
+
+
+def _next_permutation(a):
+    """Step `a` in place to its next distinct ordering in lexicographic order
+    (Knuth's Algorithm L).  From the last ordering, reset `a` to the first
+    (sorted) one and return False."""
+    i = len(a) - 2
+    while i >= 0 and a[i] >= a[i + 1]:
+        i -= 1
+    if i >= 0:
+        j = len(a) - 1
+        while a[j] <= a[i]:
+            j -= 1
+        a[i], a[j] = a[j], a[i]
+    a[i + 1 :] = reversed(a[i + 1 :])
+    return i >= 0
+
+
+def test_all_matchings_agrees_with_odometer_oracle():
+    rng = random.Random(20261019)
+    for _ in range(300):
+        g = _planted_spectrum_input(rng)
+        s = equitable_search(g, 3, 3)
+        for budget in (0, 1, 2, 3, 5, 7, 11, 50, 200, 10000):
+            assert all_matching_verdicts(g, s, budget) == _odometer_oracle(
+                g, s, budget
+            ), (g, budget)
+
+
+def test_all_matchings_agrees_with_odometer_oracle_on_dense_edges():
+    """Inputs shaped like the benchmark's dense ones: a planted input plus a
+    loop k·u -> k·u, whose k! orderings the budgets cut mid-edge."""
+    rng = random.Random(20261020)
+    for _ in range(6):
+        g = _planted_spectrum_input(rng)
+        u = rng.choice((V(1, 0), V(0, 1), V(1, 1), V(1, -1)))
+        k = rng.choice((12, 13))
+        loop = (V(k * u.x, k * u.y), V(k * u.x, k * u.y))
+        g = single_vertex_presentation([(e.v, e.w) for e in g.edges] + [loop])
+        s = equitable_search(g, 3, 3)
+        assert isinstance(s, EquitableSet), g
+        for budget in (17, 4321, 9999, 10000):
+            assert all_matching_verdicts(g, s, budget) == _odometer_oracle(
+                g, s, budget
+            ), (g, budget)
+
+
+def test_all_matchings_truncation_across_edges():
+    """Budgets that cut the odometer inside each of three edges, with 3, 3 and
+    4 orderings, on two vertices whose circle lists differ; both flags show
+    only after the first edge has turned twice."""
+    g = parse(
+        "group G { vertex A, B; edge e1 : A(1,0) -> B(-1,1); "
+        "edge e2 : A(-1,0) -> B(-1,-2); edge e3 : B(-2,1) -> B(-2,1); }"
+    )
+    s = EquitableSet((("A", (V(1, -1), V(1, -2))), ("B", (V(1, 1), V(1, 0)))))
+    for budget in range(38):
+        got = all_matching_verdicts(g, s, budget)
+        assert got == _odometer_oracle(g, s, budget), budget
+        assert len(got[0]) == (budget > 0) + (budget >= 25) and got[1] == (budget >= 36)
+
+
+def test_edge_supports_match_the_sorted_orderings():
+    """Per edge: the support of the ordering of rank q, those of the lower
+    orderings, and those of all orderings, against a list of every distinct
+    ordering of the right-hand points in lexicographic order."""
+    rng = random.Random(20261021)
+    for _ in range(150):
+        a = [rng.randint(0, 3) for _ in range(rng.randint(1, 3))]
+        if sum(a) > 7:  # at most 7! orderings to list
+            continue
+        b = [0] * rng.randint(1, 3)
+        for _ in range(sum(a)):
+            b[rng.randrange(len(b))] += 1
+        left = [i for i, x in enumerate(a) for _ in range(x)]
+        right = [j for j, y in enumerate(b) for _ in range(y)]
+        orderings = sorted(set(itertools.permutations(right)))
+        supports = [frozenset(zip(left, p)) for p in orderings]
+        assert _orderings(b, 10**6) == len(supports)
+        assert set(_supports(frozenset(), a, b)) == set(supports), (a, b)
+        for q in range(len(supports)):
+            fixed, lower = _unrank((a, b), q)
+            assert fixed == supports[q] and set(lower) == set(supports[:q]), (a, b, q)
+
+
+def test_all_matchings_requires_an_equitable_set():
+    g = gersten_presentation()
+    s = EquitableSet.single([V(0, 1), V(1, 1)])
+    assert all_matching_verdicts(g, s, 0) == (set(), False)
+    with pytest.raises(ValueError, match="wall_graph requires an equitable set"):
+        all_matching_verdicts(g, s)
+
+
+def test_all_matchings_work_does_not_grow_with_points(monkeypatch):
+    """A thousand points on each of two circles: the walk took seconds; the
+    count decides the two supports the first 10,000 orderings meet."""
+    calls = []
+    decide = tubular.cubulate.dilation_decide
+
+    def counted(w):
+        calls.append(w)
+        return decide(w)
+
+    monkeypatch.setattr(tubular.cubulate, "dilation_decide", counted)
+    g = single_vertex_presentation([(V(1, 0), V(0, 1)), (V(1000, 1000), V(1000, 1000))])
+    s = equitable_search(g, 3, 3)
+    assert all_matching_verdicts(g, s) == ({False}, False)
+    assert len(calls) <= 3
 
 def test_exports_are_deterministic():
     g = gersten_presentation()

@@ -514,12 +514,27 @@ def test_unparse_rejects_names_that_are_not_identifiers(g, bad):
 def test_unparse_accepts_every_identifier_form():
     g = TubularPresentation(
         ("_a.b-c", "group", "edge"),
-        (Edge("x", "group", "edge", V(1, 0), V(0, 1), label="vertex"),),
+        (Edge("vertex", "group", "edge", V(1, 0), V(0, 1), label="vertex"),),
         name="gpq",
     )
-    # The parsed edge's id is its label.
-    edge = Edge("vertex", "group", "edge", V(1, 0), V(0, 1), label="vertex")
-    assert parse(unparse(g)) == TubularPresentation(g.vertices, (edge,), name="gpq")
+    assert parse(unparse(g)) == g
+
+
+def test_unparse_rejects_text_that_would_not_parse_back():
+    # Two edges with one label would print two `edge x` lines, which the
+    # parser rejects; a label other than the id would come back as the id.
+    e = [Edge(i, "V", "V", V(1, 0), V(0, 1), label="x") for i in ("a", "b")]
+    with pytest.raises(ValueError, match="^duplicate edge label 'x'$"):
+        unparse(TubularPresentation(("V",), tuple(e)))
+    with pytest.raises(ValueError, match="^edge label 'x' differs from its edge id 'a'$"):
+        unparse(TubularPresentation(("V",), e[:1]))
+    plain = TubularPresentation(("V",), (Edge("a", "V", "V", V(1, 0), V(0, 1)),))
+    assert parse(unparse(plain)).edges[0].id == "a"
+
+
+def test_integers_are_ascii_digits_only():
+    with pytest.raises(DslError, match="^1:8: unexpected character '\u0663'$"):
+        parse("gpq p=[\u0663] q=[\uff11]")
 
 
 def test_long_inputs_parse_in_one_pass():
