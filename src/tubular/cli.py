@@ -300,7 +300,8 @@ def _dilation(s: _Input, done) -> dict:
         return dict(
             verdict="Dilated",
             route="WallHolonomy",
-            certificate=serialize_cycle(d.witness_cycle, d.holonomy),
+            certificate=serialize_cycle(d.witness_cycle, d.holonomy)
+            | {"sets": serialize_equitable(found)["sets"]},
             citation=citation,
             notes=(f"witness cycle holonomy {d.holonomy}",),
         )

@@ -90,14 +90,13 @@ class Edge:
     dst: VertexId
     v: IntVec2
     w: IntVec2
-    label: str = ""
 
     def __post_init__(self):
         if self.v.is_zero() or self.w.is_zero():
             raise ValueError(f"edge {self.id}: attaching vectors must be nonzero")
 
     def reversed(self) -> "Edge":
-        return Edge(self.id, self.dst, self.src, self.w, self.v, self.label)
+        return Edge(self.id, self.dst, self.src, self.w, self.v)
 
 
 @dataclass(frozen=True)
@@ -150,8 +149,7 @@ def single_vertex_presentation(
 ) -> TubularPresentation:
     """The multiple HNN extension of one Z^2 with the given attaching pairs."""
     edges = tuple(
-        Edge(f"e{i+1}", vertex, vertex, v, w, label=f"e{i+1}")
-        for i, (v, w) in enumerate(pairs)
+        Edge(f"e{i+1}", vertex, vertex, v, w) for i, (v, w) in enumerate(pairs)
     )
     return TubularPresentation((vertex,), edges, name=name)
 

@@ -347,12 +347,15 @@ def _search_component(
 
 @dataclass(frozen=True)
 class Arc:
-    """One connecting arc of an immersed wall, directed with its edge."""
+    """The connecting arcs of an immersed wall that join `count` intersection
+    points of one circle pair across an edge, directed with the edge.  They
+    share their ends and weight, so one stands for all in every holonomy."""
 
     edge_label: str
     src_circle: Circle
     dst_circle: Circle
     weight: Rat
+    count: int = 1
 
 
 @dataclass(frozen=True)
@@ -363,34 +366,42 @@ class WallGraph:
     arcs: tuple[Arc, ...]
 
 
-def wall_graph(
-    g: TubularPresentation, s: EquitableSet, matchings: dict[str, tuple] | None = None
-) -> WallGraph:
+def wall_graph(g: TubularPresentation, s: EquitableSet) -> WallGraph:
     """Build the wall graph for an equitable set.
 
     Intersection points on each side of an edge are listed circle-by-circle in
-    circle order; by default the order-preserving bijection matches them.  An
-    explicit matching (permutation of the right-hand point list, per edge id)
-    may be supplied to explore alternatives.
+    circle order, and the order-preserving bijection matches them.  The points
+    it joins from left circle i to right circle j form one run, one `Arc` with
+    their count.  Point p lies on the first circle whose cumulative count A_i
+    or B_j exceeds p, so the runs are the northwest-corner rule on A and B,
+    and the work does not grow with the number of points.
     """
+    counts, runs = _point_counts(g, s), []
+    for a, b in counts:
+        A, B = list(itertools.accumulate(a)), list(itertools.accumulate(b))
+        cuts = itertools.pairwise([0] + sorted({*A, *B} - {0}))
+        runs.append([(bisect.bisect(A, p), bisect.bisect(B, p), q - p) for p, q in cuts])
+    return _wall(g, s, counts, runs)
+
+
+def _point_counts(g: TubularPresentation, s: EquitableSet) -> list:
+    """Per edge, the points on each left circle and on each right circle."""
     if not verify_equitable(g, s):
         raise ValueError("wall_graph requires an equitable set")
+    ends = [((e.src, e.v), (e.dst, e.w)) for e in g.edges]
+    return [tuple([abs(det2(x, u)) for x in s.at(v)] for v, u in end) for end in ends]
+
+
+def _wall(g: TubularPresentation, s: EquitableSet, counts, runs) -> WallGraph:
+    """The wall graph with one arc per run (i, j, n) of each edge: n points
+    of left circle i joined to right circle j, with weight a_i / b_j."""
     nodes = tuple((v, i) for v in g.vertices for i in range(len(s.at(v))))
-    arcs: list[Arc] = []
-    for e in g.edges:
-        left = [i for i, x in enumerate(s.at(e.src)) for _ in range(abs(det2(x, e.v)))]
-        right = [j for j, x in enumerate(s.at(e.dst)) for _ in range(abs(det2(x, e.w)))]
-        assert len(left) == len(right)
-        if matchings and e.id in matchings:
-            right_order = list(matchings[e.id])
-            if sorted(right_order) != sorted(right):
-                raise ValueError(f"invalid matching for edge {e.id}")
-        else:
-            right_order = right
-        for i, j in zip(left, right_order):
-            w = Fraction(abs(det2(e.v, s.at(e.src)[i])), abs(det2(e.w, s.at(e.dst)[j])))
-            arcs.append(Arc(e.label or e.id, (e.src, i), (e.dst, j), w))
-    return WallGraph(nodes, tuple(arcs))
+    arcs = tuple(
+        Arc(e.id, (e.src, i), (e.dst, j), Fraction(a[i], b[j]), n)
+        for e, (a, b), edge_runs in zip(g.edges, counts, runs)
+        for i, j, n in edge_runs
+    )
+    return WallGraph(nodes, arcs)
 
 
 @dataclass(frozen=True)
@@ -491,14 +502,11 @@ def all_matching_verdicts(
     budget in mixed radix, the first `budget` matchings agree with the digits
     before some edge e, take one of the first q_e orderings at e, and any
     after it.  Each distinct tuple of supports is decided once, on a wall
-    graph with one arc per edge and pair of circles, until both flags show.
+    graph with one arc of count 1 per joined pair, until both flags show.
     """
     if budget <= 0:
         return set(), False
-    ends = [((e.src, e.v), (e.dst, e.w)) for e in g.edges]
-    counts = [tuple([abs(det2(x, u)) for x in s.at(v)] for v, u in end) for end in ends]
-    if not verify_equitable(g, s):
-        raise ValueError("wall_graph requires an equitable set")
+    counts = _point_counts(g, s)
     sizes = [_orderings(b, budget + 1) for _, b in counts]
     complete, keys, every = math.prod(sizes) <= budget, [], [()]
     for e in reversed(range(len(counts))):  # tuples over edges e on: met, all
@@ -508,15 +516,10 @@ def all_matching_verdicts(
             keys = [(fixed,) + k for k in keys] + [(S,) + k for S in lower for k in every]
         if tail * sizes[e] <= budget:
             every = [(S,) + k for S in _supports(frozenset(), *counts[e]) for k in every]
-    nodes = tuple((v, i) for v in g.vertices for i in range(len(s.at(v))))
     verdicts: set[bool] = set()
     for key in dict.fromkeys(every if complete else keys):
-        arcs = tuple(
-            Arc(e.label or e.id, (e.src, i), (e.dst, j), Fraction(a[i], b[j]))
-            for e, (a, b), support in zip(g.edges, counts, key)
-            for i, j in sorted(support)
-        )
-        verdicts.add(dilation_decide(WallGraph(nodes, arcs)).dilated)
+        runs = [[(i, j, 1) for i, j in sorted(support)] for support in key]
+        verdicts.add(dilation_decide(_wall(g, s, counts, runs)).dilated)
         if len(verdicts) == 2:
             break
     return verdicts, complete
@@ -578,28 +581,28 @@ def _supports(fixed: frozenset, a: list[int], b: list[int]) -> list[frozenset]:
 
 
 def export_arcs_text(w: WallGraph) -> str:
-    """Deterministic edge-list export: one arc per line."""
+    """Deterministic edge-list export: one line per intersection point."""
     lines = []
     for arc in w.arcs:
-        lines.append(
+        lines += [
             f"{arc.edge_label} {arc.src_circle[0]}:{arc.src_circle[1]} "
             f"{arc.dst_circle[0]}:{arc.dst_circle[1]} "
             f"{arc.weight.numerator}/{arc.weight.denominator}"
-        )
+        ] * arc.count
     return "\n".join(lines) + ("\n" if lines else "")
 
 
 def export_dot(w: WallGraph) -> str:
-    """DOT export of the wall graph for visualization."""
+    """DOT export of the wall graph for visualization, one edge per point."""
     lines = ["digraph wall {"]
     for v, i in w.nodes:
         lines.append(f'  "{v}:{i}";')
     for arc in w.arcs:
-        lines.append(
+        lines += [
             f'  "{arc.src_circle[0]}:{arc.src_circle[1]}" -> '
             f'"{arc.dst_circle[0]}:{arc.dst_circle[1]}" '
             f'[label="{arc.edge_label} {arc.weight.numerator}/{arc.weight.denominator}"];'
-        )
+        ] * arc.count
     lines.append("}")
     return "\n".join(lines) + "\n"
 

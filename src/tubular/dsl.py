@@ -135,7 +135,7 @@ class _Parser:
             src, v = self.parse_end(vset)
             self.expect(PUNCT, "->")
             dst, w = self.parse_end(vset)
-            edges.append(Edge(label, src, dst, v, w, label=label))
+            edges.append(Edge(label, src, dst, v, w))
             sep = toks[self.i][PUNCT]
             if sep == ";":
                 self.i += 1
@@ -194,23 +194,15 @@ def _checked(name: str) -> str:
 
 def unparse(obj: TubularPresentation | GpqParams) -> str:
     """Print an object in the DSL; parse(unparse(x)) is structurally x.
-    Raises ValueError when a name, vertex id or label is not an identifier,
-    when two edges share a label, or when a label is not its edge's id (the
-    DSL gives an edge one name, which parses as both)."""
+    Raises ValueError when a name, vertex id or edge id is not an identifier."""
     if isinstance(obj, GpqParams):
         p = ",".join(str(n) for n in obj.p)
         q = ",".join(str(n) for n in obj.q)
         return f"gpq p=[{p}] q=[{q}]\n"
     lines = [f"group {_checked(obj.name or 'G')} {{"]
     lines.append("  vertex " + ", ".join(map(_checked, obj.vertices)) + ";")
-    labels = [_checked(e.label or e.id) for e in obj.edges]
-    for e, label in zip(obj.edges, labels):
-        if labels.count(label) > 1:
-            raise ValueError(f"duplicate edge label {label!r}")
-        if label != e.id:
-            raise ValueError(f"edge label {label!r} differs from its edge id {e.id!r}")
-        lines.append(
-            f"  edge {label} : {e.src}({e.v.x},{e.v.y}) -> {e.dst}({e.w.x},{e.w.y});"
-        )
+    for e in obj.edges:
+        v, w = f"{e.src}({e.v.x},{e.v.y})", f"{e.dst}({e.w.x},{e.w.y})"
+        lines.append(f"  edge {_checked(e.id)} : {v} -> {w};")
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -176,7 +176,7 @@ def _nonvanishing_functional(
         (
             e.src,
             e.v,
-            f"every edge-compatible functional vanishes on edge {e.label or e.id}",
+            f"every edge-compatible functional vanishes on edge {e.id}",
         )
         for e in g.edges
     ] + extra
@@ -296,18 +296,12 @@ def amalgamate(
     vertices = tuple(tag("g1", v) for v in g1.vertices) + tuple(
         tag("g2", v) for v in g2.vertices
     )
-    edges = []
-    for e in g1.edges:
-        edges.append(
-            Edge(f"g1.{e.id}", tag("g1", e.src), tag("g1", e.dst), e.v, e.w, f"g1.{e.id}")
-        )
-    for e in g2.edges:
-        edges.append(
-            Edge(f"g2.{e.id}", tag("g2", e.src), tag("g2", e.dst), e.v, e.w, f"g2.{e.id}")
-        )
-    edges.append(
-        Edge("bridge", tag("g1", a[0]), tag("g2", b[0]), av, bv, label="bridge")
-    )
+    edges = [
+        Edge(tag(which, e.id), tag(which, e.src), tag(which, e.dst), e.v, e.w)
+        for which, g in (("g1", g1), ("g2", g2))
+        for e in g.edges
+    ]
+    edges.append(Edge("bridge", tag("g1", a[0]), tag("g2", b[0]), av, bv))
     return TubularPresentation(
         vertices, tuple(edges), name=name or f"{g1.name}*{g2.name}"
     )

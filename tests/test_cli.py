@@ -2,6 +2,7 @@ import gc
 import json
 import re
 import warnings
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -10,7 +11,8 @@ import tubular.cli
 from tubular.cli import main
 from tubular.core import GpqParams
 from tubular.dsl import unparse
-from tubular.corpus import corpus, eg2_g1, gersten_presentation
+from tubular.corpus import corpus, corpus_entry, eg2_g1, gersten_presentation
+from tubular.special import gpq_to_tubular
 
 SCHEMA_KEYS = {"group", "property", "verdict", "route", "certificate", "citation", "notes"}
 
@@ -75,6 +77,61 @@ def test_golden_output(capsys, tmp_path, golden, argv):
     code, out, err = run(capsys, *(str(files.get(a, a)) for a in argv))
     assert code == 0 and err == ""
     assert out.encode() == (GOLDEN_DIR / golden).read_bytes()
+
+
+DILATED_GOLDENS = [
+    "analyze-gersten.json",
+    "analyze-eg2-double.json",
+    "analyze-corlast.json",
+    "corpus-run.json",
+    "cubulate-gersten.json",
+    "cubulate-gersten-all-matchings.json",
+]
+
+
+def _det(a, b):
+    return a[0] * b[1] - a[1] * b[0]
+
+
+@pytest.mark.parametrize("golden", DILATED_GOLDENS)
+def test_dilated_certificates_check_from_their_own_sets(golden):
+    """Each Dilated certificate is re-derived from its own `sets` and the
+    presentation alone: the sets are equitable, each step joins circles of
+    its edge's ends with weight |det(v, c)| / |det(w, c')|, the steps close
+    up, and their holonomy is the reported one and is not 1."""
+    reports = json.loads((GOLDEN_DIR / golden).read_text())
+    dilated = [
+        r for r in reports if (r["property"], r["verdict"]) == ("dilation", "Dilated")
+    ]
+    assert dilated
+    for r in dilated:
+        g = corpus_entry(r["group"]).presentation
+        g = gpq_to_tubular(g) if isinstance(g, GpqParams) else g
+        cert = r["certificate"]
+        sets = {v: [tuple(c) for c in cs] for v, cs in cert["sets"].items()}
+        assert set(sets) == set(g.vertices)
+        for cs in sets.values():
+            assert any(_det(c, d) for c in cs for d in cs)
+        edges = {e.id: ((e.v.x, e.v.y), (e.w.x, e.w.y), e.src, e.dst) for e in g.edges}
+        for v, w, src, dst in edges.values():
+            assert sum(abs(_det(c, v)) for c in sets[src]) == sum(
+                abs(_det(c, w)) for c in sets[dst]
+            )
+        holonomy, walk = Fraction(1), []
+        for step in cert["steps"]:
+            v, w, src, dst = edges[step["edge"]]
+            (a, i), (b, j) = (step[k].rsplit(":", 1) for k in ("from", "to"))
+            assert (a, b) == (src, dst)
+            cs, cd = sets[a][int(i)], sets[b][int(j)]
+            weight = Fraction(abs(_det(v, cs)), abs(_det(w, cd)))
+            assert Fraction(step["weight"]) == weight
+            holonomy *= weight ** step["direction"]
+            walk.append((step["from"], step["to"])[:: step["direction"]])
+        assert all(x[1] == y[0] for x, y in zip(walk, walk[1:] + walk[:1]))
+        assert holonomy == Fraction(cert["holonomy"]) != 1
+        for x in reports:
+            if (x["group"], x["property"]) == (r["group"], "equitable_set"):
+                assert x["certificate"]["sets"] == cert["sets"]
 
 
 def test_analyze_corpus_gersten_text(capsys):

@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 import random
 import time
@@ -16,7 +17,13 @@ from tubular.core import (
     det2,
     single_vertex_presentation,
 )
-from tubular.corpus import bs12_shape, corpus, gersten_presentation, lyman_psi
+from tubular.corpus import (
+    bs12_shape,
+    corpus,
+    corpus_entry,
+    gersten_presentation,
+    lyman_psi,
+)
 from tubular.cubulate import (
     Arc,
     CanonicalSetError,
@@ -39,6 +46,7 @@ from tubular.cubulate import (
     wall_graph,
 )
 from tubular.dsl import parse
+from tubular.report import serialize_cycle
 from tubular.special import Answer, gpq_to_tubular, vspecial_sufficient
 
 V = IntVec2
@@ -441,15 +449,43 @@ def test_lyman_canonical_set_non_dilated():
     assert not dilation_decide(wall_graph(g, s)).dilated
 
 
+def _wall_graph_oracle(g, s, matchings=None):
+    """The per-point builder that wall_graph replaced: one arc per
+    intersection point.  Intersection points on each side of an edge are
+    listed circle-by-circle in circle order; by default the order-preserving
+    bijection matches them.  An explicit matching (permutation of the
+    right-hand point list, per edge id) may be supplied instead."""
+    if not verify_equitable(g, s):
+        raise ValueError("wall_graph requires an equitable set")
+    nodes = tuple((v, i) for v in g.vertices for i in range(len(s.at(v))))
+    arcs = []
+    for e in g.edges:
+        left = [i for i, x in enumerate(s.at(e.src)) for _ in range(abs(det2(x, e.v)))]
+        right = [j for j, x in enumerate(s.at(e.dst)) for _ in range(abs(det2(x, e.w)))]
+        assert len(left) == len(right)
+        if matchings and e.id in matchings:
+            right_order = list(matchings[e.id])
+            if sorted(right_order) != sorted(right):
+                raise ValueError(f"invalid matching for edge {e.id}")
+        else:
+            right_order = right
+        for i, j in zip(left, right_order):
+            w = Fraction(abs(det2(e.v, s.at(e.src)[i])), abs(det2(e.w, s.at(e.dst)[j])))
+            arcs.append(Arc(e.id, (e.src, i), (e.dst, j), w))
+    return WallGraph(nodes, tuple(arcs))
+
+
 def test_wall_graph_structure_gersten():
     g = gersten_presentation()
     s = EquitableSet.single([V(0, 1), V(2, 1)])
     w = wall_graph(g, s)
     assert w.nodes == (("V", 0), ("V", 1))
-    # Each edge contributes 2 intersection points, so 4 arcs total.
-    assert len(w.arcs) == 4
-    weights = sorted(a.weight for a in w.arcs)
-    assert all(wt > 0 for wt in weights)
+    # Each edge has 2 intersection points, both on circle 1 at the left.
+    # Edge e1 meets each circle once at the right, and e2 meets circle 0
+    # twice: three runs.
+    runs = [(a.edge_label, a.src_circle[1], a.dst_circle[1], a.count) for a in w.arcs]
+    assert runs == [("e1", 1, 0, 1), ("e1", 1, 1, 1), ("e2", 1, 0, 2)]
+    assert all(a.weight > 0 for a in w.arcs)
 
 
 def test_dilation_verdict_independent_of_edge_order():
@@ -511,7 +547,7 @@ def _all_matching_verdicts_oracle(g, s, budget=10000):
             break
         count += 1
         matching = {eid: perm for (eid, _), perm in zip(per_edge, combo)}
-        verdicts.add(dilation_decide(wall_graph(g, s, matching)).dilated)
+        verdicts.add(dilation_decide(_wall_graph_oracle(g, s, matching)).dilated)
     return verdicts, complete
 
 
@@ -598,7 +634,7 @@ def _odometer_oracle(g, s, budget=10000):
         key = tuple(supports)
         if key not in flags:
             matching = {e.id: tuple(order) for e, order in zip(g.edges, orders)}
-            flags[key] = dilation_decide(wall_graph(g, s, matching)).dilated
+            flags[key] = dilation_decide(_wall_graph_oracle(g, s, matching)).dilated
         verdicts.add(flags[key])
         for k in reversed(range(len(orders))):
             advanced = _next_permutation(orders[k])
@@ -717,6 +753,7 @@ def test_all_matchings_work_does_not_grow_with_points(monkeypatch):
     assert all_matching_verdicts(g, s) == ({False}, False)
     assert len(calls) <= 3
 
+
 def test_exports_are_deterministic():
     g = gersten_presentation()
     s = EquitableSet.single([V(0, 1), V(2, 1)])
@@ -724,4 +761,115 @@ def test_exports_are_deterministic():
     text, dot = export_arcs_text(w), export_dot(w)
     assert text == export_arcs_text(wall_graph(g, s))
     assert dot.startswith("digraph wall {")
-    assert text.count("\n") == len(w.arcs)
+    # One line per intersection point: three runs hold four points.
+    assert len(w.arcs) == 3
+    assert text.count("\n") == sum(a.count for a in w.arcs) == 4
+    assert text.splitlines()[2:] == ["e2 V:1 V:0 1/1"] * 2
+
+
+def _planted_equitable(rng):
+    """1-3 vertices, each with 2-3 circles (primitive vectors with
+    coordinates up to 2, some negated or doubled, repeats allowed) that hold
+    an independent pair, and 1-4 edges with coordinates up to 4, each
+    balanced against those circles: a presentation and an equitable set."""
+    prims = [
+        V(x, y)
+        for x in range(3)
+        for y in range(-2, 3)
+        if (x > 0 or y > 0) and math.gcd(x, abs(y)) == 1
+    ]
+    vertices = tuple(f"V{i}" for i in range(rng.randint(1, 3)))
+    circles = {}
+    for v in vertices:
+        while True:
+            cs = []
+            for _ in range(rng.randint(2, 3)):
+                c, k = rng.choice(prims), rng.choice((1, 1, -1, 2))
+                cs.append(V(k * c.x, k * c.y))
+            if _has_independent_pair(tuple(cs)):
+                circles[v] = tuple(cs)
+                break
+    vecs = [V(x, y) for x in range(-4, 5) for y in range(-4, 5) if (x, y) != (0, 0)]
+
+    def norm(v, u):
+        return sum(abs(det2(c, u)) for c in circles[v])
+
+    edges, n = [], rng.randint(1, 4)
+    while len(edges) < n:
+        src, dst, v = rng.choice(vertices), rng.choice(vertices), rng.choice(vecs)
+        ws = [w for w in vecs if norm(dst, w) == norm(src, v)]
+        if ws:
+            edges.append(Edge(f"e{len(edges) + 1}", src, dst, v, rng.choice(ws)))
+    g = TubularPresentation(vertices, tuple(edges))
+    return g, EquitableSet(tuple((v, circles[v]) for v in vertices))
+
+
+def test_wall_graph_agrees_with_per_point_oracle():
+    """Runs print the per-point exports byte for byte, and give the same
+    dilation flag and the same serialized witness cycle."""
+    rng = random.Random(20261018)
+    for _ in range(2000):
+        g, s = _planted_equitable(rng)
+        assert verify_equitable(g, s)
+        w, old = wall_graph(g, s), _wall_graph_oracle(g, s)
+        assert export_arcs_text(w) == export_arcs_text(old), (g, s)
+        assert export_dot(w) == export_dot(old), (g, s)
+        assert sum(a.count for a in w.arcs) == len(old.arcs)
+        d, d_old = dilation_decide(w), dilation_decide(old)
+        assert d.dilated == d_old.dilated, (g, s)
+        if d.dilated:
+            assert serialize_cycle(d.witness_cycle, d.holonomy) == serialize_cycle(
+                d_old.witness_cycle, d_old.holonomy
+            ), (g, s)
+
+
+K = 10**9
+LOOP = f"group h {{ vertex V; edge e : V({K},0) -> V({K},0); }}\n"
+PAIR = (
+    f"group h {{ vertex V; edge e1 : V(1,0) -> V(0,1); "
+    f"edge e2 : V({K},{K}) -> V({K},{K}); }}\n"
+)
+
+
+@pytest.mark.parametrize(
+    "text, argv, words",
+    [
+        # The verdict words at K = 1000, from the per-point builder.
+        (LOOP, ["analyze"], ["Yes", "Yes", "Yes", "Yes", "NonDilated"]),
+        (PAIR, ["analyze"], ["Yes", "Yes", "Yes", "No", "NonDilated"]),
+        (PAIR, ["cubulate", "--all-matchings", "--json"], ["Found"] + ["NonDilated"] * 2),
+    ],
+    ids=["loop-analyze", "pair-analyze", "pair-all-matchings"],
+)
+def test_wall_graph_work_does_not_grow_with_coordinates(
+    capsys, tmp_path, text, argv, words
+):
+    """A billion intersection points on one edge: the per-point builder
+    listed every one."""
+    path = tmp_path / "h.tub"
+    path.write_text(text)
+    assert main(argv + [str(path)]) == 0
+    out = capsys.readouterr().out
+    if "--json" in argv:
+        assert [r["verdict"] for r in json.loads(out)] == words
+    else:
+        assert [line.split(": ")[1].split(" [")[0] for line in out.splitlines()] == words
+    g = parse(text)
+    s = equitable_search(g, 3, 3)
+    arcs = wall_graph(g, s).arcs
+    assert len(arcs) <= sum(len(s.at(e.src)) * len(s.at(e.dst)) for e in g.edges)
+    points = sum(abs(det2(x, e.v)) for e in g.edges for x in s.at(e.src))
+    assert points >= K and sum(a.count for a in arcs) == points
+
+
+def test_eg2_double_equitable_sets_and_spectra():
+    """The reported set is dilated under every matching, and a second set
+    with coordinates up to 2 is dilated under none: the `dilation` row
+    describes the reported set, which the certificate carries."""
+    g = corpus_entry("eg2-double").presentation
+    reported = EquitableSet((("g1.V", (V(0, 1), V(1, 0))), ("g2.V", (V(0, 1), V(2, -1)))))
+    other = EquitableSet((("g1.V", (V(0, 1), V(1, 0))), ("g2.V", (V(1, -1), V(-1, -1)))))
+    assert equitable_search(g, 3, 3) == reported
+    assert all_matching_verdicts(g, reported) == ({True}, True)
+    assert all_matching_verdicts(g, other) == ({False}, True)
+    assert not dilation_decide(wall_graph(g, other)).dilated

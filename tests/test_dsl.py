@@ -25,7 +25,7 @@ def test_parse_gersten():
     assert isinstance(g, TubularPresentation)
     assert g.name == "gersten"
     assert g.vertices == ("V",)
-    assert [(e.label, e.v, e.w) for e in g.edges] == [
+    assert [(e.id, e.v, e.w) for e in g.edges] == [
         ("b", V(0, 1), V(1, 1)),
         ("c", V(0, 1), V(2, 1)),
     ]
@@ -97,16 +97,7 @@ def _random_presentation(rng) -> TubularPresentation:
             w = V(rng.randint(-9, 9), rng.randint(-9, 9))
             if not v.is_zero() and not w.is_zero():
                 break
-        edges.append(
-            Edge(
-                f"e{j}",
-                rng.choice(vertices),
-                rng.choice(vertices),
-                v,
-                w,
-                label=f"e{j}",
-            )
-        )
+        edges.append(Edge(f"e{j}", rng.choice(vertices), rng.choice(vertices), v, w))
     return TubularPresentation(vertices, tuple(edges), name=f"g{rng.randint(0, 99)}")
 
 
@@ -256,7 +247,7 @@ class _OracleParser:
             src, v = self.parse_end(vset)
             self.expect("->")
             dst, w = self.parse_end(vset)
-            edges.append(Edge(label_tok.text, src, dst, v, w, label=label_tok.text))
+            edges.append(Edge(label_tok.text, src, dst, v, w))
             if self.peek().text == ";":
                 self.next()
             elif self.peek().text != "}":
@@ -500,7 +491,7 @@ def test_over_long_integer_literal_is_a_dsl_error(capsys, tmp_path):
         (TubularPresentation(("1V",), ()), "'1V'"),
         (TubularPresentation(("V", "W#"), ()), "'W#'"),
         (
-            TubularPresentation(("V",), (Edge("e", "V", "V", V(1, 0), V(0, 1), label="e f"),)),
+            TubularPresentation(("V",), (Edge("e f", "V", "V", V(1, 0), V(0, 1)),)),
             "'e f'",
         ),
         (TubularPresentation(("V",), (Edge("e(", "V", "V", V(1, 0), V(0, 1)),)), "'e('"),
@@ -514,22 +505,21 @@ def test_unparse_rejects_names_that_are_not_identifiers(g, bad):
 def test_unparse_accepts_every_identifier_form():
     g = TubularPresentation(
         ("_a.b-c", "group", "edge"),
-        (Edge("vertex", "group", "edge", V(1, 0), V(0, 1), label="vertex"),),
+        (Edge("vertex", "group", "edge", V(1, 0), V(0, 1)),),
         name="gpq",
     )
     assert parse(unparse(g)) == g
 
 
 def test_unparse_rejects_text_that_would_not_parse_back():
-    # Two edges with one label would print two `edge x` lines, which the
-    # parser rejects; a label other than the id would come back as the id.
-    e = [Edge(i, "V", "V", V(1, 0), V(0, 1), label="x") for i in ("a", "b")]
-    with pytest.raises(ValueError, match="^duplicate edge label 'x'$"):
-        unparse(TubularPresentation(("V",), tuple(e)))
-    with pytest.raises(ValueError, match="^edge label 'x' differs from its edge id 'a'$"):
-        unparse(TubularPresentation(("V",), e[:1]))
-    plain = TubularPresentation(("V",), (Edge("a", "V", "V", V(1, 0), V(0, 1)),))
-    assert parse(unparse(plain)).edges[0].id == "a"
+    # An edge prints its id, the DSL's one name for it, so only two edges
+    # with one id would print text that does not parse; no presentation
+    # holds them.
+    e = Edge("a", "V", "V", V(1, 0), V(0, 1))
+    with pytest.raises(ValueError, match="^duplicate edge ids$"):
+        TubularPresentation(("V",), (e, e))
+    plain = TubularPresentation(("V",), (e,), name="plain")
+    assert parse(unparse(plain)) == plain
 
 
 def test_integers_are_ascii_digits_only():
@@ -548,8 +538,7 @@ def test_long_inputs_parse_in_one_pass():
         parse(filler + "gpq p=[1] q=[2 q]")
 
     edges = tuple(
-        Edge(f"e{i}", "V", "W", V(i + 1, -i), V(-i, i + 1), label=f"e{i}")
-        for i in range(5000)
+        Edge(f"e{i}", "V", "W", V(i + 1, -i), V(-i, i + 1)) for i in range(5000)
     )
     g = TubularPresentation(("V", "W"), edges, name="wide")
     assert parse(unparse(g)) == g

@@ -250,7 +250,7 @@ def _oracle(g, extra):
     required = [
         (
             row(e.src, e.v),
-            f"every edge-compatible functional vanishes on edge {e.label or e.id}",
+            f"every edge-compatible functional vanishes on edge {e.id}",
         )
         for e in g.edges
     ] + [(row(vertex, elem), text) for vertex, elem, text in extra]
@@ -384,7 +384,7 @@ def _fraction_downstream(g, basis, extra):
         (
             e.src,
             e.v,
-            f"every edge-compatible functional vanishes on edge {e.label or e.id}",
+            f"every edge-compatible functional vanishes on edge {e.id}",
         )
         for e in g.edges
     ] + extra
