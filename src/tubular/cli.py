@@ -55,6 +55,7 @@ from .report import (
 )
 from .special import (
     Answer,
+    SpecialVerdict,
     cocompact_cubulation_decide,
     gpq_compact_special_decide,
     gpq_to_tubular,
@@ -66,6 +67,9 @@ from .vrc import vrc_obstruction
 
 
 def _read(path: str) -> str:
+    """The text of a file, or of stdin for '-'."""
+    if path == "-":
+        return sys.stdin.read()
     with open(path) as fh:
         return fh.read()
 
@@ -83,7 +87,7 @@ def _load(args) -> tuple[TubularPresentation | GpqParams, str]:
     path = args.input
     if path is None:
         raise ValueError("no input given (file, '-', or --corpus NAME)")
-    obj = parse(sys.stdin.read() if path == "-" else _read(path))
+    obj = parse(_read(path))
     name = obj.name if isinstance(obj, TubularPresentation) and obj.name else "G"
     if isinstance(obj, GpqParams):
         name = "gpq"
@@ -143,10 +147,10 @@ def _from_fbc(v: FbcVerdict, route: str, citation: str) -> dict:
     return dict(verdict=NO, route=route, citation=citation, notes=(v.obstruction,))
 
 
-def _from_special(v) -> dict:
-    """Report fields of a SpecialVerdict-shaped result."""
+def _from_special(v: SpecialVerdict) -> dict:
+    """Report fields of a SpecialVerdict."""
     return dict(
-        verdict=v.answer.value, route=v.route.value, citation=v.citation, notes=v.notes
+        verdict=v.answer.value, route=v.route, citation=v.citation, notes=v.notes
     )
 
 
@@ -251,13 +255,8 @@ def _compact_special(s: _Input, done) -> dict | None:
 
 def _cocompact(s: _Input, done) -> dict:
     cat0 = done.get("cat0")
-    v = cocompact_cubulation_decide(s.g, cat0 is not None and cat0.verdict == YES)
-    return dict(
-        verdict=v.answer.value,
-        route="ParallelismClassCount",
-        citation=v.citation,
-        notes=v.notes
-        or tuple(f"vertex {vid}: {c} classes" for vid, c in v.class_counts),
+    return _from_special(
+        cocompact_cubulation_decide(s.g, cat0 is not None and cat0.verdict == YES)
     )
 
 
@@ -435,12 +434,9 @@ def _parser() -> argparse.ArgumentParser:
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def add_io(p, needs_input=True):
-        if needs_input:
-            p.add_argument("input", nargs="?", help="DSL file, or '-' for stdin")
-            p.add_argument(
-                "--corpus", dest="corpus_name", help="use a named corpus entry"
-            )
+    def add_io(p):
+        p.add_argument("input", nargs="?", help="DSL file, or '-' for stdin")
+        p.add_argument("--corpus", dest="corpus_name", help="use a named corpus entry")
         p.add_argument("--json", action="store_true", help="emit the JSON schema")
 
     p = sub.add_parser("analyze", help="run every applicable decider")
@@ -474,12 +470,16 @@ def _parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
     try:
         return _dispatch(args)
-    except (ValueError, OSError, KeyError) as e:
+    except (ValueError, OSError) as e:
         # DslError is a ValueError.
         print(f"error: {e}", file=sys.stderr)
         return 2
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
 
 
 def _dispatch(args) -> int:
@@ -512,6 +512,10 @@ def _dispatch(args) -> int:
         s = _Input(obj, name)
         if cmd in ("analyze", "cubulate"):
             s.coord_bound, s.size_bound = args.coord_bound, args.size_bound
+    if hasattr(sys, "set_int_max_str_digits"):
+        # Derived values are many times longer than the input's literals, which
+        # the parser has already held to the int-to-str digit limit.
+        sys.set_int_max_str_digits(0)
 
     props, wall = COMMANDS[cmd], None
     if cmd == "cubulate":
@@ -519,13 +523,13 @@ def _dispatch(args) -> int:
         if wall is None:
             props = ("equitable_set",)
         elif args.dot:
-            sys.stdout.write(export_dot(wall))
+            sys.stdout.writelines(export_dot(wall))
             return 0
         elif not args.all_matchings:
             props = ("equitable_set", "dilation")
     _emit(_reports(s, props), args.json)
     if wall is not None and not args.json:
-        sys.stdout.write(export_arcs_text(wall))
+        sys.stdout.writelines(export_arcs_text(wall))
     return 0
 
 

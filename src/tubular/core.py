@@ -122,9 +122,6 @@ class TubularPresentation:
             if e.src not in vset or e.dst not in vset:
                 raise ValueError(f"edge {e.id}: unknown vertex {e.src!r} or {e.dst!r}")
 
-    def vertex_index(self, v: VertexId) -> int:
-        return self.vertices.index(v)
-
     def loops_at(self, v: VertexId) -> list[Edge]:
         return [e for e in self.edges if e.src == v and e.dst == v]
 

@@ -580,29 +580,29 @@ def _supports(fixed: frozenset, a: list[int], b: list[int]) -> list[frozenset]:
     ]
 
 
-def export_arcs_text(w: WallGraph) -> str:
-    """Deterministic edge-list export: one line per intersection point."""
-    lines = []
+def export_arcs_text(w: WallGraph) -> Iterator[str]:
+    """Deterministic edge-list export, one line per intersection point,
+    yielded a line at a time so the listing is never held whole."""
     for arc in w.arcs:
-        lines += [
+        line = (
             f"{arc.edge_label} {arc.src_circle[0]}:{arc.src_circle[1]} "
             f"{arc.dst_circle[0]}:{arc.dst_circle[1]} "
-            f"{arc.weight.numerator}/{arc.weight.denominator}"
-        ] * arc.count
-    return "\n".join(lines) + ("\n" if lines else "")
+            f"{arc.weight.numerator}/{arc.weight.denominator}\n"
+        )
+        yield from itertools.repeat(line, arc.count)
 
 
-def export_dot(w: WallGraph) -> str:
-    """DOT export of the wall graph for visualization, one edge per point."""
-    lines = ["digraph wall {"]
+def export_dot(w: WallGraph) -> Iterator[str]:
+    """DOT export of the wall graph for visualization, one edge per point,
+    yielded a line at a time."""
+    yield "digraph wall {\n"
     for v, i in w.nodes:
-        lines.append(f'  "{v}:{i}";')
+        yield f'  "{v}:{i}";\n'
     for arc in w.arcs:
-        lines += [
+        line = (
             f'  "{arc.src_circle[0]}:{arc.src_circle[1]}" -> '
             f'"{arc.dst_circle[0]}:{arc.dst_circle[1]}" '
-            f'[label="{arc.edge_label} {arc.weight.numerator}/{arc.weight.denominator}"];'
-        ] * arc.count
-    lines.append("}")
-    return "\n".join(lines) + "\n"
-
+            f'[label="{arc.edge_label} {arc.weight.numerator}/{arc.weight.denominator}"];\n'
+        )
+        yield from itertools.repeat(line, arc.count)
+    yield "}\n"

@@ -25,12 +25,10 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from .core import (
     Edge,
     IntVec2,
-    Rat,
     TubularPresentation,
     VertexId,
     det2,
@@ -61,9 +59,6 @@ class Functional:
         a, b = self.at(vertex)
         return a * vec.x + b * vec.y
 
-    def edge_value(self, e: Edge) -> int:
-        return self.value(e.src, e.v)
-
 
 @dataclass(frozen=True)
 class HomSpace:
@@ -73,7 +68,7 @@ class HomSpace:
     vertex order; the basis is the reduced-row-echelon free-variable basis, so
     it is deterministic for a given presentation.  It is stored as integer
     vectors `numerators` over one common positive `denominator`, the least
-    common denominator of the basis; `basis` gives it in Fractions.
+    common denominator of the basis.
     `columns` maps each vertex to the column of its alpha coordinate.
     """
 
@@ -81,12 +76,6 @@ class HomSpace:
     denominator: int
     numerators: tuple[tuple[int, ...], ...]
     columns: dict[VertexId, int] = field(compare=False, repr=False)
-
-    @property
-    def basis(self) -> tuple[tuple[Rat, ...], ...]:
-        return tuple(
-            tuple(Fraction(x, self.denominator) for x in b) for b in self.numerators
-        )
 
     @property
     def dim(self) -> int:
@@ -125,17 +114,6 @@ def _integer_functional(space: HomSpace, coords: list[int]) -> Functional:
         (vid, (ints[2 * i], ints[2 * i + 1])) for i, vid in enumerate(space.vertices)
     )
     return Functional(pairs)
-
-
-def _coefficient_tuples(dim: int):
-    """All nonzero integer tuples, ordered by increasing max-norm then
-    lexicographically; deterministic and exhaustive."""
-    n = 0
-    while True:
-        n += 1
-        for tup in itertools.product(range(-n, n + 1), repeat=dim):
-            if max(abs(t) for t in tup) == n:
-                yield tup
 
 
 def _greedy_coefficients(table: list[list[int]], dim: int) -> list[int]:
@@ -244,15 +222,15 @@ def decide_fbc_single_vertex(edges: list[Pair], vertex: VertexId = "V") -> FbcVe
 
 
 def _line_avoiding(vectors: list[IntVec2]) -> IntVec2:
-    """First primitive direction (in a fixed enumeration) spanning a line that
-    contains none of the given nonzero vectors."""
-    for tup in _coefficient_tuples(2):
-        d = IntVec2(*tup)
-        if d.is_zero() or math.gcd(abs(d.x), abs(d.y)) != 1:
-            continue
-        if all(det2(d, v) != 0 for v in vectors):
-            return d
-    raise AssertionError("unreachable")
+    """First primitive direction spanning a line that contains none of the
+    given nonzero vectors, in order of increasing max-norm, then
+    lexicographically."""
+    for n in itertools.count(1):
+        for x, y in itertools.product(range(-n, n + 1), repeat=2):
+            d = IntVec2(x, y)
+            if max(abs(x), abs(y)) == n and math.gcd(x, y) == 1:
+                if all(det2(d, v) != 0 for v in vectors):
+                    return d
 
 
 def generalized_retractor(

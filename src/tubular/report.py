@@ -30,20 +30,10 @@ class DecisionReport:
     citation: str = ""
     notes: tuple[str, ...] = ()
 
-    def to_json_obj(self) -> dict:
-        return {
-            "group": self.group,
-            "property": self.property,
-            "verdict": self.verdict,
-            "route": self.route,
-            "certificate": self.certificate,
-            "citation": self.citation,
-            "notes": list(self.notes),
-        }
-
 
 def reports_to_json(reports: list[DecisionReport]) -> str:
-    return json.dumps([r.to_json_obj() for r in reports], indent=2) + "\n"
+    """The reports as a JSON array of objects keyed by field, in field order."""
+    return json.dumps([vars(r) for r in reports], indent=2) + "\n"
 
 
 def rat_str(r: Rat) -> str:
@@ -51,24 +41,18 @@ def rat_str(r: Rat) -> str:
     return f"{f.numerator}/{f.denominator}"
 
 
-def rat_from_str(s: str) -> Rat:
-    return Fraction(s)
-
-
-def serialize_qform(q: QForm2, cos_phi: Rat | None = None) -> dict:
-    out = {
+def serialize_qform(q: QForm2, cos_phi: Rat) -> dict:
+    return {
         "type": "quadratic_form",
         "a": rat_str(q.a),
         "b": rat_str(q.b),
         "c": rat_str(q.c),
+        "cos_phi": rat_str(cos_phi),
     }
-    if cos_phi is not None:
-        out["cos_phi"] = rat_str(cos_phi)
-    return out
 
 
 def deserialize_qform(obj: dict) -> QForm2:
-    return QForm2(rat_from_str(obj["a"]), rat_from_str(obj["b"]), rat_from_str(obj["c"]))
+    return QForm2(Fraction(obj["a"]), Fraction(obj["b"]), Fraction(obj["c"]))
 
 
 def serialize_functional(f: Functional) -> dict:

@@ -39,17 +39,10 @@ class Answer(enum.Enum):
     UNKNOWN = "Unknown"
 
 
-class Route(enum.Enum):
-    DET_SUFFICIENT = "DetSufficient"
-    FBC_CAT0_EQUIV = "FbcCat0Equiv"
-    GPQ_CHARACTERIZATION = "GpqCharacterization"
-    CLASS_COUNT_OBSTRUCTION = "ClassCountObstruction"
-
-
 @dataclass(frozen=True)
 class SpecialVerdict:
     answer: Answer
-    route: Route
+    route: str  # the route name a report prints, e.g. "DetSufficient"
     citation: str
     notes: tuple[str, ...] = ()
 
@@ -70,7 +63,7 @@ def vspecial_sufficient(edges: list[Pair]) -> SpecialVerdict:
         (d1v, d1w), (d2v, d2w) = e.pairs
         return SpecialVerdict(
             Answer.UNKNOWN,
-            Route.DET_SUFFICIENT,
+            "DetSufficient",
             citation,
             notes=(
                 f"edge {e.edge_index}: |det| families disagree "
@@ -80,11 +73,11 @@ def vspecial_sufficient(edges: list[Pair]) -> SpecialVerdict:
     except ValueError:
         return SpecialVerdict(
             Answer.UNKNOWN,
-            Route.DET_SUFFICIENT,
+            "DetSufficient",
             citation,
             notes=("no linearly independent attaching pair; test not applicable",),
         )
-    return SpecialVerdict(Answer.YES, Route.DET_SUFFICIENT, citation)
+    return SpecialVerdict(Answer.YES, "DetSufficient", citation)
 
 
 def vspecial_fbc_decide(edges: list[Pair]) -> SpecialVerdict:
@@ -94,14 +87,14 @@ def vspecial_fbc_decide(edges: list[Pair]) -> SpecialVerdict:
     if not fbc.answer:
         return SpecialVerdict(
             Answer.UNKNOWN,
-            Route.FBC_CAT0_EQUIV,
+            "FbcCat0Equiv",
             "CAT(0) <=> virtually special for free-by-cyclic one-vertex groups",
             notes=("input is not free-by-cyclic; equivalence route not applicable",),
         )
     cat0 = decide_cat0(edges)
     return SpecialVerdict(
         Answer.YES if cat0.answer else Answer.NO,
-        Route.FBC_CAT0_EQUIV,
+        "FbcCat0Equiv",
         "CAT(0) <=> virtually special for free-by-cyclic one-vertex groups",
     )
 
@@ -120,40 +113,33 @@ def parallelism_class_count(g: TubularPresentation, vertex: VertexId) -> int:
     return len(lines)
 
 
-@dataclass(frozen=True)
-class CubulationVerdict:
-    answer: Answer
-    class_counts: tuple[tuple[VertexId, int], ...]
-    citation: str
-    notes: tuple[str, ...] = ()
-
-
 def cocompact_cubulation_decide(
     g: TubularPresentation, cat0_known: bool
-) -> CubulationVerdict:
+) -> SpecialVerdict:
     """Can the group (virtually) act freely and cocompactly on a CAT(0) cube
     complex?  No when some vertex carries three or more parallelism classes;
     Yes when all counts are <= 2 and CAT(0)ness is known (which rules out the
     distorted Baumslag-Solitar subgroups); Unknown otherwise."""
-    counts = tuple((v, parallelism_class_count(g, v)) for v in g.vertices)
+    counts = [(v, parallelism_class_count(g, v)) for v in g.vertices]
     bad = [(v, c) for v, c in counts if c >= 3]
     if bad:
-        return CubulationVerdict(
+        return SpecialVerdict(
             Answer.NO,
-            counts,
+            "ParallelismClassCount",
             "parallelism class bound: three or more classes at a vertex",
             notes=tuple(f"vertex {v}: {c} parallelism classes" for v, c in bad),
         )
     if cat0_known:
-        return CubulationVerdict(
+        return SpecialVerdict(
             Answer.YES,
-            counts,
+            "ParallelismClassCount",
             "at most two parallelism classes per vertex and no distorted "
             "Baumslag-Solitar subgroup (excluded by CAT(0)ness)",
+            notes=tuple(f"vertex {v}: {c} classes" for v, c in counts),
         )
-    return CubulationVerdict(
+    return SpecialVerdict(
         Answer.UNKNOWN,
-        counts,
+        "ParallelismClassCount",
         "at most two parallelism classes per vertex",
         notes=(
             "CAT(0)ness not established; Baumslag-Solitar subgroup detection "
@@ -181,7 +167,7 @@ def gpq_vspecial_decide(params: GpqParams) -> SpecialVerdict:
     if all(pi == -qi for pi, qi in zip(p, q)):
         return SpecialVerdict(
             Answer.YES,
-            Route.GPQ_CHARACTERIZATION,
+            "GpqCharacterization",
             "family characterization, degenerate branch p_i = -q_i",
         )
     s = next(i for i in range(len(p)) if p[i] != -q[i])
@@ -191,7 +177,7 @@ def gpq_vspecial_decide(params: GpqParams) -> SpecialVerdict:
     )
     return SpecialVerdict(
         Answer.YES if ok else Answer.NO,
-        Route.GPQ_CHARACTERIZATION,
+        "GpqCharacterization",
         "family characterization, quadratic identity branch",
         notes=(f"evaluated at s = {s}",),
     )
@@ -205,7 +191,7 @@ def gpq_compact_special_decide(params: GpqParams) -> SpecialVerdict:
     if len(classes) <= 2 and vs.answer is Answer.YES:
         return SpecialVerdict(
             Answer.YES,
-            Route.CLASS_COUNT_OBSTRUCTION,
+            "ClassCountObstruction",
             "at most two slope classes and virtually special",
         )
     notes = []
@@ -215,7 +201,7 @@ def gpq_compact_special_decide(params: GpqParams) -> SpecialVerdict:
         notes.append("not virtually special")
     return SpecialVerdict(
         Answer.NO,
-        Route.CLASS_COUNT_OBSTRUCTION,
+        "ClassCountObstruction",
         "compact specialness characterization for the family",
         notes=tuple(notes),
     )

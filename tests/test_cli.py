@@ -1,6 +1,9 @@
 import gc
+import io
 import json
 import re
+import sys
+import tracemalloc
 import warnings
 from fractions import Fraction
 from pathlib import Path
@@ -8,10 +11,12 @@ from pathlib import Path
 import pytest
 
 import tubular.cli
+from tubular.cat0 import check_certificate
 from tubular.cli import main
 from tubular.core import GpqParams
-from tubular.dsl import unparse
+from tubular.dsl import parse, unparse
 from tubular.corpus import corpus, corpus_entry, eg2_g1, gersten_presentation
+from tubular.report import deserialize_qform
 from tubular.special import gpq_to_tubular
 
 SCHEMA_KEYS = {"group", "property", "verdict", "route", "certificate", "citation", "notes"}
@@ -163,10 +168,9 @@ def test_output_is_deterministic(capsys):
     assert out1 == out2
 
 
-def test_stdin_input(capsys, monkeypatch, tmp_path):
-    path = tmp_path / "g.tub"
-    path.write_text(unparse(eg2_g1()))
-    code, out, _ = run(capsys, "cat0", str(path))
+def test_stdin_input(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "stdin", io.StringIO(unparse(eg2_g1())))
+    code, out, _ = run(capsys, "cat0", "-")
     assert code == 0
     assert "cat0: Yes" in out
 
@@ -254,6 +258,82 @@ def test_amalgam_subcommand(capsys, tmp_path):
     code, out, _ = run(capsys, "amalgam", str(p1), "1,-1", str(p2), "1,0")
     assert code == 0
     assert "fbc: No [ButtonCriterion]" in out
+
+
+def test_amalgam_reads_stdin_for_dash(capsys, monkeypatch, tmp_path):
+    path = tmp_path / "g.tub"
+    path.write_text(unparse(eg2_g1()))
+    monkeypatch.setattr(sys, "stdin", io.StringIO(unparse(eg2_g1())))
+    code, out, err = run(capsys, "amalgam", str(path), "V:1,0", "-", "V:1,0")
+    assert code == 0 and err == ""
+    assert out.encode() == (GOLDEN_DIR / "amalgam-retractor.txt").read_bytes()
+
+
+def test_reports_print_values_longer_than_the_digit_limit(capsys, tmp_path):
+    """Literals the parser accepts derive certificate values with more digits
+    than the int-to-str limit; main lifts it only while it reports."""
+    nines = "9" * 1500
+    text = f"group g {{ vertex V; edge e: V({nines},1) -> V(1,{nines}); }}"
+    path = tmp_path / "g.tub"
+    path.write_text(text)
+    limit = sys.get_int_max_str_digits()
+    code, out, err = run(capsys, "analyze", str(path))
+    assert code == 0 and err == "" and "g cat0: Yes" in out
+    code, out, err = run(capsys, "analyze", str(path), "--json")
+    assert code == 0 and err == ""
+    assert sys.get_int_max_str_digits() == limit
+    (cat0,) = [r for r in json.loads(out) if r["property"] == "cat0"]
+    assert cat0["verdict"] == "Yes"
+    sys.set_int_max_str_digits(0)  # the form's entries have about 6,000 digits
+    try:
+        q = deserialize_qform(cat0["certificate"])
+        assert check_certificate(q, parse(text).single_vertex_pairs())
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def test_internal_errors_are_not_user_errors(monkeypatch):
+    def fault(*args):
+        raise KeyError("internal")
+
+    monkeypatch.setattr(tubular.cli, "decide_cat0", fault)
+    with pytest.raises(KeyError):
+        main(["cat0", "--corpus", "gersten"])
+
+
+class _CountingSink(io.RawIOBase):
+    """A binary stream that keeps only the number of bytes written to it."""
+
+    written = 0
+
+    def writable(self):
+        return True
+
+    def write(self, b):
+        self.written += len(b)
+        return len(b)
+
+
+@pytest.mark.parametrize(
+    "extra,size", [([], 56_000_077), (["--dot"], 136_000_035)], ids=["text", "dot"]
+)
+def test_wall_graph_listing_streams(monkeypatch, tmp_path, extra, size):
+    """The listing prints a line per intersection point, but its memory does
+    not grow with their number."""
+    path = tmp_path / "h.tub"
+    path.write_text("group h { vertex V; edge e : V(1000000,0) -> V(1000000,0); }\n")
+    raw = _CountingSink()
+    out = io.TextIOWrapper(io.BufferedWriter(raw), encoding="ascii")
+    monkeypatch.setattr(sys, "stdout", out)
+    tracemalloc.start()
+    try:
+        assert main(["cubulate", str(path), *extra]) == 0
+        out.flush()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert raw.written == size
+    assert peak < 10 * 2**20
 
 
 def test_parse_error_exit_code(capsys, tmp_path):

@@ -55,7 +55,7 @@ def test_gersten_button_witness_edge_values():
     g = gersten_presentation()
     verdict = button_decide(g)
     assert verdict.answer
-    assert [verdict.witness.edge_value(e) for e in g.edges] == [1, 1]
+    assert [verdict.witness.value(e.src, e.v) for e in g.edges] == [1, 1]
 
 
 def test_lyman_phi_and_f2xz_are_fbc():
@@ -235,6 +235,15 @@ def test_button_gadget_bounded_work():
     assert elapsed < 2.0
 
 
+def _coefficient_tuples(dim: int):
+    """All nonzero integer tuples, ordered by increasing max-norm then
+    lexicographically; deterministic and exhaustive."""
+    for n in itertools.count(1):
+        for tup in itertools.product(range(-n, n + 1), repeat=dim):
+            if max(abs(t) for t in tup) == n:
+                yield tup
+
+
 def _oracle(g, extra):
     """The max-norm shell search that the greedy walk replaced, on dense
     coordinate rows.  Returns its verdict and the table of required values on
@@ -243,7 +252,7 @@ def _oracle(g, extra):
 
     def row(vertex, vec):
         lin = [0] * (2 * len(g.vertices))
-        i = 2 * g.vertex_index(vertex)
+        i = 2 * g.vertices.index(vertex)
         lin[i], lin[i + 1] = vec.x, vec.y
         return lin
 
@@ -261,7 +270,7 @@ def _oracle(g, extra):
     for vals, (_, text) in zip(table, required):
         if not any(vals):
             return fbc.FbcVerdict(False, obstruction=text), table
-    for tup in fbc._coefficient_tuples(space.dim):
+    for tup in _coefficient_tuples(space.dim):
         if all(sum(t * x for t, x in zip(tup, vals)) != 0 for vals in table):
             coords = [
                 sum(t * b[j] for t, b in zip(tup, space.numerators))
@@ -289,6 +298,21 @@ def _random_graph(rng):
         Edge(f"e{i}", src, dst, _vec(rng), _vec(rng)) for i, (src, dst) in enumerate(ends)
     ]
     return TubularPresentation(tuple(vs), tuple(edges))
+
+
+def test_line_avoiding_takes_the_first_direction_in_shell_order():
+    """The single-vertex witness direction is the first primitive tuple of
+    the max-norm shell order whose line avoids every attaching vector."""
+    rng = random.Random(20261020)
+    small = [V(x, y) for x, y in itertools.product(range(-2, 3), repeat=2)]
+    for _ in range(300):
+        vectors = [v for v in rng.sample(small, rng.randint(1, 12)) if not v.is_zero()]
+        expected = next(
+            V(*t)
+            for t in _coefficient_tuples(2)
+            if math.gcd(*t) == 1 and all(det2(V(*t), v) != 0 for v in vectors)
+        )
+        assert fbc._line_avoiding(vectors) == expected, vectors
 
 
 def test_greedy_search_agrees_with_shell_oracle():
@@ -390,7 +414,7 @@ def _fraction_downstream(g, basis, extra):
     ] + extra
     table = []
     for vertex, vec, text in required:
-        i = 2 * g.vertex_index(vertex)
+        i = 2 * g.vertices.index(vertex)
         row = [b[i] * vec.x + b[i + 1] * vec.y for b in basis]
         if not any(row):
             return fbc.FbcVerdict(False, obstruction=text)
@@ -454,7 +478,9 @@ def _assert_matches_dense(g, vertex, elem):
     basis, expected = _dense_hom_space(g)
     space = hom_space(g)
     assert space == expected
-    assert space.basis == tuple(basis)
+    assert [
+        tuple(Fraction(x, space.denominator) for x in b) for b in space.numerators
+    ] == list(basis)
     assert button_decide(g) == _fraction_downstream(g, basis, [])
     assert generalized_retractor(g, vertex, elem) == _fraction_downstream(
         g, basis, [(vertex, elem, _text(vertex, elem))]

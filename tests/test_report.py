@@ -9,7 +9,6 @@ from tubular.report import (
     deserialize_equitable,
     deserialize_functional,
     deserialize_qform,
-    rat_from_str,
     rat_str,
     reports_to_json,
     serialize_equitable,
@@ -20,7 +19,7 @@ from tubular.report import (
 
 def test_rat_strings_round_trip():
     for r in (Fraction(3), Fraction(-1, 2), Fraction(0), Fraction(22, 7)):
-        assert rat_from_str(rat_str(r)) == r
+        assert Fraction(rat_str(r)) == r
     assert rat_str(Fraction(3)) == "3/1"
 
 

@@ -16,7 +16,6 @@ from tubular.corpus import (
 )
 from tubular.special import (
     Answer,
-    Route,
     cocompact_cubulation_decide,
     gpq_compact_special_decide,
     gpq_to_tubular,
@@ -32,7 +31,7 @@ V = IntVec2
 def test_det_sufficient_yes_on_eg2():
     verdict = vspecial_sufficient(eg2_g1().single_vertex_pairs())
     assert verdict.answer is Answer.YES
-    assert verdict.route is Route.DET_SUFFICIENT
+    assert verdict.route == "DetSufficient"
 
 
 def test_det_sufficient_unknown_on_gersten():
@@ -49,7 +48,7 @@ def test_det_sufficient_not_applicable_without_independent_pair():
 def test_fbc_route_decides_gersten_no():
     verdict = vspecial_fbc_decide(gersten_presentation().single_vertex_pairs())
     assert verdict.answer is Answer.NO
-    assert verdict.route is Route.FBC_CAT0_EQUIV
+    assert verdict.route == "FbcCat0Equiv"
 
 
 def test_fbc_route_decides_lyman_phi_yes():
@@ -130,6 +129,8 @@ def test_cocompact_cubulation_routes():
 
     yes = cocompact_cubulation_decide(lyman_phi(), cat0_known=True)
     assert yes.answer is Answer.YES
+    assert yes.route == "ParallelismClassCount"
+    assert yes.notes == ("vertex V: 2 classes",)
 
     unknown = cocompact_cubulation_decide(lyman_phi(), cat0_known=False)
     assert unknown.answer is Answer.UNKNOWN
