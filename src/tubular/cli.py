@@ -523,13 +523,13 @@ def _dispatch(args) -> int:
         if wall is None:
             props = ("equitable_set",)
         elif args.dot:
-            sys.stdout.writelines(export_dot(wall))
+            sys.stdout.write(export_dot(wall))
             return 0
         elif not args.all_matchings:
             props = ("equitable_set", "dilation")
     _emit(_reports(s, props), args.json)
     if wall is not None and not args.json:
-        sys.stdout.writelines(export_arcs_text(wall))
+        sys.stdout.write(export_arcs_text(wall))
     return 0
 
 

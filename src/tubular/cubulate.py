@@ -553,11 +553,13 @@ def _unrank(ab: tuple[list[int], list[int]], q: int) -> tuple[frozenset, list[fr
             q -= ways
             lower += _supports(fixed | {(i, j)}, *less)
         top, rest = 1 if any(b[:j]) else min(a[i], b[j]), b[:j] + b[j + 1 :]
-        x = bisect.bisect_left(
-            range(1, top + 1),
-            True,
-            key=lambda x: _orderings(rest + [b[j] - x], q + 1) <= q,
-        )
+        x, hi = 1, top  # the largest x that leaves more than q orderings
+        while x < hi:
+            mid = (x + hi + 1) // 2
+            if q < _orderings(rest + [b[j] - mid], q + 1):
+                x = mid
+            else:
+                hi = mid - 1
         fixed, a[i], b[j], n = fixed | {(i, j)}, a[i] - x, b[j] - x, n - x
     return fixed, lower
 
@@ -580,29 +582,23 @@ def _supports(fixed: frozenset, a: list[int], b: list[int]) -> list[frozenset]:
     ]
 
 
-def export_arcs_text(w: WallGraph) -> Iterator[str]:
-    """Deterministic edge-list export, one line per intersection point,
-    yielded a line at a time so the listing is never held whole."""
-    for arc in w.arcs:
-        line = (
-            f"{arc.edge_label} {arc.src_circle[0]}:{arc.src_circle[1]} "
-            f"{arc.dst_circle[0]}:{arc.dst_circle[1]} "
-            f"{arc.weight.numerator}/{arc.weight.denominator}\n"
-        )
-        yield from itertools.repeat(line, arc.count)
+def export_arcs_text(w: WallGraph) -> str:
+    """Deterministic edge-list export, one line per arc: its edge, its two
+    circles, its weight and the number of points it joins."""
+    return "".join(
+        f"{a.edge_label} {a.src_circle[0]}:{a.src_circle[1]} {a.dst_circle[0]}:{a.dst_circle[1]} "
+        f"{a.weight.numerator}/{a.weight.denominator} {a.count}\n"
+        for a in w.arcs
+    )
 
 
-def export_dot(w: WallGraph) -> Iterator[str]:
-    """DOT export of the wall graph for visualization, one edge per point,
-    yielded a line at a time."""
-    yield "digraph wall {\n"
-    for v, i in w.nodes:
-        yield f'  "{v}:{i}";\n'
-    for arc in w.arcs:
-        line = (
-            f'  "{arc.src_circle[0]}:{arc.src_circle[1]}" -> '
-            f'"{arc.dst_circle[0]}:{arc.dst_circle[1]}" '
-            f'[label="{arc.edge_label} {arc.weight.numerator}/{arc.weight.denominator}"];\n'
-        )
-        yield from itertools.repeat(line, arc.count)
-    yield "}\n"
+def export_dot(w: WallGraph) -> str:
+    """DOT export of the wall graph for visualization, one edge per arc with
+    its number of points as the `count` attribute."""
+    nodes = "".join(f'  "{v}:{i}";\n' for v, i in w.nodes)
+    edges = "".join(
+        f'  "{a.src_circle[0]}:{a.src_circle[1]}" -> "{a.dst_circle[0]}:{a.dst_circle[1]}" '
+        f'[label="{a.edge_label} {a.weight.numerator}/{a.weight.denominator}", count={a.count}];\n'
+        for a in w.arcs
+    )
+    return f"digraph wall {{\n{nodes}{edges}}}\n"

@@ -3,7 +3,7 @@ import io
 import json
 import re
 import sys
-import tracemalloc
+import time
 import warnings
 from fractions import Fraction
 from pathlib import Path
@@ -13,7 +13,8 @@ import pytest
 import tubular.cli
 from tubular.cat0 import check_certificate
 from tubular.cli import main
-from tubular.core import GpqParams
+from tubular.core import GpqParams, det2
+from tubular.cubulate import equitable_search, wall_graph
 from tubular.dsl import parse, unparse
 from tubular.corpus import corpus, corpus_entry, eg2_g1, gersten_presentation
 from tubular.report import deserialize_qform
@@ -301,39 +302,30 @@ def test_internal_errors_are_not_user_errors(monkeypatch):
         main(["cat0", "--corpus", "gersten"])
 
 
-class _CountingSink(io.RawIOBase):
-    """A binary stream that keeps only the number of bytes written to it."""
-
-    written = 0
-
-    def writable(self):
-        return True
-
-    def write(self, b):
-        self.written += len(b)
-        return len(b)
+HUGE = 10**19
+HUGE_LOOP = f"group h {{ vertex V; edge e : V({HUGE},0) -> V({HUGE},0); }}\n"
 
 
 @pytest.mark.parametrize(
-    "extra,size", [([], 56_000_077), (["--dot"], 136_000_035)], ids=["text", "dot"]
+    "extra", [[], ["--dot"], ["--all-matchings"]], ids=["text", "dot", "all-matchings"]
 )
-def test_wall_graph_listing_streams(monkeypatch, tmp_path, extra, size):
-    """The listing prints a line per intersection point, but its memory does
-    not grow with their number."""
+def test_wall_graph_listing_prints_one_line_per_arc(capsys, tmp_path, extra):
+    """10^19 points on each side of one edge, past the 2^63 at which a line
+    per point overflowed: one line per arc, whose counts sum to the points."""
     path = tmp_path / "h.tub"
-    path.write_text("group h { vertex V; edge e : V(1000000,0) -> V(1000000,0); }\n")
-    raw = _CountingSink()
-    out = io.TextIOWrapper(io.BufferedWriter(raw), encoding="ascii")
-    monkeypatch.setattr(sys, "stdout", out)
-    tracemalloc.start()
-    try:
-        assert main(["cubulate", str(path), *extra]) == 0
-        out.flush()
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert raw.written == size
-    assert peak < 10 * 2**20
+    path.write_text(HUGE_LOOP)
+    start = time.process_time()
+    code, out, err = run(capsys, "cubulate", str(path), *extra)
+    assert time.process_time() - start < 0.5
+    assert code == 0 and err == ""
+    if "--dot" in extra:
+        counts = [int(n) for n in re.findall(r"count=(\d+)\];$", out, re.M)]
+    else:
+        counts = [int(line.split()[4]) for line in out.splitlines() if line[:2] == "e "]
+    g = parse(HUGE_LOOP)
+    s = equitable_search(g, 3, 3)
+    assert counts == [a.count for a in wall_graph(g, s).arcs] and len(counts) == 2
+    assert sum(counts) == sum(abs(det2(x, e.v)) for e in g.edges for x in s.at(e.src))
 
 
 def test_parse_error_exit_code(capsys, tmp_path):

@@ -758,13 +758,13 @@ def test_exports_are_deterministic():
     g = gersten_presentation()
     s = EquitableSet.single([V(0, 1), V(2, 1)])
     w = wall_graph(g, s)
-    text, dot = "".join(export_arcs_text(w)), "".join(export_dot(w))
-    assert text == "".join(export_arcs_text(wall_graph(g, s)))
+    text, dot = export_arcs_text(w), export_dot(w)
+    assert text == export_arcs_text(wall_graph(g, s))
     assert dot.startswith("digraph wall {")
-    # One line per intersection point: three runs hold four points.
-    assert len(w.arcs) == 3
-    assert text.count("\n") == sum(a.count for a in w.arcs) == 4
-    assert text.splitlines()[2:] == ["e2 V:1 V:0 1/1"] * 2
+    # One line per run, with its count: three runs hold four points.
+    assert sum(a.count for a in w.arcs) == 4
+    assert text.splitlines() == ["e1 V:1 V:0 2/1 1", "e1 V:1 V:1 2/1 1", "e2 V:1 V:0 1/1 2"]
+    assert dot.count(" -> ") == 3 and 'label="e2 1/1", count=2];' in dot
 
 
 def _planted_equitable(rng):
@@ -805,16 +805,21 @@ def _planted_equitable(rng):
 
 
 def test_wall_graph_agrees_with_per_point_oracle():
-    """Runs print the per-point exports byte for byte, and give the same
-    dilation flag and the same serialized witness cycle."""
+    """Runs expanded to their points give the per-point arcs in order, and
+    give the same dilation flag and the same serialized witness cycle."""
     rng = random.Random(20261018)
     for _ in range(2000):
         g, s = _planted_equitable(rng)
         assert verify_equitable(g, s)
         w, old = wall_graph(g, s), _wall_graph_oracle(g, s)
-        assert list(export_arcs_text(w)) == list(export_arcs_text(old)), (g, s)
-        assert list(export_dot(w)) == list(export_dot(old)), (g, s)
-        assert sum(a.count for a in w.arcs) == len(old.arcs)
+        points = [
+            (a.edge_label, a.src_circle, a.dst_circle, a.weight)
+            for a in w.arcs
+            for _ in range(a.count)
+        ]
+        assert points == [
+            (a.edge_label, a.src_circle, a.dst_circle, a.weight) for a in old.arcs
+        ], (g, s)
         d, d_old = dilation_decide(w), dilation_decide(old)
         assert d.dilated == d_old.dilated, (g, s)
         if d.dilated:
@@ -860,6 +865,20 @@ def test_wall_graph_work_does_not_grow_with_coordinates(
     assert len(arcs) <= sum(len(s.at(e.src)) * len(s.at(e.dst)) for e in g.edges)
     points = sum(abs(det2(x, e.v)) for e in g.edges for x in s.at(e.src))
     assert points >= K and sum(a.count for a in arcs) == points
+
+
+def test_all_matchings_past_machine_integers(capsys, tmp_path):
+    """The spectrum of one loop with N points per circle reads the same for
+    every N: the rank search once took len() of range(1, N + 1), which
+    overflows at 2^63."""
+    outs = []
+    for n in (10**6, 2**63, 10**60):
+        path = tmp_path / "h.tub"
+        path.write_text(f"group h {{ vertex V; edge e : V({n},0) -> V({n},0); }}\n")
+        assert main(["cubulate", "--all-matchings", "--json", str(path)]) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1] == outs[2]
+    assert [r["verdict"] for r in json.loads(outs[0])] == ["Found"] + ["NonDilated"] * 2
 
 
 def test_eg2_double_equitable_sets_and_spectra():
