@@ -484,6 +484,8 @@ def main(argv: list[str] | None = None) -> int:
 
 def _dispatch(args) -> int:
     cmd = args.command
+    if cmd == "cubulate" and args.dot and (args.json or args.all_matchings):
+        raise ValueError("--dot does not combine with --json or --all-matchings")
     if cmd == "corpus":
         if args.json and not args.run:
             raise ValueError("--json requires --run")

@@ -130,12 +130,29 @@ class NotFound:
     size_bound: int
 
 
+TABLE_LIMIT = 10**6
+
+
 @functools.lru_cache(maxsize=16)
 def _search_table(
     coord_bound: int, size_bound: int
 ) -> tuple[tuple[IntVec2, ...], tuple[tuple[int, ...], ...]]:
     """The candidate circles, and every multiset of size_bound - 1 or fewer
-    candidate indices in (size, lexicographic) order."""
+    candidate indices in (size, lexicographic) order.  Bounds whose table
+    would hold more than TABLE_LIMIT of them raise ValueError instead; its
+    size is counted only until it passes the limit."""
+    n = k = 0  # 4 (phi(1) + ... + phi(k)) candidates have coordinates up to k
+    while k < coord_bound and n <= TABLE_LIMIT:
+        k += 1
+        n += 4 * sum(math.gcd(k, y) == 1 for y in range(k))
+    entries, term, s = n, 1, 0  # and comb(n + s - 1, s) multisets have size s
+    while s < size_bound - 1 and entries <= TABLE_LIMIT:
+        s += 1
+        term = term * (n + s - 1) // s
+        entries += term
+    if entries > TABLE_LIMIT:
+        bounds = coord_bound, size_bound
+        raise ValueError(f"bounds {bounds} need a table of over {TABLE_LIMIT} entries")
     cands = tuple(_candidate_vectors(coord_bound))
     prefixes = tuple(
         p
@@ -200,6 +217,7 @@ def equitable_search(
     lexicographically.  The set returned is the first in the order of the
     product of the per-vertex lists, so it is deterministic.  NotFound is
     relative to the bounds, never a proof that no equitable set exists.
+    Bounds below 1, or whose table passes TABLE_LIMIT, raise ValueError.
 
     The first set is found without listing the product:
 
@@ -219,9 +237,8 @@ def equitable_search(
       on the earlier choices only through it.  So a key whose subtree
       failed is recorded as dead, and of a vertex's multisets with the same
       sums on all its edges only the first is tried.
-    - When a vertex runs out of options, the search jumps back to the
-      latest vertex that its key depends on.  The key of each vertex it
-      passes over fixes this key, so those keys are dead too.
+    - When a vertex runs out of options, the walk goes back one vertex,
+      to its next option.
     - A vertex is checked early, after each earlier vertex that its edges
       back start at, except the one just before it: the sums fixed so far
       must begin one of its keys.
@@ -260,89 +277,69 @@ def _search_component(
     # Non-loop edges as (earlier position, later position, vector at the
     # earlier end, vector at the later end), by earlier position, so the
     # edges that leave a vertex forward are a slice.
-    spans = sorted(
-        (
-            (pos[e.src], pos[e.dst], e.v, e.w)
-            if pos[e.src] < pos[e.dst]
-            else (pos[e.dst], pos[e.src], e.w, e.v)
-            for e in g.edges
-            if e.src != e.dst and e.src in pos
-        ),
-        key=lambda span: span[0],
-    )
+    spans = []
+    for e in g.edges:
+        if e.src != e.dst and e.src in pos:
+            a, b = pos[e.src], pos[e.dst]
+            spans.append((a, b, e.v, e.w) if a < b else (b, a, e.w, e.v))
+    spans.sort(key=lambda span: span[0])
     starts = [a for a, _, _, _ in spans]
     cut, back, ahead, streams = [], [], [], []
     for i, v in enumerate(vertices):
         cut.append([k for k, (a, b, _, _) in enumerate(spans) if a < i <= b])
         back.append([k for k, (_, b, _, _) in enumerate(spans) if b == i])
         ahead.append(slice(bisect.bisect_left(starts, i), bisect.bisect_right(starts, i)))
-        streams.append(
-            _balanced_multisets(
-                coord_bound,
-                size_bound,
-                g.loops_at(v),
-                [spans[k][3] for k in back[i]],
-                [u for _, _, u, _ in spans[ahead[i]]],
-            )
-        )
-    jump = [max((starts[k] for k in ks), default=-1) for ks in cut]
+        ends = [spans[k][3] for k in back[i]], [u for _, _, u, _ in spans[ahead[i]]]
+        streams.append(_balanced_multisets(coord_bound, size_bound, g.loops_at(v), *ends))
     grouped: list[dict] = [{} for _ in vertices]  # per vertex: need -> options
 
     def option(i: int, need: tuple[int, ...] | None, k: int) -> tuple | None:
         """Vertex i's k-th (multiset, sums at its edges forward) among those
         with sums `need` at its edges back, or None."""
-        group = grouped[i].get(need, ())
-        if k == len(group) and streams[i] is not None:
+        group = grouped[i].setdefault(need, [])
+        if k == len(group):  # an exhausted stream lists nothing more
             for combo, sums, forward in streams[i]:
                 grouped[i].setdefault(sums, []).append((combo, forward))
                 if sums == need:
                     break
-            else:
-                streams[i] = None
-            group = grouped[i].get(need, ())
         return group[k] if k < len(group) else None
 
-    # Per vertex i, the early checks due after it: (a later vertex j, its
-    # edges back from i or before).  These begin j's edges back, which are
-    # listed by earlier end.  Right after j - 1, j itself looks its key up.
+    # Per vertex i, the early checks due after it: a later vertex j's edges
+    # back from i or before, with the sums on them that begin one of j's
+    # keys (j's edges back are listed by earlier end).  Right after j - 1,
+    # j itself looks its key up.
     checks: list[list] = [[] for _ in vertices]
     for j, ks in enumerate(back):
         for i in {starts[k] for k in ks} - {j - 1}:
-            checks[i].append((j, [k for k in ks if starts[k] <= i]))
-    begun: dict[tuple[int, int], set[tuple[int, ...]]] = {}
-
-    def fits(j: int, ks: list[int]) -> bool:
-        if (j, len(ks)) not in begun:
             option(j, None, 0)  # no need is None: lists all of j's options
-            begun[j, len(ks)] = {need[: len(ks)] for need in grouped[j]}
-        return tuple(map(front.__getitem__, ks)) in begun[j, len(ks)]
+            fixed = [k for k in ks if starts[k] <= i]
+            heads = {need[: len(fixed)] for need, group in grouped[j].items() if group}
+            checks[i].append((fixed, heads))
 
     front = [0] * len(spans)  # per edge, the sum at its earlier end
     dead: list[set[tuple[int, ...]]] = [set() for _ in vertices]
-    frames: list[list] = []  # per vertex reached: [key, need, next option]
-    chosen: list[tuple[int, ...]] = []
-    while (i := len(chosen)) < len(vertices):
-        key = tuple(map(front.__getitem__, cut[i]))
-        need = None if key in dead[i] else tuple(map(front.__getitem__, back[i]))
-        frames.append([key, need, 0])
-        while True:
-            key, need, k = frame = frames[i]
-            found = None if need is None else option(i, need, k)
-            if found is not None:
-                frame[2] = k + 1
-                front[ahead[i]] = found[1]
-                if all(fits(j, ks) for j, ks in checks[i]):
+    frames: list[list] = []  # per vertex reached: [key, need, options tried, multiset]
+    i = 0
+    while 0 <= i < len(vertices):
+        if i == len(frames):
+            key = tuple(map(front.__getitem__, cut[i]))
+            need = None if key in dead[i] else tuple(map(front.__getitem__, back[i]))
+            frames.append([key, need, 0, None])
+        key, need, k, _ = frame = frames[i]
+        found = None if need is None else option(i, need, k)
+        if found is None:
+            dead[i].add(key)
+            frames.pop()
+            i -= 1
+        else:
+            frame[2:] = k + 1, found[0]
+            front[ahead[i]] = found[1]
+            for ks, heads in checks[i]:
+                if tuple(map(front.__getitem__, ks)) not in heads:
                     break
-                continue
-            # A key with no options at all is as quickly found again.
-            for j in range(jump[i] + 1, i + (k > 0)):
-                dead[j].add(frames[j][0])
-            if jump[i] < 0:
-                return None
-            del frames[jump[i] + 1 :], chosen[jump[i] :]
-            i = len(chosen)
-        chosen.append(found[0])
-    return chosen
+            else:
+                i += 1
+    return [combo for _, _, _, combo in frames] if frames else None
 
 
 @dataclass(frozen=True)

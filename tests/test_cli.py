@@ -371,6 +371,14 @@ def test_cubulate_searches_once(capsys, monkeypatch):
             ["amalgam", "{g}", "nonsense", "{g}", "1,0"],
             "error: bad vector spec 'nonsense' (expected V:x,y)\n",
         ),
+        (
+            ["cubulate", "--dot", "--json", "{g}"],
+            "error: --dot does not combine with --json or --all-matchings\n",
+        ),
+        (
+            ["cubulate", "--dot", "--all-matchings", "{g}"],
+            "error: --dot does not combine with --json or --all-matchings\n",
+        ),
     ],
     ids=[
         "coord-bound-0",
@@ -380,6 +388,8 @@ def test_cubulate_searches_once(capsys, monkeypatch):
         "unknown-corpus-entry",
         "missing-input",
         "bad-vector-spec",
+        "dot-json",
+        "dot-all-matchings",
     ],
 )
 def test_user_errors_exit_2(capsys, tmp_path, argv, message):
@@ -388,6 +398,21 @@ def test_user_errors_exit_2(capsys, tmp_path, argv, message):
     code, out, err = run(capsys, *(str(path) if a == "{g}" else a for a in argv))
     assert code == 2 and out == ""
     assert err.startswith("error: ") and message in err
+
+
+@pytest.mark.parametrize("bounds", [(100, 3), (10, 6), (10**9, 3), (3, 10**9)])
+@pytest.mark.parametrize("cmd", ["analyze", "cubulate"])
+def test_bounds_past_the_table_limit_exit_2(capsys, cmd, bounds):
+    """Bounds whose search table would pass the limit are refused before any
+    of it is built, in time that does not grow with them."""
+    t0 = time.process_time()
+    code, out, err = run(
+        capsys, cmd, "--corpus", "eg2-double",
+        "--coord-bound", str(bounds[0]), "--size-bound", str(bounds[1]),
+    )
+    assert time.process_time() - t0 < 0.5
+    assert code == 2 and out == ""
+    assert err == f"error: bounds {bounds} need a table of over 1000000 entries\n"
 
 
 def test_input_files_are_closed(capsys, tmp_path):

@@ -2,6 +2,7 @@ import itertools
 import json
 import math
 import random
+import re
 import time
 from fractions import Fraction
 
@@ -34,6 +35,7 @@ from tubular.cubulate import (
     _candidate_vectors,
     _has_independent_pair,
     _orderings,
+    _search_table,
     _supports,
     _unrank,
     all_matching_verdicts,
@@ -128,6 +130,23 @@ def test_equitable_search_bs12_not_found():
 def test_equitable_search_bounds_validated():
     with pytest.raises(ValueError):
         equitable_search(gersten_presentation(), 0, 3)
+
+
+def test_table_limit_counts_the_table_exactly(monkeypatch):
+    """The limit is checked against the exact number of candidates and
+    multisets in the table: each of these tables fits a limit of its own
+    size and not one less."""
+    tables = {bounds: _search_table(*bounds) for bounds in [(1, 1), (2, 3), (3, 4), (6, 4)]}
+    for bounds, (cands, prefixes) in tables.items():
+        size = len(cands) + len(prefixes)
+        _search_table.cache_clear()
+        monkeypatch.setattr(tubular.cubulate, "TABLE_LIMIT", size)
+        assert _search_table(*bounds) == (cands, prefixes)
+        _search_table.cache_clear()
+        monkeypatch.setattr(tubular.cubulate, "TABLE_LIMIT", size - 1)
+        with pytest.raises(ValueError, match=re.escape(f"bounds {bounds} need a table")):
+            equitable_search(gersten_presentation(), *bounds)
+    _search_table.cache_clear()
 
 
 def _equitable_search_oracle(g, coord_bound, size_bound):
@@ -335,6 +354,32 @@ def _components(g):
     return {frozenset(p) for p in part.values()}
 
 
+def _far_graph(rng):
+    """4-5 vertices and 2-6 edges with coordinates up to 2, the first of
+    which joins two vertices 2 or more apart in vertex order, so the search
+    checks its later end early and backtracks over several vertices."""
+    vertices = [f"V{i}" for i in range(rng.randint(4, 5))]
+    a = rng.randrange(len(vertices) - 2)
+    ends = [(vertices[a], vertices[rng.randrange(a + 2, len(vertices))])]
+    ends += [(rng.choice(vertices), rng.choice(vertices)) for _ in range(rng.randint(1, 5))]
+    vecs = [V(x, y) for x in range(-2, 3) for y in range(-2, 3) if (x, y) != (0, 0)]
+    edges = (
+        Edge(f"e{k}", *rng.sample(pair, 2), rng.choice(vecs), rng.choice(vecs))
+        for k, pair in enumerate(ends)
+    )
+    return TubularPresentation(tuple(vertices), tuple(edges))
+
+
+def _early_check_due(g):
+    """Whether some edge's ends lie 2 or more apart in the vertex order of
+    their component."""
+    for c in _components(g):
+        pos = {v: i for i, v in enumerate(v for v in g.vertices if v in c)}
+        if any(e.src in c and abs(pos[e.src] - pos[e.dst]) > 1 for e in g.edges):
+            return True
+    return False
+
+
 def test_equitable_search_agrees_with_walk_oracle_on_random_graphs():
     rng = random.Random(20261021)
     seen = dict.fromkeys(("parallel", "isolated", "components", "found", "none"), 0)
@@ -351,6 +396,15 @@ def test_equitable_search_agrees_with_walk_oracle_on_random_graphs():
         seen["components"] += sum(bool(c & touched) for c in _components(g)) > 1
         seen["found" if isinstance(out, EquitableSet) else "none"] += 1
     assert min(seen.values()) > 40, seen
+    far = dict.fromkeys(("early", "found", "none"), 0)
+    for _ in range(200):
+        g = _far_graph(rng)
+        bounds = rng.choice([(1, 2), (1, 3)])
+        out = equitable_search(g, *bounds)
+        assert out == _equitable_search_walk_oracle(g, *bounds), (g, bounds)
+        far["early"] += _early_check_due(g)
+        far["found" if isinstance(out, EquitableSet) else "none"] += 1
+    assert far["early"] > 140 and min(far["found"], far["none"]) > 60, far
 
 
 def _chain(n, w="(1,0)"):

@@ -2,13 +2,16 @@
 differently: edges reversed, edges reordered, vertices and edges renamed, and
 the basis of each vertex group changed.  The last holds for every row but
 `dilation`, which describes the equitable set the bounded search finds first,
-and that set depends on the basis; its flips are counted and printed."""
+and that set depends on the basis; its flips are counted and printed.
+Random presentations and the corpus entries both go through the changes."""
 
 import random
 from collections import Counter
 
 from tubular.cli import analyze
-from tubular.core import Edge, IntMat2, IntVec2, TubularPresentation, change_basis
+from tubular.core import Edge, GpqParams, IntMat2, IntVec2, TubularPresentation, change_basis
+from tubular.corpus import corpus
+from tubular.special import gpq_to_tubular
 
 V = IntVec2
 NAMES = ["A", "B", "Q", "x", "y2", "north", "e", "V", "w_1", "Z9"]
@@ -68,21 +71,41 @@ def _words(g):
     return [(r.property, r.verdict) for r in analyze(g, "g")]
 
 
+def _dilation_flips(rng, g) -> list[tuple[str, str]]:
+    """Check every row of g under each change once; return the dilation
+    words (before, after) that a basis change flipped."""
+    base = _words(g)
+    for change in (_reversed, _reordered, _renamed):
+        assert _words(change(rng, g)) == base, (change.__name__, g)
+    rebased = _words(_rebased(rng, g))
+    assert [p for p, _ in rebased] == [p for p, _ in base]
+    flips = []
+    for (prop, before), (_, after) in zip(base, rebased):
+        if prop != "dilation":
+            assert before == after, (prop, g)
+        elif before != after:
+            flips.append((before, after))
+    return flips
+
+
 def test_verdict_words_are_invariant():
     rng = random.Random(20261019)
     dilation_flips = Counter()
     for _ in range(400):
-        g = _random_presentation(rng)
-        base = _words(g)
-        for change in (_reversed, _reordered, _renamed):
-            assert _words(change(rng, g)) == base, (change.__name__, g)
-        rebased = _words(_rebased(rng, g))
-        assert [p for p, _ in rebased] == [p for p, _ in base]
-        for (prop, before), (_, after) in zip(base, rebased):
-            if prop == "dilation":
-                if before != after:
-                    dilation_flips[before, after] += 1
-            else:
-                assert before == after, (prop, g)
+        dilation_flips.update(_dilation_flips(rng, _random_presentation(rng)))
     flips = ", ".join(f"{a} -> {b}: {n}" for (a, b), n in sorted(dilation_flips.items()))
     print(f"dilation flips under basis change: {flips or 'none'}")
+
+
+def test_corpus_verdict_words_are_invariant():
+    """The corpus entries, gpq ones as their tubular presentations, 20
+    rounds of the four changes each."""
+    rng = random.Random(1)
+    dilation_flips = Counter()
+    for entry in corpus():
+        g = entry.presentation
+        g = gpq_to_tubular(g) if isinstance(g, GpqParams) else g
+        for _ in range(20):
+            dilation_flips.update((entry.name, *f) for f in _dilation_flips(rng, g))
+    flips = ", ".join(f"{e} {a} -> {b}: {n}" for (e, a, b), n in dilation_flips.items())
+    print(f"corpus dilation flips under basis change: {flips or 'none'}")
