@@ -138,15 +138,15 @@ def _search_table(
     coord_bound: int, size_bound: int
 ) -> tuple[tuple[IntVec2, ...], tuple[tuple[int, ...], ...]]:
     """The candidate circles, and every multiset of size_bound - 1 or fewer
-    candidate indices in (size, lexicographic) order.  Bounds whose table
-    would hold more than TABLE_LIMIT of them raise ValueError instead; its
-    size is counted only until it passes the limit."""
+    candidate indices in (size, lexicographic) order.  Bounds under which a
+    vertex's stream could list over TABLE_LIMIT multisets of 1..size_bound
+    candidates raise ValueError; the count stops once it passes the limit."""
     n = k = 0  # 4 (phi(1) + ... + phi(k)) candidates have coordinates up to k
     while k < coord_bound and n <= TABLE_LIMIT:
         k += 1
         n += 4 * sum(math.gcd(k, y) == 1 for y in range(k))
-    entries, term, s = n, 1, 0  # and comb(n + s - 1, s) multisets have size s
-    while s < size_bound - 1 and entries <= TABLE_LIMIT:
+    entries, term, s = 0, 1, 0  # and comb(n + s - 1, s) multisets have size s
+    while s < size_bound and entries <= TABLE_LIMIT:
         s += 1
         term = term * (n + s - 1) // s
         entries += term
@@ -483,100 +483,64 @@ def holonomy_cycle(
 def all_matching_verdicts(
     g: TubularPresentation, s: EquitableSet, budget: int = 10000
 ) -> tuple[set[bool], bool]:
-    """Dilation verdicts over all distinct point matchings, up to a budget of
-    matchings.  Returns (set of dilated flags, whether the enumeration was
-    exhausted within budget).
-
-    Matchings count in lexicographic order, each edge running through the
-    orderings of its right-hand points, the last edge fastest.  The flag
-    depends only on the circle pairs each edge joins, its support, since
-    parallel arcs of equal weight close cycles of holonomy 1.  An edge with
-    a_i points on left circle i and b_j on right circle j has multinomial(b)
-    orderings; they realize the S on which an integer matrix M >= 0 with row
-    sums a and column sums b is positive: by Gale's theorem, when a and b
-    less one per pair of S stay >= 0 and each set of columns needs at most
-    what the rows S joins to it supply.  With digit q_e at edge e of the
-    budget in mixed radix, the first `budget` matchings agree with the digits
-    before some edge e, take one of the first q_e orderings at e, and any
-    after it.  Each distinct tuple of supports is decided once, on a wall
-    graph with one arc of count 1 per joined pair, until both flags show.
-    """
+    """Dilation verdicts over every point matching of an equitable set, and
+    whether they are complete.  An arc from left circle i to right circle j
+    has weight a_i / b_j, so in a connected group of an edge's arcs every
+    circle's potential times its point count is the same: the flag depends
+    only on how each edge groups its circles.  Each tuple of per-edge
+    groupings (`_groupings`, at most budget + 1 per edge) is decided once,
+    on a wall graph spanning each group by a tree, until both flags show or
+    `budget` tuples are decided with more left: then the result is incomplete."""
     if budget <= 0:
         return set(), False
     counts = _point_counts(g, s)
-    sizes = [_orderings(b, budget + 1) for _, b in counts]
-    complete, keys, every = math.prod(sizes) <= budget, [], [()]
-    for e in reversed(range(len(counts))):  # tuples over edges e on: met, all
-        tail = math.prod(sizes[e + 1 :])
-        if not complete:
-            fixed, lower = _unrank(counts[e], budget // tail % sizes[e])
-            keys = [(fixed,) + k for k in keys] + [(S,) + k for S in lower for k in every]
-        if tail * sizes[e] <= budget:
-            every = [(S,) + k for S in _supports(frozenset(), *counts[e]) for k in every]
-    verdicts: set[bool] = set()
-    for key in dict.fromkeys(every if complete else keys):
-        runs = [[(i, j, 1) for i, j in sorted(support)] for support in key]
+    per_edge = [list(itertools.islice(_groupings(a, b), budget + 1)) for a, b in counts]
+    tuples, verdicts = itertools.product(*per_edge), set()
+    for key in itertools.islice(tuples, budget):
+        runs = [  # each group spanned by the arcs at its first left or right circle
+            [(i, j, 1) for L, R in grouping for i in L for j in R if i == L[0] or j == R[0]]
+            for grouping in key
+        ]
         verdicts.add(dilation_decide(_wall(g, s, counts, runs)).dilated)
         if len(verdicts) == 2:
-            break
-    return verdicts, complete
+            return verdicts, True
+    return verdicts, next(tuples, None) is None
 
 
-def _orderings(counts: list[int], cap: int) -> int:
-    """The number of distinct orderings of a multiset with these counts, or
-    `cap` if that is less; comb(n, k) >= 2**min(k, n - k) bounds the work."""
-    m, n = 1, 0
-    for k in counts:
-        n += k
-        m = cap if min(k, n - k) >= cap.bit_length() else min(cap, m * math.comb(n, k))
-    return m
+def _groupings(a: list[int], b: list[int]) -> Iterator[tuple]:
+    """Each way a matching of an edge's points, a_i on left circle i and b_j
+    on right circle j, can split the circles holding points into connected
+    groups (left circles, right circles).  A group occurs exactly when both
+    sides hold the same number n of points and n >= |L| + |R| - 1, that is
+    2 + sum(count - 2) >= 0 over its circles: each arc of a spanning tree
+    needs a point, a bipartite tree exists for any degrees in 1..a_i and
+    1..b_j that sum to |L| + |R| - 1, and the other points can go on any
+    arc.  Groups occur independently.  By decreasing count, the first circle
+    not yet placed opens a group, which takes or skips each later one and
+    is dropped once they cannot meet both conditions."""
 
+    def grow(group, todo, skipped, diff, spare) -> Iterator[tuple]:
+        """The groupings that complete `group` from `todo`, then split what
+        it skipped.  Right counts are negated; diff is the group's points,
+        spare 2 plus its points less 2 per circle.  Counts above 2 in `todo`
+        can add to spare; the lagging side's circles of 1 must take from it."""
+        lag = [abs(n) for n, _ in todo if n * diff < 0]
+        gain = sum(abs(n) - 2 for n, _ in todo if abs(n) > 2)
+        if abs(diff) > sum(lag) or spare + gain < abs(diff) - sum(n for n in lag if n > 1):
+            return
+        if todo:
+            n, rest = todo[0][0], todo[1:]
+            yield from grow(group + todo[:1], rest, skipped, diff + n, spare + abs(n) - 2)
+            if group:
+                yield from grow(group, rest, skipped + todo[:1], diff, spare)
+        elif not group:
+            yield ()
+        else:
+            L, R = (tuple(sorted(i for n, i in group if side * n > 0)) for side in (1, -1))
+            yield from (((L, R),) + tail for tail in grow([], skipped, [], 0, 2))
 
-def _unrank(ab: tuple[list[int], list[int]], q: int) -> tuple[frozenset, list[frozenset]]:
-    """The support of an edge's ordering of rank q, and those of the lower
-    ones, which leave it at some point for a lower circle and then run free.
-    A circle with no lower one left is placed as often as the rank allows."""
-    a, b = map(list, ab)
-    fixed, lower, n = frozenset(), [], sum(b)
-    while n:
-        i = next(i for i, x in enumerate(a) if x)
-        if a[i] == n:  # one circle left: every ordering has the same support
-            fixed |= {(i, j) for j, y in enumerate(b) if y}
-            return fixed, lower + [fixed] * (q > 0)
-        for j in (j for j, y in enumerate(b) if y):
-            less = (a[:i] + [a[i] - 1] + a[i + 1 :], b[:j] + [b[j] - 1] + b[j + 1 :])
-            if q < (ways := _orderings(less[1], q + 1)):
-                break
-            q -= ways
-            lower += _supports(fixed | {(i, j)}, *less)
-        top, rest = 1 if any(b[:j]) else min(a[i], b[j]), b[:j] + b[j + 1 :]
-        x, hi = 1, top  # the largest x that leaves more than q orderings
-        while x < hi:
-            mid = (x + hi + 1) // 2
-            if q < _orderings(rest + [b[j] - mid], q + 1):
-                x = mid
-            else:
-                hi = mid - 1
-        fixed, a[i], b[j], n = fixed | {(i, j)}, a[i] - x, b[j] - x, n - x
-    return fixed, lower
-
-
-def _supports(fixed: frozenset, a: list[int], b: list[int]) -> list[frozenset]:
-    """`fixed` joined with each support of M >= 0 with row sums a and column
-    sums b: row i meets a set R_i of at most a_i columns, and each set J of
-    columns needs at most the sum over rows meeting J of a_i - |R_i - J|."""
-    need = [sum(y for j, y in enumerate(b) if J >> j & 1) for J in range(1 << len(b))]
-    full = sum(1 << j for j, y in enumerate(b) if y)
-    masks = [R for R in range(1, full + 1) if R & ~full == 0]
-    rows = [[R for R in masks if R.bit_count() <= x] or [0] for x in a]
-    return [
-        fixed | {(i, j) for i, R in enumerate(S) for j in range(len(b)) if R >> j & 1}
-        for S in itertools.product(*rows)
-        if all(
-            need[J] <= sum(x - (R & ~J).bit_count() for x, R in zip(a, S) if R & J)
-            for J in range(1, 1 << len(b))
-        )
-    ]
+    ends = [(x, i) for i, x in enumerate(a) if x] + [(-y, j) for j, y in enumerate(b) if y]
+    return grow([], sorted(ends, key=lambda c: -abs(c[0])), [], 0, 2)
 
 
 def export_arcs_text(w: WallGraph) -> str:

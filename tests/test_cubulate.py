@@ -33,11 +33,9 @@ from tubular.cubulate import (
     NotFound,
     WallGraph,
     _candidate_vectors,
+    _groupings,
     _has_independent_pair,
-    _orderings,
     _search_table,
-    _supports,
-    _unrank,
     all_matching_verdicts,
     canonical_th3_set,
     dilation_decide,
@@ -133,12 +131,12 @@ def test_equitable_search_bounds_validated():
 
 
 def test_table_limit_counts_the_table_exactly(monkeypatch):
-    """The limit is checked against the exact number of candidates and
-    multisets in the table: each of these tables fits a limit of its own
-    size and not one less."""
+    """The limit is checked against the exact number of multisets of 1 to
+    size_bound candidates, all that a vertex's stream can list: each of
+    these bounds fits a limit of that number and not one less."""
     tables = {bounds: _search_table(*bounds) for bounds in [(1, 1), (2, 3), (3, 4), (6, 4)]}
     for bounds, (cands, prefixes) in tables.items():
-        size = len(cands) + len(prefixes)
+        size = sum(math.comb(len(cands) + k - 1, k) for k in range(1, bounds[1] + 1))
         _search_table.cache_clear()
         monkeypatch.setattr(tubular.cubulate, "TABLE_LIMIT", size)
         assert _search_table(*bounds) == (cands, prefixes)
@@ -582,7 +580,7 @@ def test_all_matchings_spectrum_gersten():
     assert True in verdicts  # the default matching is dilated
 
 
-def _all_matching_verdicts_oracle(g, s, budget=10000):
+def _all_matching_verdicts_oracle(g, s):
     """The eager enumerator that all_matching_verdicts replaced: every
     ordering of every edge's points, one wall graph per matching."""
     per_edge = []
@@ -593,16 +591,10 @@ def _all_matching_verdicts_oracle(g, s, budget=10000):
         perms = sorted({p for p in itertools.permutations(right_pts)})
         per_edge.append((e.id, perms))
     verdicts = set()
-    count = 0
-    complete = True
     for combo in itertools.product(*(perms for _, perms in per_edge)):
-        if count >= budget:
-            complete = False
-            break
-        count += 1
         matching = {eid: perm for (eid, _), perm in zip(per_edge, combo)}
         verdicts.add(dilation_decide(_wall_graph_oracle(g, s, matching)).dilated)
-    return verdicts, complete
+    return verdicts
 
 
 def _planted_spectrum_input(rng):
@@ -631,16 +623,34 @@ def _planted_spectrum_input(rng):
     return single_vertex_presentation(pairs)
 
 
+def _edge_counts(g, s):
+    """Per edge, the points on each left circle and on each right circle."""
+    return [
+        ([abs(det2(x, e.v)) for x in s.at(e.src)], [abs(det2(x, e.w)) for x in s.at(e.dst)])
+        for e in g.edges
+    ]
+
+
+def _check_budgets(g, s, flags, budgets):
+    """At each budget the flags are among the full spectrum's, and the result
+    is complete exactly when both flags showed or every tuple of per-edge
+    groupings was decided."""
+    tuples = math.prod(len(list(_groupings(a, b))) for a, b in _edge_counts(g, s))
+    for budget in budgets:
+        got, complete = all_matching_verdicts(g, s, budget)
+        assert got and got <= flags, (g, budget)
+        assert complete == (len(got) == 2 or tuples <= budget), (g, budget)
+
+
 def test_all_matchings_agrees_with_eager_oracle():
     rng = random.Random(20261018)
     for _ in range(200):
         g = _planted_spectrum_input(rng)
         s = equitable_search(g, 3, 3)
         assert isinstance(s, EquitableSet), g
-        for budget in (1, 3, 7, 50, 10000):
-            assert all_matching_verdicts(g, s, budget) == _all_matching_verdicts_oracle(
-                g, s, budget
-            ), (g, budget)
+        flags = _all_matching_verdicts_oracle(g, s)
+        assert all_matching_verdicts(g, s) == (flags, True), g
+        _check_budgets(g, s, flags, (1, 3, 7, 50))
 
 
 def test_all_matchings_decides_each_support_once(monkeypatch):
@@ -659,8 +669,8 @@ def test_all_matchings_decides_each_support_once(monkeypatch):
     assert s.at("V") == (V(0, 1), V(1, 0))
     assert all_matching_verdicts(g, s) == ({False}, True)
     assert len(calls) == 1
-    # Three points on each of two circles: 20 orderings realize only three
-    # circle-pair sets (00 and 11, 01 and 10, all four), so three walls.
+    # Three points on each of two circles: 20 orderings group the circles in
+    # only three ways (00 and 11, 01 and 10, all four), so three walls.
     calls.clear()
     g = single_vertex_presentation([(V(1, 0), V(0, 1)), (V(3, 3), V(3, 3))])
     s = equitable_search(g, 3, 3)
@@ -669,11 +679,11 @@ def test_all_matchings_decides_each_support_once(monkeypatch):
     assert len(calls) == 3
 
 
-def _odometer_oracle(g, s, budget=10000):
+def _odometer_oracle(g, s):
     """The lazy odometer that all_matching_verdicts replaced: every edge steps
     in place through the distinct orderings of its right-hand points, the
-    last edge fastest, and each distinct tuple of per-edge supports met in
-    the first `budget` matchings is decided once."""
+    last edge fastest, and each distinct tuple of per-edge supports is
+    decided once."""
     points = []
     for e in g.edges:
         left = [i for i, x in enumerate(s.at(e.src)) for _ in range(abs(det2(x, e.v)))]
@@ -683,21 +693,18 @@ def _odometer_oracle(g, s, budget=10000):
     orders = [right for _, right in points]
     supports = [frozenset(zip(left, order)) for left, order in zip(lefts, orders)]
     flags = {}
-    verdicts = set()
-    for _ in range(budget):
+    while True:
         key = tuple(supports)
         if key not in flags:
             matching = {e.id: tuple(order) for e, order in zip(g.edges, orders)}
             flags[key] = dilation_decide(_wall_graph_oracle(g, s, matching)).dilated
-        verdicts.add(flags[key])
         for k in reversed(range(len(orders))):
             advanced = _next_permutation(orders[k])
             supports[k] = frozenset(zip(lefts[k], orders[k]))
             if advanced:
                 break
         else:
-            return verdicts, True
-    return verdicts, False
+            return set(flags.values())
 
 
 def _next_permutation(a):
@@ -721,15 +728,59 @@ def test_all_matchings_agrees_with_odometer_oracle():
     for _ in range(300):
         g = _planted_spectrum_input(rng)
         s = equitable_search(g, 3, 3)
-        for budget in (0, 1, 2, 3, 5, 7, 11, 50, 200, 10000):
-            assert all_matching_verdicts(g, s, budget) == _odometer_oracle(
-                g, s, budget
-            ), (g, budget)
+        flags = _odometer_oracle(g, s)
+        assert all_matching_verdicts(g, s) == (flags, True), g
+        _check_budgets(g, s, flags, (1, 2, 3, 5, 7, 11, 50, 200))
 
 
-def test_all_matchings_agrees_with_odometer_oracle_on_dense_edges():
+def _supports(fixed, a, b):
+    """The Gale oracle: `fixed` joined with each support of M >= 0 with row
+    sums a and column sums b.  Row i meets a set R_i of at most a_i columns,
+    and each set J of columns needs at most the sum over rows meeting J of
+    a_i - |R_i - J|.  It lists every product of per-row column sets."""
+    need = [sum(y for j, y in enumerate(b) if J >> j & 1) for J in range(1 << len(b))]
+    full = sum(1 << j for j, y in enumerate(b) if y)
+    masks = [R for R in range(1, full + 1) if R & ~full == 0]
+    rows = [[R for R in masks if R.bit_count() <= x] or [0] for x in a]
+    return [
+        fixed | {(i, j) for i, R in enumerate(S) for j in range(len(b)) if R >> j & 1}
+        for S in itertools.product(*rows)
+        if all(
+            need[J] <= sum(x - (R & ~J).bit_count() for x, R in zip(a, S) if R & J)
+            for J in range(1, 1 << len(b))
+        )
+    ]
+
+
+def _parts(support):
+    """The connected parts of an edge's support, each as (left circles,
+    right circles), in the shape of one of `_groupings`' groupings."""
+    parts = []
+    for i, j in support:
+        left, right = {i}, {j}
+        for part in [p for p in parts if i in p[0] or j in p[1]]:
+            left, right = left | part[0], right | part[1]
+            parts.remove(part)
+        parts.append((left, right))
+    return frozenset((tuple(sorted(L)), tuple(sorted(R))) for L, R in parts)
+
+
+def _support_wall(g, s, supports):
+    """The wall graph with one arc per circle pair each edge's support joins."""
+    nodes = tuple((v, i) for v in g.vertices for i in range(len(s.at(v))))
+    arcs = tuple(
+        Arc(e.id, (e.src, i), (e.dst, j), Fraction(a[i], b[j]))
+        for e, (a, b), support in zip(g.edges, _edge_counts(g, s), supports)
+        for i, j in sorted(support)
+    )
+    return WallGraph(nodes, arcs)
+
+
+def test_all_matchings_agrees_with_gale_oracle_on_dense_edges():
     """Inputs shaped like the benchmark's dense ones: a planted input plus a
-    loop k·u -> k·u, whose k! orderings the budgets cut mid-edge."""
+    loop k·u -> k·u, with k! orderings or more.  The spectrum is the set of
+    flags over tuples of Gale supports, one per component partition, and it
+    is complete."""
     rng = random.Random(20261020)
     for _ in range(6):
         g = _planted_spectrum_input(rng)
@@ -739,31 +790,41 @@ def test_all_matchings_agrees_with_odometer_oracle_on_dense_edges():
         g = single_vertex_presentation([(e.v, e.w) for e in g.edges] + [loop])
         s = equitable_search(g, 3, 3)
         assert isinstance(s, EquitableSet), g
-        for budget in (17, 4321, 9999, 10000):
-            assert all_matching_verdicts(g, s, budget) == _odometer_oracle(
-                g, s, budget
-            ), (g, budget)
+        per_edge = []
+        for a, b in _edge_counts(g, s):
+            firsts = {}
+            for support in _supports(frozenset(), a, b):
+                firsts.setdefault(_parts(support), support)
+            assert set(firsts) == {frozenset(x) for x in _groupings(a, b)}, (a, b)
+            per_edge.append(list(firsts.values()))
+        flags = {
+            dilation_decide(_support_wall(g, s, key)).dilated
+            for key in itertools.product(*per_edge)
+        }
+        assert all_matching_verdicts(g, s) == (flags, True), g
+        _check_budgets(g, s, flags, (1, 17, 4321))
 
 
 def test_all_matchings_truncation_across_edges():
-    """Budgets that cut the odometer inside each of three edges, with 3, 3 and
-    4 orderings, on two vertices whose circle lists differ; both flags show
-    only after the first edge has turned twice."""
+    """Three edges with 3, 3 and 4 orderings on two vertices whose circle
+    lists differ: over all 36 matchings the spectrum is the odometer's.
+    Each edge groups its circles in two ways, and only the last of the 8
+    tuples shows the second flag."""
     g = parse(
         "group G { vertex A, B; edge e1 : A(1,0) -> B(-1,1); "
         "edge e2 : A(-1,0) -> B(-1,-2); edge e3 : B(-2,1) -> B(-2,1); }"
     )
     s = EquitableSet((("A", (V(1, -1), V(1, -2))), ("B", (V(1, 1), V(1, 0)))))
-    for budget in range(38):
+    assert _odometer_oracle(g, s) == {False, True}
+    assert all_matching_verdicts(g, s) == ({False, True}, True)
+    for budget in range(1, 10):
         got = all_matching_verdicts(g, s, budget)
-        assert got == _odometer_oracle(g, s, budget), budget
-        assert len(got[0]) == (budget > 0) + (budget >= 25) and got[1] == (budget >= 36)
+        assert got == (({True}, False) if budget < 8 else ({False, True}, True)), budget
 
 
-def test_edge_supports_match_the_sorted_orderings():
-    """Per edge: the support of the ordering of rank q, those of the lower
-    orderings, and those of all orderings, against a list of every distinct
-    ordering of the right-hand points in lexicographic order."""
+def test_groupings_match_the_sorted_orderings():
+    """Per edge, the groupings are the component partitions of the supports
+    of every distinct ordering of the right-hand points, each listed once."""
     rng = random.Random(20261021)
     for _ in range(150):
         a = [rng.randint(0, 3) for _ in range(rng.randint(1, 3))]
@@ -774,13 +835,29 @@ def test_edge_supports_match_the_sorted_orderings():
             b[rng.randrange(len(b))] += 1
         left = [i for i, x in enumerate(a) for _ in range(x)]
         right = [j for j, y in enumerate(b) for _ in range(y)]
-        orderings = sorted(set(itertools.permutations(right)))
-        supports = [frozenset(zip(left, p)) for p in orderings]
-        assert _orderings(b, 10**6) == len(supports)
-        assert set(_supports(frozenset(), a, b)) == set(supports), (a, b)
-        for q in range(len(supports)):
-            fixed, lower = _unrank((a, b), q)
-            assert fixed == supports[q] and set(lower) == set(supports[:q]), (a, b, q)
+        parts = {_parts(zip(left, p)) for p in set(itertools.permutations(right))}
+        groupings = list(_groupings(a, b))
+        assert len(set(groupings)) == len(groupings), (a, b)
+        assert {frozenset(x) for x in groupings} == parts, (a, b)
+
+
+def test_groupings_match_the_gale_supports():
+    """Per edge with up to 9 points per circle, the groupings are the
+    component partitions of the supports Gale's condition admits."""
+    rng = random.Random(20261022)
+    checked = 0
+    while checked < 300:
+        a = [rng.randint(0, 9) for _ in range(rng.randint(1, 3))]
+        b = [0] * rng.randint(1, 3)
+        for _ in range(sum(a)):
+            b[rng.randrange(len(b))] += 1
+        if max(b) > 9:
+            continue
+        checked += 1
+        parts = {_parts(support) for support in _supports(frozenset(), a, b)}
+        groupings = list(_groupings(a, b))
+        assert len(set(groupings)) == len(groupings), (a, b)
+        assert {frozenset(x) for x in groupings} == parts, (a, b)
 
 
 def test_all_matchings_requires_an_equitable_set():
@@ -792,8 +869,9 @@ def test_all_matchings_requires_an_equitable_set():
 
 
 def test_all_matchings_work_does_not_grow_with_points(monkeypatch):
-    """A thousand points on each of two circles: the walk took seconds; the
-    count decides the two supports the first 10,000 orderings meet."""
+    """A thousand points on each of two circles: the walk took seconds, and
+    the lexicographic budget stopped short of the last orderings; the two
+    circles group in three ways, all decided."""
     calls = []
     decide = tubular.cubulate.dilation_decide
 
@@ -804,8 +882,48 @@ def test_all_matchings_work_does_not_grow_with_points(monkeypatch):
     monkeypatch.setattr(tubular.cubulate, "dilation_decide", counted)
     g = single_vertex_presentation([(V(1, 0), V(0, 1)), (V(1000, 1000), V(1000, 1000))])
     s = equitable_search(g, 3, 3)
-    assert all_matching_verdicts(g, s) == ({False}, False)
+    assert all_matching_verdicts(g, s) == ({False}, True)
     assert len(calls) <= 3
+
+
+def test_all_matchings_stops_at_the_budget():
+    """Two flags over 1 x 2 grouping tuples: a budget of one tuple shows one
+    flag and is not complete."""
+    g = parse(
+        "group G { vertex V; edge e1 : V(0,1) -> V(-1,-2); edge e2 : V(6,0) -> V(6,0); }"
+    )
+    s = equitable_search(g, 3, 3)
+    assert all_matching_verdicts(g, s) == ({False, True}, True)
+    assert all_matching_verdicts(g, s, 1) == ({True}, False)
+
+
+def test_all_matchings_on_the_input_that_spent_the_rank_budget(capsys, tmp_path):
+    """Coordinates near 2^63 gave the lexicographic budget 10,000 support
+    listings and half a second, and came back truncated."""
+    path = tmp_path / "h.tub"
+    path.write_text(
+        "group h { vertex V0, V1; "
+        "edge e0 : V0(-9223372036854775807,-3) -> V0(2,-9223372036854775811); }\n"
+    )
+    t0 = time.process_time()
+    assert main(["cubulate", "--all-matchings", "--json", str(path)]) == 0
+    assert time.process_time() - t0 < 0.1
+    spectrum = json.loads(capsys.readouterr().out)[-1]
+    assert spectrum["property"] == "dilation_spectrum" and spectrum["notes"] == []
+
+
+@pytest.mark.parametrize("points", [3, 10**19], ids=["3", "1e19"])
+def test_all_matchings_on_wide_edges(points):
+    """Seven circles on each side of a loop, each with the same number of
+    points, group in over 10,000 ways; the capped listing is quick, and a
+    budget stops the walk."""
+    t0 = time.process_time()
+    groupings = itertools.islice(_groupings([points] * 7, [points] * 7), 10001)
+    assert len(list(groupings)) == 10001
+    assert time.process_time() - t0 < 1
+    g = single_vertex_presentation([(V(points, 0), V(points, 0))])
+    s = EquitableSet.single([V(k, 1) for k in range(7)])
+    assert all_matching_verdicts(g, s, 100) == ({False}, False)
 
 
 def test_exports_are_deterministic():
@@ -933,6 +1051,22 @@ def test_all_matchings_past_machine_integers(capsys, tmp_path):
         outs.append(capsys.readouterr().out)
     assert outs[0] == outs[1] == outs[2]
     assert [r["verdict"] for r in json.loads(outs[0])] == ["Found"] + ["NonDilated"] * 2
+
+
+@pytest.mark.parametrize(
+    "a, b, shape",
+    [([1] * 12, [1] * 12, (1, 1)), ([2] * 15, [1] * 30, (1, 2))],
+    ids=["12x1", "15x2"],
+)
+def test_groupings_with_circles_of_one_point(a, b, shape):
+    """A group holding n points on each side has at most n + 1 circles, so
+    here every group has `shape`, while most balanced sets of circles are
+    larger; the listing must not try each of them before the first yield."""
+    t0 = time.process_time()
+    groupings = list(itertools.islice(_groupings(a, b), 1001))
+    assert time.process_time() - t0 < 1
+    assert len(groupings) == 1001
+    assert {(len(L), len(R)) for grouping in groupings for L, R in grouping} == {shape}
 
 
 def test_eg2_double_equitable_sets_and_spectra():

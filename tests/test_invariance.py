@@ -3,14 +3,26 @@ differently: edges reversed, edges reordered, vertices and edges renamed, and
 the basis of each vertex group changed.  The last holds for every row but
 `dilation`, which describes the equitable set the bounded search finds first,
 and that set depends on the basis; its flips are counted and printed.
-Random presentations and the corpus entries both go through the changes."""
+Random presentations and the corpus entries both go through the changes.
 
+The matching spectrum of `cubulate --all-matchings` keeps its verdict and
+notes under the first three changes.  Under a basis change it describes the
+set found in the new basis, which pulled back to the old basis has the same
+spectrum there."""
+
+import io
+import json
 import random
+import sys
 from collections import Counter
 
-from tubular.cli import analyze
+import pytest
+
+from tubular.cli import analyze, main
 from tubular.core import Edge, GpqParams, IntMat2, IntVec2, TubularPresentation, change_basis
 from tubular.corpus import corpus
+from tubular.cubulate import EquitableSet, all_matching_verdicts, equitable_search
+from tubular.dsl import parse, unparse
 from tubular.special import gpq_to_tubular
 
 V = IntVec2
@@ -109,3 +121,105 @@ def test_corpus_verdict_words_are_invariant():
             dilation_flips.update((entry.name, *f) for f in _dilation_flips(rng, g))
     flips = ", ".join(f"{e} {a} -> {b}: {n}" for (e, a, b), n in dilation_flips.items())
     print(f"corpus dilation flips under basis change: {flips or 'none'}")
+
+
+# At a lexicographic budget of matchings, this spectrum read NonDilated with
+# its edges in this order and Dilated/NonDilated with them swapped.
+EXAMPLE = "group G { vertex V; edge e1 : V(-1,1) -> V(-1,3); edge e2 : V(6,6) -> V(6,6); }"
+
+
+def _loop_input(rng) -> TubularPresentation:
+    """One vertex with 0-2 edges with |coords| <= 2 and a loop k·u -> k·u,
+    k = 5..8, whose points have hundreds of matchings or more."""
+    vecs = [V(x, y) for x in range(-2, 3) for y in range(-2, 3) if (x, y) != (0, 0)]
+    u, k = rng.choice(vecs), rng.randint(5, 8)
+    edges = [(rng.choice(vecs), rng.choice(vecs)) for _ in range(rng.randint(0, 2))]
+    edges.append((V(k * u.x, k * u.y), V(k * u.x, k * u.y)))
+    rng.shuffle(edges)
+    return TubularPresentation(
+        ("V",), tuple(Edge(f"e{j}", "V", "V", v, w) for j, (v, w) in enumerate(edges))
+    )
+
+
+def _corpus_presentations() -> list[TubularPresentation]:
+    out = []
+    for entry in corpus():
+        g = entry.presentation
+        out.append(gpq_to_tubular(g) if isinstance(g, GpqParams) else g)
+    return out
+
+
+@pytest.fixture
+def spectrum(monkeypatch, capsys):
+    def run(g):
+        """The spectrum row's verdict and notes from `cubulate --all-matchings
+        --json`, or None when no equitable set is found."""
+        monkeypatch.setattr(sys, "stdin", io.StringIO(unparse(g)))
+        assert main(["cubulate", "-", "--all-matchings", "--json"]) == 0
+        rows = json.loads(capsys.readouterr().out)
+        return next(
+            ((r["verdict"], r["notes"]) for r in rows if r["property"] == "dilation_spectrum"),
+            None,
+        )
+
+    return run
+
+
+def _check_spectrum_invariance(spectrum, rng, inputs) -> int:
+    """Each input's spectrum covers every matching and is the same after each
+    edge change; returns how many inputs have one.  Whether the search finds
+    an equitable set at all is an `analyze` row, checked above."""
+    decided = 0
+    for g in inputs:
+        base = spectrum(g)
+        if base is not None:
+            assert base[1] == [], g
+            decided += 1
+            for change in (_reversed, _reordered, _renamed):
+                assert spectrum(change(rng, g)) == base, (change.__name__, g)
+    return decided
+
+
+def test_spectrum_is_invariant_under_edge_changes(spectrum):
+    rng = random.Random(20261019)
+    inputs = [_random_presentation(rng) for _ in range(400)] + _corpus_presentations()
+    assert _check_spectrum_invariance(spectrum, rng, inputs) > 250
+
+
+def test_spectrum_of_dense_loops_is_invariant_under_edge_changes(spectrum):
+    """At a budget of 10,000 matchings in lexicographic order, these read
+    differently in different edge orders; the example alone did."""
+    rng = random.Random(20261020)
+    inputs = [_loop_input(rng) for _ in range(200)] + [parse(EXAMPLE)]
+    assert _check_spectrum_invariance(spectrum, rng, inputs) > 150
+    swapped = parse(EXAMPLE)
+    swapped = TubularPresentation(swapped.vertices, swapped.edges[::-1], swapped.name)
+    assert spectrum(swapped) == spectrum(parse(EXAMPLE)) == ("Dilated/NonDilated", [])
+
+
+def _inverse(m: IntMat2) -> IntMat2:
+    d = m.a * m.d - m.b * m.c  # +-1
+    return IntMat2(d * m.d, -d * m.b, -d * m.c, d * m.a)
+
+
+def test_spectrum_of_a_rebased_set_pulls_back():
+    """The spectrum of the set found after a basis change at each vertex
+    equals that of the set's circles mapped back to the old basis."""
+    rng = random.Random(20261021)
+    inputs = [_random_presentation(rng) for _ in range(400)] + _corpus_presentations()
+    inputs += [_loop_input(rng) for _ in range(50)]
+    checked = 0
+    for g in inputs:
+        bases = {v: _random_unimodular(rng) for v in g.vertices}
+        rebased = g
+        for v, m in bases.items():
+            rebased = change_basis(rebased, v, m)
+        found = equitable_search(rebased, 3, 3)
+        if not isinstance(found, EquitableSet):
+            continue
+        checked += 1
+        back = EquitableSet(
+            tuple((v, tuple(map(_inverse(bases[v]).apply, cs))) for v, cs in found.sets)
+        )
+        assert all_matching_verdicts(g, back) == all_matching_verdicts(rebased, found), g
+    assert checked > 100
