@@ -19,7 +19,7 @@ import functools
 import itertools
 import math
 import operator
-from collections.abc import Hashable, Iterator, Sequence
+from collections.abc import Hashable, Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -371,14 +371,17 @@ def wall_graph(g: TubularPresentation, s: EquitableSet) -> WallGraph:
     it joins from left circle i to right circle j form one run, one `Arc` with
     their count.  Point p lies on the first circle whose cumulative count A_i
     or B_j exceeds p, so the runs are the northwest-corner rule on A and B,
-    and the work does not grow with the number of points.
+    and the work does not grow with the number of points.  A run of n points
+    from left circle i to right circle j has weight a_i / b_j.
     """
-    counts, runs = _point_counts(g, s), []
-    for a, b in counts:
+    arcs = []
+    for e, (a, b) in zip(g.edges, _point_counts(g, s)):
         A, B = list(itertools.accumulate(a)), list(itertools.accumulate(b))
-        cuts = itertools.pairwise([0] + sorted({*A, *B} - {0}))
-        runs.append([(bisect.bisect(A, p), bisect.bisect(B, p), q - p) for p, q in cuts])
-    return _wall(g, s, counts, runs)
+        for p, q in itertools.pairwise([0] + sorted({*A, *B} - {0})):
+            i, j = bisect.bisect(A, p), bisect.bisect(B, p)
+            arcs.append(Arc(e.id, (e.src, i), (e.dst, j), Fraction(a[i], b[j]), q - p))
+    nodes = tuple((v, i) for v in g.vertices for i in range(len(s.at(v))))
+    return WallGraph(nodes, tuple(arcs))
 
 
 def _point_counts(g: TubularPresentation, s: EquitableSet) -> list:
@@ -387,18 +390,6 @@ def _point_counts(g: TubularPresentation, s: EquitableSet) -> list:
         raise ValueError("wall_graph requires an equitable set")
     ends = [((e.src, e.v), (e.dst, e.w)) for e in g.edges]
     return [tuple([abs(det2(x, u)) for x in s.at(v)] for v, u in end) for end in ends]
-
-
-def _wall(g: TubularPresentation, s: EquitableSet, counts, runs) -> WallGraph:
-    """The wall graph with one arc per run (i, j, n) of each edge: n points
-    of left circle i joined to right circle j, with weight a_i / b_j."""
-    nodes = tuple((v, i) for v in g.vertices for i in range(len(s.at(v))))
-    arcs = tuple(
-        Arc(e.id, (e.src, i), (e.dst, j), Fraction(a[i], b[j]), n)
-        for e, (a, b), edge_runs in zip(g.edges, counts, runs)
-        for i, j, n in edge_runs
-    )
-    return WallGraph(nodes, arcs)
 
 
 @dataclass(frozen=True)
@@ -487,24 +478,76 @@ def all_matching_verdicts(
     whether they are complete.  An arc from left circle i to right circle j
     has weight a_i / b_j, so in a connected group of an edge's arcs every
     circle's potential times its point count is the same: the flag depends
-    only on how each edge groups its circles.  Each tuple of per-edge
-    groupings (`_groupings`, at most budget + 1 per edge) is decided once,
-    on a wall graph spanning each group by a tree, until both flags show or
-    `budget` tuples are decided with more left: then the result is incomplete."""
+    only on how each edge groups its circles (`_groupings`), and a tuple of
+    per-edge groupings is dilated exactly when the equalities of its groups
+    have no solution (`_consistent`).  Merging groups only adds equalities.
+    Each grouping of an edge splits the one group of all its circles, and
+    each of its groups is a union of blocks: the circles that share a group
+    in every grouping of the edge.  So the flags are settled in three steps:
+
+    - one group per edge is consistent: no tuple is dilated, and the
+      default matching is a tuple, so the spectrum is NonDilated alone;
+    - each edge has at most `budget` groupings, and their common blocks are
+      inconsistent: every tuple is dilated;
+    - otherwise the tuples of per-edge groupings (at most budget + 1 per
+      edge) are decided one at a time until both flags show, or `budget`
+      tuples are decided with more left: then the result is incomplete.
+    """
     if budget <= 0:
         return set(), False
     counts = _point_counts(g, s)
-    per_edge = [list(itertools.islice(_groupings(a, b), budget + 1)) for a, b in counts]
-    tuples, verdicts = itertools.product(*per_edge), set()
+    ends = [  # per edge, its left and then its right circles with their points
+        [((e.src, i), n) for i, n in enumerate(a)] + [((e.dst, j), n) for j, n in enumerate(b)]
+        for e, (a, b) in zip(g.edges, counts)
+    ]
+    if _consistent([[c for c in end if c[1]] for end in ends]):
+        return {False}, True
+    per_edge = []  # per edge, each grouping as its groups of positions in `ends`
+    for a, b in counts:
+        groupings = itertools.islice(_groupings(a, b), budget + 1)
+        per_edge.append([[[*L, *(len(a) + j for j in R)] for L, R in x] for x in groupings])
+    if all(len(groupings) <= budget for groupings in per_edge):
+        blocks: dict[tuple, list] = {}  # an edge's circles in one group in all its groupings
+        for k, (end, groupings) in enumerate(zip(ends, per_edge)):
+            tags = [{p: t for t, group in enumerate(x) for p in group} for x in groupings]
+            for p, c in enumerate(end):
+                if c[1]:
+                    blocks.setdefault((k, *(tag[p] for tag in tags)), []).append(c)
+        if not _consistent(blocks.values()):
+            return {True}, True
+    choices = [
+        [[[end[p] for p in group] for group in x] for x in groupings]
+        for end, groupings in zip(ends, per_edge)
+    ]
+    tuples = itertools.product(*choices)
+    verdicts = set()
     for key in itertools.islice(tuples, budget):
-        runs = [  # each group spanned by the arcs at its first left or right circle
-            [(i, j, 1) for L, R in grouping for i in L for j in R if i == L[0] or j == R[0]]
-            for grouping in key
-        ]
-        verdicts.add(dilation_decide(_wall(g, s, counts, runs)).dilated)
+        verdicts.add(not _consistent(itertools.chain(*key)))
         if len(verdicts) == 2:
             return verdicts, True
     return verdicts, next(tuples, None) is None
+
+
+def _consistent(groups: Iterable[Sequence[tuple[Circle, int]]]) -> bool:
+    """Whether positive potentials π exist with π(x)·n the same for every
+    member (x, n) of each group.  A weighted union-find: each circle x that
+    has met a relation keeps (root, num, den), in lowest terms, with π(x) =
+    π(root)·num/den.  A relation inside one root is a cross-multiplied test;
+    one across two roots moves the circles of one under the other."""
+    at: dict[Circle, tuple[Circle, int, int]] = {}
+    for (y, m), *rest in groups:
+        for x, n in rest:
+            (rx, px, qx), (ry, py, qy) = at.get(x, (x, 1, 1)), at.get(y, (y, 1, 1))
+            p, q = py * m * qx, qy * n * px  # π(x)·n = π(y)·m, so π(rx) = π(ry)·p/q
+            if rx == ry and p != q:
+                return False
+            if rx != ry:
+                at[rx] = (rx, 1, 1)
+                for z, (r, pz, qz) in list(at.items()):
+                    if r == rx:
+                        k = math.gcd(pz * p, qz * q)
+                        at[z] = (ry, pz * p // k, qz * q // k)
+    return True
 
 
 def _groupings(a: list[int], b: list[int]) -> Iterator[tuple]:

@@ -42,6 +42,7 @@ from tubular.cubulate import (
     equitable_search,
     export_arcs_text,
     export_dot,
+    holonomy_cycle,
     verify_equitable,
     wall_graph,
 )
@@ -631,15 +632,90 @@ def _edge_counts(g, s):
     ]
 
 
+def _grouping_tuple_oracle(g, s, budget=10000):
+    """The per-tuple enumerator that all_matching_verdicts replaced: each
+    tuple of per-edge groupings (at most budget + 1 per edge) decided once,
+    on a wall graph spanning each group by the arcs at its first left or
+    right circle, until both flags show or `budget` tuples are decided with
+    more left: then the result is incomplete."""
+    counts = _edge_counts(g, s)
+    per_edge = [list(itertools.islice(_groupings(a, b), budget + 1)) for a, b in counts]
+    nodes = tuple((v, i) for v in g.vertices for i in range(len(s.at(v))))
+    tuples, verdicts = itertools.product(*per_edge), set()
+    for key in itertools.islice(tuples, budget):
+        arcs = tuple(
+            Arc(e.id, (e.src, i), (e.dst, j), Fraction(a[i], b[j]))
+            for e, (a, b), grouping in zip(g.edges, counts, key)
+            for L, R in grouping
+            for i in L
+            for j in R
+            if i == L[0] or j == R[0]
+        )
+        verdicts.add(dilation_decide(WallGraph(nodes, arcs)).dilated)
+        if len(verdicts) == 2:
+            return verdicts, True
+    return verdicts, next(tuples, None) is None
+
+
+def _star_dilated(g, s, parts):
+    """Whether no positive potentials give every circle of a group the same
+    potential times point count, for groups of (left, right) circle indices,
+    per edge: holonomy on a star graph, one hub per group and an arc of
+    weight n from each member with n points to its hub."""
+    nodes, arcs = [], []
+    for k, (e, (a, b), groups) in enumerate(zip(g.edges, _edge_counts(g, s), parts)):
+        for t, (L, R) in enumerate(groups):
+            nodes.append(hub := ("hub", k, t))
+            arcs += [((e.src, i), hub, Fraction(a[i])) for i in L]
+            arcs += [((e.dst, j), hub, Fraction(b[j])) for j in R]
+    nodes += [(v, i) for v in g.vertices for i in range(len(s.at(v)))]
+    return holonomy_cycle(nodes, arcs) is not None
+
+
+def _closed_test_oracle(g, s, budget=10000):
+    """The closed test that settles the spectrum, decided on star graphs, or
+    None.  "one-group": one group of all its circles per edge is consistent.
+    "forced-group": each edge has at most `budget` groupings, and the blocks
+    of circles that share a group in all of them are inconsistent."""
+    counts = _edge_counts(g, s)
+    whole = [
+        [(tuple(i for i, x in enumerate(a) if x), tuple(j for j, y in enumerate(b) if y))]
+        for a, b in counts
+    ]
+    if not _star_dilated(g, s, whole):
+        return "one-group"
+    per_edge = [list(itertools.islice(_groupings(a, b), budget + 1)) for a, b in counts]
+    if any(len(groupings) > budget for groupings in per_edge):
+        return None
+    meet = []
+    for (a, b), groupings in zip(counts, per_edge):
+        ends = [(0, i) for i, x in enumerate(a) if x] + [(1, j) for j, y in enumerate(b) if y]
+
+        def together(c, d):
+            return all(
+                any(c[1] in group[c[0]] and d[1] in group[d[0]] for group in grouping)
+                for grouping in groupings
+            )
+
+        blocks = {tuple(d for d in ends if together(c, d)) for c in ends}
+        meet.append(
+            [tuple(tuple(i for side, i in block if side == k) for k in (0, 1)) for block in blocks]
+        )
+    return "forced-group" if _star_dilated(g, s, meet) else None
+
+
 def _check_budgets(g, s, flags, budgets):
-    """At each budget the flags are among the full spectrum's, and the result
-    is complete exactly when both flags showed or every tuple of per-edge
-    groupings was decided."""
+    """At each budget the flags are among the full spectrum's, all of them
+    when the result is complete, and it is incomplete exactly when neither
+    closed test settles the input, one flag showed, and more than `budget`
+    tuples of per-edge groupings remained."""
     tuples = math.prod(len(list(_groupings(a, b))) for a, b in _edge_counts(g, s))
     for budget in budgets:
         got, complete = all_matching_verdicts(g, s, budget)
         assert got and got <= flags, (g, budget)
-        assert complete == (len(got) == 2 or tuples <= budget), (g, budget)
+        assert not complete or got == flags, (g, budget)
+        settled = _closed_test_oracle(g, s, budget) is not None
+        assert complete == (settled or len(got) == 2 or tuples <= budget), (g, budget)
 
 
 def test_all_matchings_agrees_with_eager_oracle():
@@ -653,30 +729,82 @@ def test_all_matchings_agrees_with_eager_oracle():
         _check_budgets(g, s, flags, (1, 3, 7, 50))
 
 
+def _decisions(monkeypatch):
+    """The results of all_matching_verdicts' calls of `_consistent`, in
+    order.  The first call is the one-group test, so [True] means that it
+    settled the spectrum and no tuple was decided.  At the default budget
+    [False, False] means that the forced-group test settled it: a tuple
+    list ends after one tuple only when each edge has one grouping, and
+    then the forced-group test runs first.  Later calls decide tuples."""
+    results = []
+    decide = tubular.cubulate._consistent
+
+    def counted(groups):
+        results.append(decide(groups))
+        return results[-1]
+
+    monkeypatch.setattr(tubular.cubulate, "_consistent", counted)
+    return results
+
+
+def test_all_matchings_agrees_with_grouping_tuple_oracle(monkeypatch):
+    """On 1,000 random presentations that have an equitable set and on 200
+    planted spectrum inputs, the closed tests and the integer decider give
+    the per-tuple wall graphs' result wherever those are complete, and the
+    closed test that settles an input is the one found on star graphs."""
+    results = _decisions(monkeypatch)
+    rng = random.Random(20261023)
+    inputs = []
+    while len(inputs) < 1000:
+        g = _random_presentation(rng)
+        s = equitable_search(g, 3, 3)
+        if isinstance(s, EquitableSet):
+            inputs.append((g, s))
+    for _ in range(200):
+        g = _planted_spectrum_input(rng)
+        inputs.append((g, equitable_search(g, 3, 3)))
+    settled = {"one-group": 0, "forced-group": 0, None: 0}
+    for g, s in inputs:
+        results.clear()
+        got, want = all_matching_verdicts(g, s), _grouping_tuple_oracle(g, s)
+        assert got == want if want[1] else want[0] <= got[0], (g, s)
+        closed = _closed_test_oracle(g, s)
+        assert closed is None or got == ({closed == "forced-group"}, True), (g, s)
+        labels = {(True,): "one-group", (False, False): "forced-group"}
+        assert labels.get(tuple(results)) == closed, (g, s, results)
+        settled[closed] += 1
+    print(f"spectra settled by a closed test: {settled}")
+    assert settled["one-group"] > 300 and settled["forced-group"] > 300 and settled[None] > 50
+
+
 def test_all_matchings_decides_each_support_once(monkeypatch):
     """Thirteen points on one circle have a single distinct ordering; the
-    eager enumerator built all 13! orderings of them first."""
-    calls = []
-    decide = tubular.cubulate.dilation_decide
-
-    def counted(w):
-        calls.append(w)
-        return decide(w)
-
-    monkeypatch.setattr(tubular.cubulate, "dilation_decide", counted)
+    eager enumerator built all 13! orderings of them first.  Now the
+    one-group test settles it, and no tuple is decided."""
+    results = _decisions(monkeypatch)
     g = single_vertex_presentation([(V(1, 0), V(0, 1)), (V(13, 0), V(13, 0))])
     s = equitable_search(g, 3, 3)
     assert s.at("V") == (V(0, 1), V(1, 0))
     assert all_matching_verdicts(g, s) == ({False}, True)
-    assert len(calls) == 1
+    assert results == [True]
     # Three points on each of two circles: 20 orderings group the circles in
-    # only three ways (00 and 11, 01 and 10, all four), so three walls.
-    calls.clear()
+    # only three ways (00 and 11, 01 and 10, all four), and the one group of
+    # all four is consistent.
+    results.clear()
     g = single_vertex_presentation([(V(1, 0), V(0, 1)), (V(3, 3), V(3, 3))])
     s = equitable_search(g, 3, 3)
     assert s.at("V") == (V(0, 1), V(1, 0))
     assert all_matching_verdicts(g, s) == ({False}, True)
-    assert len(calls) == 3
+    assert results == [True]
+    # Mixed flags pass both closed tests, and each of the 1 x 2 tuples of
+    # groupings is decided once.
+    results.clear()
+    g = parse(
+        "group G { vertex V; edge e1 : V(0,1) -> V(-1,-2); edge e2 : V(6,0) -> V(6,0); }"
+    )
+    s = equitable_search(g, 3, 3)
+    assert all_matching_verdicts(g, s) == ({False, True}, True)
+    assert results[:2] == [False, True] and sorted(results[2:]) == [False, True]
 
 
 def _odometer_oracle(g, s):
@@ -871,19 +999,13 @@ def test_all_matchings_requires_an_equitable_set():
 def test_all_matchings_work_does_not_grow_with_points(monkeypatch):
     """A thousand points on each of two circles: the walk took seconds, and
     the lexicographic budget stopped short of the last orderings; the two
-    circles group in three ways, all decided."""
-    calls = []
-    decide = tubular.cubulate.dilation_decide
-
-    def counted(w):
-        calls.append(w)
-        return decide(w)
-
-    monkeypatch.setattr(tubular.cubulate, "dilation_decide", counted)
+    circles group in three ways, and the one-group test settles all of
+    them without deciding a tuple."""
+    results = _decisions(monkeypatch)
     g = single_vertex_presentation([(V(1, 0), V(0, 1)), (V(1000, 1000), V(1000, 1000))])
     s = equitable_search(g, 3, 3)
     assert all_matching_verdicts(g, s) == ({False}, True)
-    assert len(calls) <= 3
+    assert results == [True]
 
 
 def test_all_matchings_stops_at_the_budget():
@@ -915,15 +1037,45 @@ def test_all_matchings_on_the_input_that_spent_the_rank_budget(capsys, tmp_path)
 @pytest.mark.parametrize("points", [3, 10**19], ids=["3", "1e19"])
 def test_all_matchings_on_wide_edges(points):
     """Seven circles on each side of a loop, each with the same number of
-    points, group in over 10,000 ways; the capped listing is quick, and a
-    budget stops the walk."""
+    points, group in over 10,000 ways; the capped listing is quick, and the
+    one-group test settles the spectrum within any budget."""
     t0 = time.process_time()
     groupings = itertools.islice(_groupings([points] * 7, [points] * 7), 10001)
     assert len(list(groupings)) == 10001
     assert time.process_time() - t0 < 1
     g = single_vertex_presentation([(V(points, 0), V(points, 0))])
     s = EquitableSet.single([V(k, 1) for k in range(7)])
-    assert all_matching_verdicts(g, s, 100) == ({False}, False)
+    assert all_matching_verdicts(g, s, 100) == ({False}, True)
+
+
+def test_all_matchings_one_group_settles_a_wide_loop_at_once(monkeypatch):
+    """A loop V(3,0) -> V(3,0) against the seven circles (k,1) groups them in
+    over 10,000 ways, all NonDilated.  Deciding the tuples one at a time took
+    1.3 s and came back truncated; the one-group test settles the spectrum
+    without deciding a tuple."""
+    results = _decisions(monkeypatch)
+    g = single_vertex_presentation([(V(3, 0), V(3, 0))])
+    s = EquitableSet.single([V(k, 1) for k in range(7)])
+    t0 = time.process_time()
+    assert all_matching_verdicts(g, s) == ({False}, True)
+    assert time.process_time() - t0 < 0.05
+    assert results == [True]
+
+
+def test_all_matchings_forced_groups_settle_a_dilated_input(monkeypatch):
+    """An edge whose circle blocks are inconsistent in every grouping, with
+    four loops of 9 groupings each: 3 x 9^4 tuples, all Dilated.  The
+    per-tuple walk stops at its budget with the spectrum truncated; the
+    forced-group test settles it without deciding a tuple."""
+    results = _decisions(monkeypatch)
+    g = single_vertex_presentation([(V(2, -1), V(2, 2))] + [(V(6, 6), V(6, 6))] * 4)
+    s = EquitableSet.single([V(0, 1), V(1, 0), V(3, 1)])
+    counts = _edge_counts(g, s)
+    assert [len(list(_groupings(a, b))) for a, b in counts] == [3, 9, 9, 9, 9]
+    assert _grouping_tuple_oracle(g, s, 100) == ({True}, False)
+    assert all_matching_verdicts(g, s) == ({True}, True)
+    assert results == [False, False]
+    assert all_matching_verdicts(g, s, 100) == ({True}, True)
 
 
 def test_exports_are_deterministic():

@@ -18,6 +18,7 @@ from collections import Counter
 
 import pytest
 
+import tubular.cubulate
 from tubular.cli import analyze, main
 from tubular.core import Edge, GpqParams, IntMat2, IntVec2, TubularPresentation, change_basis
 from tubular.corpus import corpus
@@ -195,6 +196,44 @@ def test_spectrum_of_dense_loops_is_invariant_under_edge_changes(spectrum):
     swapped = parse(EXAMPLE)
     swapped = TubularPresentation(swapped.vertices, swapped.edges[::-1], swapped.name)
     assert spectrum(swapped) == spectrum(parse(EXAMPLE)) == ("Dilated/NonDilated", [])
+
+
+def test_closed_spectrum_tests_are_invariant_under_edge_changes(monkeypatch):
+    """Which closed test of all_matching_verdicts settles a spectrum, if one
+    does, is the same after each edge change.  Its first call of
+    `_consistent` is the one-group test, so calls returning [True] mean
+    that test settled it; at the default budget [False, False] means the
+    forced-group test did (see `_decisions` in test_cubulate.py)."""
+    results = []
+    decide = tubular.cubulate._consistent
+
+    def counted(groups):
+        results.append(decide(groups))
+        return results[-1]
+
+    monkeypatch.setattr(tubular.cubulate, "_consistent", counted)
+
+    def settled(g):
+        s = equitable_search(g, 3, 3)
+        if not isinstance(s, EquitableSet):
+            return None
+        results.clear()
+        spectrum = all_matching_verdicts(g, s)
+        return spectrum, {(True,): "one-group", (False, False): "forced-group"}.get(
+            tuple(results), "enumerated"
+        )
+
+    rng = random.Random(20261022)
+    inputs = [_random_presentation(rng) for _ in range(300)] + _corpus_presentations()
+    inputs += [_loop_input(rng) for _ in range(50)]
+    seen = Counter()
+    for g in inputs:
+        base = settled(g)
+        if base is not None:
+            seen[base[1]] += 1
+            for change in (_reversed, _reordered, _renamed):
+                assert settled(change(rng, g)) == base, (change.__name__, g)
+    assert min(seen.values()) > 20 and len(seen) == 3, seen
 
 
 def _inverse(m: IntMat2) -> IntMat2:
