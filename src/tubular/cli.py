@@ -392,10 +392,6 @@ def analyze(obj, name: str, coord_bound: int = 3, size_bound: int = 3):
     return _reports(_Input(obj, name, coord_bound, size_bound), COMMANDS["analyze"])
 
 
-def report_vspecial(obj, name: str) -> DecisionReport:
-    return _reports(_Input(obj, name), ("vspecial",))[0]
-
-
 def _emit(reports: list[DecisionReport], as_json: bool):
     if as_json:
         sys.stdout.write(reports_to_json(reports))

@@ -375,7 +375,7 @@ def wall_graph(g: TubularPresentation, s: EquitableSet) -> WallGraph:
     from left circle i to right circle j has weight a_i / b_j.
     """
     arcs = []
-    for e, (a, b) in zip(g.edges, _point_counts(g, s)):
+    for e, (a, b) in zip(g.edges, _point_counts(g, s, "wall_graph")):
         A, B = list(itertools.accumulate(a)), list(itertools.accumulate(b))
         for p, q in itertools.pairwise([0] + sorted({*A, *B} - {0})):
             i, j = bisect.bisect(A, p), bisect.bisect(B, p)
@@ -384,10 +384,10 @@ def wall_graph(g: TubularPresentation, s: EquitableSet) -> WallGraph:
     return WallGraph(nodes, tuple(arcs))
 
 
-def _point_counts(g: TubularPresentation, s: EquitableSet) -> list:
+def _point_counts(g: TubularPresentation, s: EquitableSet, caller: str) -> list:
     """Per edge, the points on each left circle and on each right circle."""
     if not verify_equitable(g, s):
-        raise ValueError("wall_graph requires an equitable set")
+        raise ValueError(f"{caller} requires an equitable set")
     ends = [((e.src, e.v), (e.dst, e.w)) for e in g.edges]
     return [tuple([abs(det2(x, u)) for x in s.at(v)] for v, u in end) for end in ends]
 
@@ -405,7 +405,8 @@ def dilation_decide(w: WallGraph) -> DilationVerdict:
     """Check that every cycle of the wall graph has multiplicative holonomy
     1; when one does not, return the first cycle `holonomy_cycle` finds."""
     found = holonomy_cycle(
-        w.nodes, [(a.src_circle, a.dst_circle, a.weight) for a in w.arcs]
+        w.nodes,
+        [(a.src_circle, a.dst_circle, a.weight.numerator, a.weight.denominator) for a in w.arcs],
     )
     if found is None:
         return DilationVerdict(False)
@@ -414,26 +415,28 @@ def dilation_decide(w: WallGraph) -> DilationVerdict:
 
 
 def holonomy_cycle(
-    nodes: Sequence[Hashable], arcs: Sequence[tuple[Hashable, Hashable, Rat]]
+    nodes: Sequence[Hashable], arcs: Sequence[tuple[Hashable, Hashable, int, int]]
 ) -> tuple[list[tuple[int, int]], Rat] | None:
-    """The first cycle of a graph with positive rational arc weights whose
-    multiplicative holonomy is not 1, as (arc index, direction) steps, with
-    that holonomy; None when every cycle has holonomy 1.
+    """The first cycle of a graph whose multiplicative holonomy is not 1, as
+    (arc index, direction) steps, with that holonomy; None when every cycle
+    has holonomy 1.  Arc (src, dst, m, n) has the weight m/n, for positive
+    integers m and n that need not be coprime.
 
     Per connected component, taken in the order of their first node, a
-    depth-first spanning tree assigns each node a potential (traversing an
-    arc forward multiplies by its weight, backward divides).  The component's
-    non-tree arcs are then checked once each, in index order: arc i from a to
-    b closes a cycle of holonomy potential[a]·weight/potential[b], which runs
-    from b up the tree to the common ancestor, down to a, and over arc i.
-    Holonomy is a cycle invariant, so whether a cycle is found does not
-    depend on the tree.
+    depth-first spanning tree assigns each node a potential p/q, kept as a
+    pair of coprime integers (traversing an arc forward multiplies by its
+    weight, backward divides).  The component's non-tree arcs are then
+    checked once each, in index order, by cross-multiplying: arc i from a
+    to b closes a cycle of holonomy potential[a]·m/n/potential[b], which
+    runs from b up the tree to the common ancestor, down to a, and over arc
+    i.  Only that holonomy is returned as a Fraction.  Holonomy is a cycle
+    invariant, so whether a cycle is found does not depend on the tree.
     """
     adj: dict[Hashable, list[tuple[int, int, Hashable]]] = {n: [] for n in nodes}
-    for i, (src, dst, _) in enumerate(arcs):
+    for i, (src, dst, _, _) in enumerate(arcs):
         adj[src].append((i, +1, dst))
         adj[dst].append((i, -1, src))
-    potential: dict[Hashable, Rat] = {}
+    potential: dict[Hashable, tuple[int, int]] = {}
     parent: dict[Hashable, tuple[Hashable, int, int] | None] = {}
 
     def path(node: Hashable) -> list[tuple[int, int]]:
@@ -446,28 +449,30 @@ def holonomy_cycle(
     for root in nodes:
         if root in potential:
             continue
-        potential[root], parent[root] = Fraction(1), None
+        potential[root], parent[root] = (1, 1), None
         stack, seen, tree = [root], set(), set()
         while stack:
             node = stack.pop()
             for i, d, other in adj[node]:
                 seen.add(i)
                 if other not in potential:
-                    weight = arcs[i][2] if d > 0 else 1 / arcs[i][2]
-                    potential[other] = potential[node] * weight
+                    (p, q), (_, _, m, n) = potential[node], arcs[i]
+                    p, q = (p * m, q * n) if d > 0 else (p * n, q * m)
+                    k = math.gcd(p, q)
+                    potential[other] = p // k, q // k
                     parent[other] = (node, i, d)
                     tree.add(i)
                     stack.append(other)
         for i in sorted(seen - tree):
-            src, dst, weight = arcs[i]
-            holonomy = potential[src] * weight / potential[dst]
-            if holonomy != 1:
+            src, dst, m, n = arcs[i]
+            (ps, qs), (pd, qd) = potential[src], potential[dst]
+            if ps * m * qd != qs * n * pd:
                 to_src, to_dst = path(src), path(dst)
                 k = 0
                 while k < min(len(to_src), len(to_dst)) and to_src[k] == to_dst[k]:
                     k += 1
                 back = [(j, -d) for j, d in reversed(to_dst[k:])]
-                return back + to_src[k:] + [(i, +1)], holonomy
+                return back + to_src[k:] + [(i, +1)], Fraction(ps * m * qd, qs * n * pd)
     return None
 
 
@@ -480,7 +485,8 @@ def all_matching_verdicts(
     circle's potential times its point count is the same: the flag depends
     only on how each edge groups its circles (`_groupings`), and a tuple of
     per-edge groupings is dilated exactly when the equalities of its groups
-    have no solution (`_consistent`).  Merging groups only adds equalities.
+    have no solution.  Each such system is decided by `holonomy_cycle` on
+    star arcs (`_consistent`).  Merging groups only adds equalities.
     Each grouping of an edge splits the one group of all its circles, and
     each of its groups is a union of blocks: the circles that share a group
     in every grouping of the edge.  So the flags are settled in three steps:
@@ -492,15 +498,18 @@ def all_matching_verdicts(
     - otherwise the tuples of per-edge groupings (at most budget + 1 per
       edge) are decided one at a time until both flags show, or `budget`
       tuples are decided with more left: then the result is incomplete.
+
+    A set that is not equitable raises ValueError at every budget.
     """
+    counts = _point_counts(g, s, "all_matching_verdicts")
     if budget <= 0:
         return set(), False
-    counts = _point_counts(g, s)
+    circles = tuple((v, i) for v in g.vertices for i in range(len(s.at(v))))
     ends = [  # per edge, its left and then its right circles with their points
         [((e.src, i), n) for i, n in enumerate(a)] + [((e.dst, j), n) for j, n in enumerate(b)]
         for e, (a, b) in zip(g.edges, counts)
     ]
-    if _consistent([[c for c in end if c[1]] for end in ends]):
+    if _consistent(circles, [[c for c in end if c[1]] for end in ends]):
         return {False}, True
     per_edge = []  # per edge, each grouping as its groups of positions in `ends`
     for a, b in counts:
@@ -513,7 +522,7 @@ def all_matching_verdicts(
             for p, c in enumerate(end):
                 if c[1]:
                     blocks.setdefault((k, *(tag[p] for tag in tags)), []).append(c)
-        if not _consistent(blocks.values()):
+        if not _consistent(circles, blocks.values()):
             return {True}, True
     choices = [
         [[[end[p] for p in group] for group in x] for x in groupings]
@@ -522,32 +531,19 @@ def all_matching_verdicts(
     tuples = itertools.product(*choices)
     verdicts = set()
     for key in itertools.islice(tuples, budget):
-        verdicts.add(not _consistent(itertools.chain(*key)))
+        verdicts.add(not _consistent(circles, itertools.chain(*key)))
         if len(verdicts) == 2:
             return verdicts, True
     return verdicts, next(tuples, None) is None
 
 
-def _consistent(groups: Iterable[Sequence[tuple[Circle, int]]]) -> bool:
+def _consistent(circles: Sequence[Circle], groups: Iterable[Sequence[tuple[Circle, int]]]) -> bool:
     """Whether positive potentials π exist with π(x)·n the same for every
-    member (x, n) of each group.  A weighted union-find: each circle x that
-    has met a relation keeps (root, num, den), in lowest terms, with π(x) =
-    π(root)·num/den.  A relation inside one root is a cross-multiplied test;
-    one across two roots moves the circles of one under the other."""
-    at: dict[Circle, tuple[Circle, int, int]] = {}
-    for (y, m), *rest in groups:
-        for x, n in rest:
-            (rx, px, qx), (ry, py, qy) = at.get(x, (x, 1, 1)), at.get(y, (y, 1, 1))
-            p, q = py * m * qx, qy * n * px  # π(x)·n = π(y)·m, so π(rx) = π(ry)·p/q
-            if rx == ry and p != q:
-                return False
-            if rx != ry:
-                at[rx] = (rx, 1, 1)
-                for z, (r, pz, qz) in list(at.items()):
-                    if r == rx:
-                        k = math.gcd(pz * p, qz * q)
-                        at[z] = (ry, pz * p // k, qz * q // k)
-    return True
+    member (x, n) of each group: no cycle of holonomy other than 1 on the
+    arcs of weight m/n from each group's first member (y, m) to each other
+    member (x, n)."""
+    arcs = [(y, x, m, n) for (y, m), *rest in groups for x, n in rest]
+    return holonomy_cycle(circles, arcs) is None
 
 
 def _groupings(a: list[int], b: list[int]) -> Iterator[tuple]:

@@ -22,8 +22,9 @@ from fractions import Fraction
 
 import numpy as np
 
+from tubular import cli
 from tubular.cat0 import check_certificate, decide_cat0
-from tubular.cli import analyze, report_vspecial
+from tubular.cli import analyze
 from tubular.core import (
     GpqParams,
     IntMat2,
@@ -261,7 +262,7 @@ def _verdict_tuple(g: TubularPresentation):
     else:
         cat0 = None
         fbc = button_decide(g).answer
-    vspecial = report_vspecial(g, "x").verdict
+    vspecial = cli._reports(cli._Input(g, "x"), ("vspecial",))[0].verdict
     cocompact = cocompact_cubulation_decide(g, cat0_known=bool(cat0)).answer
     return (cat0, fbc, vspecial, cocompact)
 

@@ -573,6 +573,70 @@ def test_dilation_witness_is_first_in_component_order():
     assert d == DilationVerdict(True, ((loop, 1),), Fraction(2))
 
 
+def _fraction_holonomy_oracle(nodes, arcs):
+    """The walk that holonomy_cycle replaced, with `Fraction` potentials:
+    the same depth-first tree per component and the same non-tree arc
+    order, arc (src, dst, m, n) weighing Fraction(m, n)."""
+    adj = {node: [] for node in nodes}
+    for i, (src, dst, _, _) in enumerate(arcs):
+        adj[src].append((i, +1, dst))
+        adj[dst].append((i, -1, src))
+    potential, parent = {}, {}
+
+    def path(node):
+        steps = []
+        while parent[node] is not None:
+            node, i, d = parent[node]
+            steps.append((i, d))
+        return steps[::-1]
+
+    for root in nodes:
+        if root in potential:
+            continue
+        potential[root], parent[root] = Fraction(1), None
+        stack, seen, tree = [root], set(), set()
+        while stack:
+            node = stack.pop()
+            for i, d, other in adj[node]:
+                seen.add(i)
+                if other not in potential:
+                    weight = Fraction(arcs[i][2], arcs[i][3])
+                    potential[other] = potential[node] * (weight if d > 0 else 1 / weight)
+                    parent[other] = (node, i, d)
+                    tree.add(i)
+                    stack.append(other)
+        for i in sorted(seen - tree):
+            src, dst, m, n = arcs[i]
+            holonomy = potential[src] * Fraction(m, n) / potential[dst]
+            if holonomy != 1:
+                to_src, to_dst = path(src), path(dst)
+                k = 0
+                while k < min(len(to_src), len(to_dst)) and to_src[k] == to_dst[k]:
+                    k += 1
+                back = [(j, -d) for j, d in reversed(to_dst[k:])]
+                return back + to_src[k:] + [(i, +1)], holonomy
+    return None
+
+
+def test_holonomy_cycle_unreduced_and_large_weights():
+    """An arc (4, 2) weighs 2, and a 300-arc cycle of weights
+    (10**30 + 1)/10**30 has the exact product as its holonomy."""
+    nodes = ["a", "b", "c"]
+    arcs = [("a", "b", 4, 2), ("b", "c", 1, 1), ("a", "c", 2, 1)]
+    assert holonomy_cycle(nodes, arcs) is None
+    arcs[2] = ("a", "c", 6, 2)
+    assert holonomy_cycle(nodes, arcs) == ([(2, -1), (0, 1), (1, 1)], Fraction(2, 3))
+    big = 10**30
+    nodes = list(range(300))
+    arcs = [(k, (k + 1) % 300, big + 1, big) for k in range(300)]
+    steps, holonomy = holonomy_cycle(nodes, arcs)
+    assert holonomy == Fraction(big + 1, big) ** 300
+    assert sorted(steps) == [(k, 1) for k in range(300)]
+    assert (steps, holonomy) == _fraction_holonomy_oracle(nodes, arcs)
+    arcs[-1] = (299, 0, big**299, (big + 1) ** 299)
+    assert holonomy_cycle(nodes, arcs) is None
+
+
 def test_all_matchings_spectrum_gersten():
     g = gersten_presentation()
     s = equitable_search(g, 3, 3)
@@ -666,8 +730,8 @@ def _star_dilated(g, s, parts):
     for k, (e, (a, b), groups) in enumerate(zip(g.edges, _edge_counts(g, s), parts)):
         for t, (L, R) in enumerate(groups):
             nodes.append(hub := ("hub", k, t))
-            arcs += [((e.src, i), hub, Fraction(a[i])) for i in L]
-            arcs += [((e.dst, j), hub, Fraction(b[j])) for j in R]
+            arcs += [((e.src, i), hub, a[i], 1) for i in L]
+            arcs += [((e.dst, j), hub, b[j], 1) for j in R]
     nodes += [(v, i) for v in g.vertices for i in range(len(s.at(v)))]
     return holonomy_cycle(nodes, arcs) is not None
 
@@ -729,18 +793,45 @@ def test_all_matchings_agrees_with_eager_oracle():
         _check_budgets(g, s, flags, (1, 3, 7, 50))
 
 
+def _union_find_oracle(groups):
+    """The weighted union-find that `_consistent` ran before it posed its
+    systems to `holonomy_cycle`: whether positive potentials π exist with
+    π(x)·n the same for every member (x, n) of each group.  Each circle x
+    that has met a relation keeps (root, num, den), in lowest terms, with
+    π(x) = π(root)·num/den.  A relation inside one root is a
+    cross-multiplied test; one across two roots moves the circles of one
+    under the other."""
+    at = {}
+    for (y, m), *rest in groups:
+        for x, n in rest:
+            (rx, px, qx), (ry, py, qy) = at.get(x, (x, 1, 1)), at.get(y, (y, 1, 1))
+            p, q = py * m * qx, qy * n * px  # π(x)·n = π(y)·m, so π(rx) = π(ry)·p/q
+            if rx == ry and p != q:
+                return False
+            if rx != ry:
+                at[rx] = (rx, 1, 1)
+                for z, (r, pz, qz) in list(at.items()):
+                    if r == rx:
+                        k = math.gcd(pz * p, qz * q)
+                        at[z] = (ry, pz * p // k, qz * q // k)
+    return True
+
+
 def _decisions(monkeypatch):
     """The results of all_matching_verdicts' calls of `_consistent`, in
-    order.  The first call is the one-group test, so [True] means that it
-    settled the spectrum and no tuple was decided.  At the default budget
-    [False, False] means that the forced-group test settled it: a tuple
-    list ends after one tuple only when each edge has one grouping, and
-    then the forced-group test runs first.  Later calls decide tuples."""
+    order, each checked against `_union_find_oracle`.  The first call is
+    the one-group test, so [True] means that it settled the spectrum and
+    no tuple was decided.  At the default budget [False, False] means that
+    the forced-group test settled it: a tuple list ends after one tuple
+    only when each edge has one grouping, and then the forced-group test
+    runs first.  Later calls decide tuples."""
     results = []
     decide = tubular.cubulate._consistent
 
-    def counted(groups):
-        results.append(decide(groups))
+    def counted(circles, groups):
+        groups = [list(group) for group in groups]
+        results.append(decide(circles, groups))
+        assert results[-1] == _union_find_oracle(groups), groups
         return results[-1]
 
     monkeypatch.setattr(tubular.cubulate, "_consistent", counted)
@@ -751,7 +842,8 @@ def test_all_matchings_agrees_with_grouping_tuple_oracle(monkeypatch):
     """On 1,000 random presentations that have an equitable set and on 200
     planted spectrum inputs, the closed tests and the integer decider give
     the per-tuple wall graphs' result wherever those are complete, and the
-    closed test that settles an input is the one found on star graphs."""
+    closed test that settles an input is the one found on star graphs.
+    Every system posed to `holonomy_cycle` gets the union-find's answer."""
     results = _decisions(monkeypatch)
     rng = random.Random(20261023)
     inputs = []
@@ -763,18 +855,20 @@ def test_all_matchings_agrees_with_grouping_tuple_oracle(monkeypatch):
     for _ in range(200):
         g = _planted_spectrum_input(rng)
         inputs.append((g, equitable_search(g, 3, 3)))
-    settled = {"one-group": 0, "forced-group": 0, None: 0}
+    settled, systems = {"one-group": 0, "forced-group": 0, None: 0}, 0
     for g, s in inputs:
         results.clear()
         got, want = all_matching_verdicts(g, s), _grouping_tuple_oracle(g, s)
+        systems += len(results)
         assert got == want if want[1] else want[0] <= got[0], (g, s)
         closed = _closed_test_oracle(g, s)
         assert closed is None or got == ({closed == "forced-group"}, True), (g, s)
         labels = {(True,): "one-group", (False, False): "forced-group"}
         assert labels.get(tuple(results)) == closed, (g, s, results)
         settled[closed] += 1
-    print(f"spectra settled by a closed test: {settled}")
+    print(f"spectra settled by a closed test: {settled}; systems decided: {systems}")
     assert settled["one-group"] > 300 and settled["forced-group"] > 300 and settled[None] > 50
+    assert systems > 2000
 
 
 def test_all_matchings_decides_each_support_once(monkeypatch):
@@ -991,9 +1085,11 @@ def test_groupings_match_the_gale_supports():
 def test_all_matchings_requires_an_equitable_set():
     g = gersten_presentation()
     s = EquitableSet.single([V(0, 1), V(1, 1)])
-    assert all_matching_verdicts(g, s, 0) == (set(), False)
-    with pytest.raises(ValueError, match="wall_graph requires an equitable set"):
-        all_matching_verdicts(g, s)
+    for budget in (0, 10000):
+        with pytest.raises(ValueError, match="^all_matching_verdicts requires an equitable set$"):
+            all_matching_verdicts(g, s, budget)
+    with pytest.raises(ValueError, match="^wall_graph requires an equitable set$"):
+        wall_graph(g, s)
 
 
 def test_all_matchings_work_does_not_grow_with_points(monkeypatch):
@@ -1144,6 +1240,11 @@ def test_wall_graph_agrees_with_per_point_oracle():
         assert points == [
             (a.edge_label, a.src_circle, a.dst_circle, a.weight) for a in old.arcs
         ], (g, s)
+        arcs = [
+            (a.src_circle, a.dst_circle, a.weight.numerator, a.weight.denominator)
+            for a in w.arcs
+        ]
+        assert holonomy_cycle(w.nodes, arcs) == _fraction_holonomy_oracle(w.nodes, arcs), (g, s)
         d, d_old = dilation_decide(w), dilation_decide(old)
         assert d.dilated == d_old.dilated, (g, s)
         if d.dilated:

@@ -207,8 +207,8 @@ def test_closed_spectrum_tests_are_invariant_under_edge_changes(monkeypatch):
     results = []
     decide = tubular.cubulate._consistent
 
-    def counted(groups):
-        results.append(decide(groups))
+    def counted(circles, groups):
+        results.append(decide(circles, groups))
         return results[-1]
 
     monkeypatch.setattr(tubular.cubulate, "_consistent", counted)
