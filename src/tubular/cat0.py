@@ -170,11 +170,10 @@ def vertex_necessary_checks(g: TubularPresentation) -> dict[str, Cat0Verdict]:
     """Per-vertex CAT(0) obstruction: the single-vertex criterion applied to
     the loops at each vertex.  Necessary for any CAT(0) group containing the
     tubular group; vertices without loops pass vacuously."""
-    out: dict[str, Cat0Verdict] = {}
-    for v in g.vertices:
-        loops = g.loops_at(v)
-        if loops:
-            out[v] = decide_cat0([(e.v, e.w) for e in loops])
-        else:
-            out[v] = _IDENTITY_YES
-    return out
+    loops: dict[str, list[Pair]] = {v: [] for v in g.vertices}
+    for e in g.edges:
+        if e.src == e.dst:
+            loops[e.src].append((e.v, e.w))
+    return {
+        v: decide_cat0(pairs) if pairs else _IDENTITY_YES for v, pairs in loops.items()
+    }

@@ -125,16 +125,6 @@ class TubularPresentation:
     def loops_at(self, v: VertexId) -> list[Edge]:
         return [e for e in self.edges if e.src == v and e.dst == v]
 
-    def incident_vectors(self, v: VertexId) -> list[IntVec2]:
-        """All attaching vectors living in vertex v (both ends of loops counted)."""
-        out = []
-        for e in self.edges:
-            if e.src == v:
-                out.append(e.v)
-            if e.dst == v:
-                out.append(e.w)
-        return out
-
     def single_vertex_pairs(self) -> list[tuple[IntVec2, IntVec2]]:
         if len(self.vertices) != 1:
             raise ValueError("presentation has more than one vertex")

@@ -16,12 +16,17 @@ Two routes are implemented and cross-checked against each other:
   common denominator changes no choice of the walk and not the primitive
   witness, so all of this runs in integers.
 
+The hom space and its table of edge values are built once per presentation
+and kept in a small cache, shared by Button, the retractor and the amalgam
+checks.
+
 The same machinery certifies generalized retractors (an extra required-nonzero
 value) and decides amalgams of two presentations over a cyclic subgroup.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -116,7 +121,7 @@ def _integer_functional(space: HomSpace, coords: list[int]) -> Functional:
     return Functional(pairs)
 
 
-def _greedy_coefficients(table: list[list[int]], dim: int) -> list[int]:
+def _greedy_coefficients(table: list[tuple[int, ...]], dim: int) -> list[int]:
     """Coefficients c_1..c_dim with every table row nonzero at sum c_i b_i.
 
     Row r of the table lists a required value on the basis vectors b_i, and
@@ -140,6 +145,31 @@ def _greedy_coefficients(table: list[list[int]], dim: int) -> list[int]:
     return coeffs
 
 
+def _row(space: HomSpace, vertex: VertexId, vec: IntVec2) -> tuple[int, ...]:
+    """The values at `vec` in the vertex group of `vertex` of the basis
+    functionals, on their integer form."""
+    i = space.columns[vertex]
+    return tuple(b[i] * vec.x + b[i + 1] * vec.y for b in space.numerators)
+
+
+@functools.lru_cache(maxsize=16)
+def _edge_table(
+    g: TubularPresentation,
+) -> tuple[HomSpace, tuple[tuple[int, ...], ...] | str]:
+    """The hom space of g, and each edge group's row of values on its basis
+    in edge order, or instead the obstruction text of the first edge on
+    which every edge-compatible functional vanishes.  Callers share the
+    result, so they must not change it."""
+    space = hom_space(g)
+    rows = []
+    for e in g.edges:
+        row = _row(space, e.src, e.v)
+        if not any(row):
+            return space, f"every edge-compatible functional vanishes on edge {e.id}"
+        rows.append(row)
+    return space, tuple(rows)
+
+
 def _nonvanishing_functional(
     g: TubularPresentation, extra: list[tuple[VertexId, IntVec2, str]]
 ) -> FbcVerdict:
@@ -149,19 +179,12 @@ def _nonvanishing_functional(
     text) triples.  Everything runs on the integer form of the basis: one
     common positive denominator changes no greedy choice and no primitive
     witness."""
-    space = hom_space(g)
-    required = [
-        (
-            e.src,
-            e.v,
-            f"every edge-compatible functional vanishes on edge {e.id}",
-        )
-        for e in g.edges
-    ] + extra
-    table = []
-    for vertex, vec, obstruction in required:
-        i = space.columns[vertex]
-        row = [b[i] * vec.x + b[i + 1] * vec.y for b in space.numerators]
+    space, rows = _edge_table(g)
+    if isinstance(rows, str):
+        return FbcVerdict(False, obstruction=rows)
+    table = list(rows)
+    for vertex, vec, obstruction in extra:
+        row = _row(space, vertex, vec)
         if not any(row):
             return FbcVerdict(False, obstruction=obstruction)
         table.append(row)

@@ -7,8 +7,9 @@ Routes, from weakest to strongest:
   sign across all edges);
 * the equivalence "CAT(0) iff virtually special" for free-by-cyclic
   single-vertex groups, which upgrades a CAT(0) verdict to an iff;
-* counting parallelism classes of edge groups per vertex, which controls
-  cocompact cubulation (three or more classes at a vertex is fatal);
+* counting parallelism classes of edge groups per vertex, in one pass over
+  the edges, which controls cocompact cubulation (three or more classes at a
+  vertex is fatal);
 * a complete characterization for the two-parameter integer family, where the
   attaching pairs are (q_i, 1) -> (-p_i, 1).
 """
@@ -16,6 +17,7 @@ Routes, from weakest to strongest:
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 from .cat0 import decide_cat0
@@ -24,7 +26,6 @@ from .core import (
     IntVec2,
     TubularPresentation,
     VertexId,
-    primitive_of,
     single_vertex_presentation,
 )
 from .cubulate import CanonicalSetError, canonical_th3_set
@@ -99,18 +100,27 @@ def vspecial_fbc_decide(edges: list[Pair]) -> SpecialVerdict:
     )
 
 
+def _line_counts(g: TubularPresentation) -> dict[VertexId, int]:
+    """Each vertex's number of lines through the origin spanned by its
+    attaching vectors (both ends of loops counted), in one pass over the
+    edges."""
+    lines: dict[VertexId, set[tuple[int, int]]] = {v: set() for v in g.vertices}
+    for e in g.edges:
+        for vertex, vec in ((e.src, e.v), (e.dst, e.w)):
+            d = math.gcd(vec.x, vec.y)
+            x, y = vec.x // d, vec.y // d
+            if x < 0 or (x == 0 and y < 0):
+                x, y = -x, -y
+            lines[vertex].add((x, y))
+    return {v: len(found) for v, found in lines.items()}
+
+
 def parallelism_class_count(g: TubularPresentation, vertex: VertexId) -> int:
     """Number of lines through the origin spanned by the attaching vectors
     incident to the vertex (both ends of loops counted)."""
     if vertex not in g.vertices:
         raise ValueError(f"unknown vertex {vertex!r}")
-    lines = set()
-    for v in g.incident_vectors(vertex):
-        p = primitive_of(v)
-        if p.x < 0 or (p.x == 0 and p.y < 0):
-            p = -p
-        lines.add((p.x, p.y))
-    return len(lines)
+    return _line_counts(g)[vertex]
 
 
 def cocompact_cubulation_decide(
@@ -120,7 +130,7 @@ def cocompact_cubulation_decide(
     complex?  No when some vertex carries three or more parallelism classes;
     Yes when all counts are <= 2 and CAT(0)ness is known (which rules out the
     distorted Baumslag-Solitar subgroups); Unknown otherwise."""
-    counts = [(v, parallelism_class_count(g, v)) for v in g.vertices]
+    counts = list(_line_counts(g).items())
     bad = [(v, c) for v, c in counts if c >= 3]
     if bad:
         return SpecialVerdict(

@@ -12,7 +12,8 @@ from tubular.cat0 import (
     decide_cat0,
     vertex_necessary_checks,
 )
-from tubular.core import IntVec2, QForm2, det2
+from test_invariance import _random_presentation
+from tubular.core import Edge, IntVec2, QForm2, TubularPresentation, det2
 from tubular.corpus import (
     bs12_shape,
     corlast,
@@ -138,6 +139,44 @@ def test_vertex_necessary_checks_multi_vertex():
     checks = vertex_necessary_checks(corlast())
     assert not checks["g1.V"].answer  # the Gersten loops fail
     assert checks["g2.V"].answer  # no loops: vacuous pass
+
+
+def _per_vertex_checks_oracle(g):
+    """The per-vertex scan that the one-pass grouping replaced."""
+    out = {}
+    for v in g.vertices:
+        loops = g.loops_at(v)
+        if loops:
+            out[v] = decide_cat0([(e.v, e.w) for e in loops])
+        else:
+            out[v] = Cat0Verdict(True, QForm2.identity(), cos_phi=Fraction(0))
+    return out
+
+
+def test_vertex_necessary_checks_agree_with_per_vertex_oracle():
+    """Equal verdicts, in vertex order, on random presentations and on
+    isolated vertices, loops with v == w and huge coordinates."""
+    huge = 10**30
+    hand_made = [
+        TubularPresentation(("V", "W", "X"), (Edge("e", "V", "V", V(2, 4), V(2, 4)),)),
+        TubularPresentation(("V", "W"), (
+            Edge("a", "V", "W", V(huge, -3 * huge), V(-huge, 0)),
+            Edge("b", "V", "V", V(huge, 1), V(1, huge)),
+            Edge("c", "W", "W", V(huge, huge), V(huge, huge)),
+            Edge("d", "V", "V", V(huge, 0), V(0, huge + 1)),
+            Edge("f", "W", "W", V(3, huge), V(huge, -3)),
+        )),
+        TubularPresentation(("V",), ()),
+    ]
+    rng = random.Random(20261019)
+    inputs = hand_made + [_random_presentation(rng) for _ in range(1000)]
+    answers = set()
+    for g in inputs:
+        checks = vertex_necessary_checks(g)
+        assert list(checks.items()) == list(_per_vertex_checks_oracle(g).items())
+        answers.update(c.answer for c in checks.values())
+    assert answers == {True, False}
+    assert not vertex_necessary_checks(hand_made[1])["V"].answer
 
 
 def _oracle_decide_cat0(edges):

@@ -15,6 +15,7 @@ from tubular.core import (
     primitive_of,
     single_vertex_presentation,
 )
+from tubular.special import parallelism_class_count
 
 nonzero_vec = st.builds(IntVec2, st.integers(-50, 50), st.integers(-50, 50)).filter(
     lambda v: not v.is_zero()
@@ -67,9 +68,9 @@ def test_presentation_validation():
         ))
 
 
-def test_incident_vectors_counts_both_loop_ends():
+def test_parallelism_classes_count_both_loop_ends():
     g = single_vertex_presentation([(IntVec2(1, 0), IntVec2(0, 1))])
-    assert g.incident_vectors("V") == [IntVec2(1, 0), IntVec2(0, 1)]
+    assert parallelism_class_count(g, "V") == 2
     assert g.loops_at("V") == list(g.edges)
 
 

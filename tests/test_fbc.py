@@ -33,6 +33,7 @@ from tubular.fbc import (
     generalized_retractor,
     hom_space,
 )
+from tubular.dsl import parse, unparse
 from tubular.linalg import nullspace
 
 V = IntVec2
@@ -226,6 +227,7 @@ def _gadget(d):
 def test_button_gadget_bounded_work():
     g = _gadget(6)
     k = len(g.edges)
+    fbc._edge_table.cache_clear()
     t0 = time.process_time()
     verdict = button_decide(g)
     elapsed = time.process_time() - t0
@@ -552,9 +554,100 @@ def test_sparse_kernel_bounded_work():
     assert space.dim == 14
     assert elapsed < 2.0
     g = _gadget(18)
+    fbc._edge_table.cache_clear()
     t0 = time.process_time()
     verdict = button_decide(g)
     elapsed = time.process_time() - t0
     assert verdict.answer
     assert witness_is_valid(g, verdict.witness)
     assert elapsed < 2.0
+
+
+def test_each_presentation_builds_its_hom_space_once(monkeypatch):
+    """Button, three retractors and an amalgam compute the hom space of g, of
+    h and of the glued presentation once each; an equal presentation parsed
+    separately hits the cache."""
+    calls = []
+    real = fbc.hom_space
+
+    def spy(g):
+        calls.append(g)
+        return real(g)
+
+    monkeypatch.setattr(fbc, "hom_space", spy)
+    fbc._edge_table.cache_clear()
+    g, h = eg2_g1(), gersten_presentation()
+    button_decide(g)
+    for elem in (V(1, 0), V(1, -1), V(2, 3)):
+        generalized_retractor(g, "V", elem)
+    analysis = amalgam_fbc_sufficient(g, ("V", V(1, 0)), h, ("V", V(1, 0)))
+    assert calls == [g, h, analysis.amalgam]
+    same = parse(unparse(g))
+    assert same == g and same is not g
+    assert button_decide(same) == button_decide(g)
+    assert generalized_retractor(same, "V", V(5, 1)).answer
+    assert len(calls) == 3
+
+
+def _per_call_oracle(g, extra):
+    """The per-call body that the cached edge table replaced: a fresh hom
+    space and value table on every call."""
+    space = hom_space(g)
+    required = [
+        (
+            e.src,
+            e.v,
+            f"every edge-compatible functional vanishes on edge {e.id}",
+        )
+        for e in g.edges
+    ] + extra
+    table = []
+    for vertex, vec, obstruction in required:
+        i = space.columns[vertex]
+        row = [b[i] * vec.x + b[i + 1] * vec.y for b in space.numerators]
+        if not any(row):
+            return fbc.FbcVerdict(False, obstruction=obstruction)
+        table.append(row)
+    if space.dim == 0:
+        return fbc.FbcVerdict(False, obstruction="empty homomorphism space")
+    coeffs = fbc._greedy_coefficients(table, space.dim)
+    coords = [
+        sum(c * b[j] for c, b in zip(coeffs, space.numerators))
+        for j in range(2 * len(space.vertices))
+    ]
+    return fbc.FbcVerdict(True, witness=fbc._integer_functional(space, coords))
+
+
+def test_cached_verdicts_match_per_call_oracle():
+    """Button and three retractors per graph give the per-call oracle's
+    verdicts in either call order and with the cache cleared before every
+    call, so no call changes what the cache holds for the next."""
+    rng = random.Random(20261021)
+    yes = no = 0
+    for n in range(2, 9):
+        for extra in range(n + 1):
+            for _ in range(8):
+                g = _workload_graph(rng, n, extra)
+                keys = [None] + [(rng.choice(g.vertices), _vec(rng)) for _ in range(3)]
+
+                def decide(key):
+                    if key is None:
+                        return button_decide(g)
+                    return generalized_retractor(g, *key)
+
+                expected = [
+                    _per_call_oracle(g, [] if key is None else [(*key, _text(*key))])
+                    for key in keys
+                ]
+                fbc._edge_table.cache_clear()
+                forward = [decide(key) for key in keys]
+                fbc._edge_table.cache_clear()
+                backward = [decide(key) for key in reversed(keys)][::-1]
+                cold = []
+                for key in keys:
+                    fbc._edge_table.cache_clear()
+                    cold.append(decide(key))
+                assert forward == backward == cold == expected, g
+                yes += sum(v.answer for v in expected)
+                no += sum(not v.answer for v in expected)
+    assert yes > 300 and no > 100

@@ -3,8 +3,9 @@ import random
 
 import pytest
 
+from test_invariance import _random_presentation
 from tubular.cat0 import decide_cat0
-from tubular.core import GpqParams, IntVec2
+from tubular.core import Edge, GpqParams, IntVec2, TubularPresentation, primitive_of
 from tubular.corpus import (
     bs12_shape,
     eg2_g1,
@@ -121,6 +122,58 @@ def test_parallelism_class_counts():
     assert parallelism_class_count(f2xz(), "V") == 1
     with pytest.raises(ValueError):
         parallelism_class_count(f2xz(), "X")
+
+
+def _per_vertex_count_oracle(g, vertex):
+    """The per-vertex scan that the one-pass count replaced: every attaching
+    vector at the vertex (both ends of loops), as a sign-normalized primitive
+    vector."""
+    lines = set()
+    for e in g.edges:
+        for end, vec in ((e.src, e.v), (e.dst, e.w)):
+            if end == vertex:
+                p = primitive_of(vec)
+                if p.x < 0 or (p.x == 0 and p.y < 0):
+                    p = -p
+                lines.add((p.x, p.y))
+    return len(lines)
+
+
+def test_line_counts_agree_with_per_vertex_oracle():
+    """Counts and cocompact notes from the one-pass scan equal the per-vertex
+    oracle's, on random presentations and on isolated vertices, loops with
+    v == w and huge coordinates."""
+    huge = 10**30
+    hand_made = [
+        TubularPresentation(("V", "W", "X"), (Edge("e", "V", "V", V(2, 4), V(2, 4)),)),
+        TubularPresentation(("V", "W"), (
+            Edge("a", "V", "W", V(huge, -3 * huge), V(-huge, 0)),
+            Edge("b", "W", "V", V(0, -(huge + 1)), V(-1, 3)),
+            Edge("c", "W", "W", V(huge, huge), V(huge, huge)),
+            Edge("d", "V", "V", V(huge, 0), V(-7, 21)),
+        )),
+        TubularPresentation(("V",), ()),
+    ]
+    rng = random.Random(20261019)
+    inputs = hand_made + [_random_presentation(rng) for _ in range(1000)]
+    isolated = 0
+    for g in inputs:
+        counts = [_per_vertex_count_oracle(g, v) for v in g.vertices]
+        isolated += counts.count(0)
+        assert [parallelism_class_count(g, v) for v in g.vertices] == counts
+        notes = cocompact_cubulation_decide(g, cat0_known=True).notes
+        if max(counts, default=0) < 3:
+            assert notes == tuple(
+                f"vertex {v}: {c} classes" for v, c in zip(g.vertices, counts)
+            )
+        else:
+            assert notes == tuple(
+                f"vertex {v}: {c} parallelism classes"
+                for v, c in zip(g.vertices, counts)
+                if c >= 3
+            )
+    assert [parallelism_class_count(hand_made[1], v) for v in ("V", "W")] == [2, 3]
+    assert isolated > 100
 
 
 def test_cocompact_cubulation_routes():
