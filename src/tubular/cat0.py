@@ -18,9 +18,7 @@ import enum
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import IntVec2, QForm2, Rat, TubularPresentation, det2
-
-Pair = tuple[IntVec2, IntVec2]
+from .core import IntVec2, Pair, QForm2, Rat, TubularPresentation, det2, require_nonzero
 
 
 class ObstructionKind(enum.Enum):
@@ -88,9 +86,7 @@ def decide_cat0(edges: list[Pair]) -> Cat0Verdict:
     """Decide CAT(0)ness of the single-vertex tubular group with these edges."""
     if not edges:
         raise ValueError("decide_cat0 requires at least one edge")
-    for v, w in edges:
-        if v.is_zero() or w.is_zero():
-            raise ValueError("attaching vectors must be nonzero")
+    require_nonzero(edges)
 
     # A parallel pair is consistent only when v = +-w (conjugate elements have
     # equal translation length).

@@ -9,6 +9,12 @@ verdicts; 2 for input or usage errors, with the message on stderr.
 Every report comes from one row of the PROPERTIES table.  Deciders are called
 by their module-global names at call time, never held in the table, so
 anything that patches those names sees every call.
+
+Unlike the package's lazy `tubular/__init__`, this module imports every
+decider module when it loads.  perfbench's tracer (`Tracer.install` in
+`perfbench/spans.py`) patches functions only in modules present in
+`sys.modules`, and raises KeyError for a traced module that is missing, so
+importing the decider modules on first use here would break traced runs.
 """
 
 from __future__ import annotations

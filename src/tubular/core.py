@@ -43,6 +43,17 @@ class IntVec2:
         return f"({self.x},{self.y})"
 
 
+# One edge of a single-vertex presentation: its attaching vectors (v, w).
+Pair = tuple[IntVec2, IntVec2]
+
+
+def require_nonzero(edges: list[Pair]) -> None:
+    """The single-vertex deciders' input rule: every attaching vector is nonzero."""
+    for v, w in edges:
+        if v.is_zero() or w.is_zero():
+            raise ValueError("attaching vectors must be nonzero")
+
+
 def det2(u: IntVec2, v: IntVec2) -> int:
     """Determinant of the 2x2 matrix with columns u, v.
 
@@ -125,14 +136,14 @@ class TubularPresentation:
     def loops_at(self, v: VertexId) -> list[Edge]:
         return [e for e in self.edges if e.src == v and e.dst == v]
 
-    def single_vertex_pairs(self) -> list[tuple[IntVec2, IntVec2]]:
+    def single_vertex_pairs(self) -> list[Pair]:
         if len(self.vertices) != 1:
             raise ValueError("presentation has more than one vertex")
         return [(e.v, e.w) for e in self.edges]
 
 
 def single_vertex_presentation(
-    pairs: list[tuple[IntVec2, IntVec2]], name: str = "", vertex: VertexId = "V"
+    pairs: list[Pair], name: str = "", vertex: VertexId = "V"
 ) -> TubularPresentation:
     """The multiple HNN extension of one Z^2 with the given attaching pairs."""
     edges = tuple(

@@ -26,13 +26,13 @@ from fractions import Fraction
 from .core import (
     Edge,
     IntVec2,
+    Pair,
     Rat,
     TubularPresentation,
     VertexId,
     det2,
 )
 
-Pair = tuple[IntVec2, IntVec2]
 Circle = tuple[VertexId, int]  # vertex id + index into that vertex's circle list
 
 

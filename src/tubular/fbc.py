@@ -34,14 +34,14 @@ from dataclasses import dataclass, field
 from .core import (
     Edge,
     IntVec2,
+    Pair,
     TubularPresentation,
     VertexId,
     det2,
     primitive_of,
+    require_nonzero,
 )
 from .linalg import nullspace
-
-Pair = tuple[IntVec2, IntVec2]
 
 
 @dataclass(frozen=True)
@@ -209,9 +209,7 @@ def decide_fbc_single_vertex(edges: list[Pair], vertex: VertexId = "V") -> FbcVe
     """The line criterion: all differences v_i - w_i parallel, and their common
     line avoids every v_i.  Witness at `vertex`, built by projecting along the
     line."""
-    for v, w in edges:
-        if v.is_zero() or w.is_zero():
-            raise ValueError("attaching vectors must be nonzero")
+    require_nonzero(edges)
     diffs = [v - w for v, w in edges]
     nonzero = [d for d in diffs if not d.is_zero()]
     if nonzero:

@@ -24,14 +24,14 @@ from .cat0 import decide_cat0
 from .core import (
     GpqParams,
     IntVec2,
+    Pair,
     TubularPresentation,
     VertexId,
+    require_nonzero,
     single_vertex_presentation,
 )
 from .cubulate import CanonicalSetError, canonical_th3_set
 from .fbc import decide_fbc_single_vertex
-
-Pair = tuple[IntVec2, IntVec2]
 
 
 class Answer(enum.Enum):
@@ -54,9 +54,7 @@ def vspecial_sufficient(edges: list[Pair]) -> SpecialVerdict:
 
     Only ever answers Yes or Unknown; the condition is not necessary.
     """
-    for v, w in edges:
-        if v.is_zero() or w.is_zero():
-            raise ValueError("attaching vectors must be nonzero")
+    require_nonzero(edges)
     citation = "two-element equitable set sufficiency test"
     try:
         canonical_th3_set(edges)
@@ -113,14 +111,6 @@ def _line_counts(g: TubularPresentation) -> dict[VertexId, int]:
                 x, y = -x, -y
             lines[vertex].add((x, y))
     return {v: len(found) for v, found in lines.items()}
-
-
-def parallelism_class_count(g: TubularPresentation, vertex: VertexId) -> int:
-    """Number of lines through the origin spanned by the attaching vectors
-    incident to the vertex (both ends of loops counted)."""
-    if vertex not in g.vertices:
-        raise ValueError(f"unknown vertex {vertex!r}")
-    return _line_counts(g)[vertex]
 
 
 def cocompact_cubulation_decide(

@@ -75,32 +75,31 @@ def th9_rule(
     that hypothesis the rule says nothing.
     """
     vertex, elem = a
-    name = f"{g.name or 'G'} *_(a=t) F2xZ"
-    if not a_not_virtual_retractor:
-        return DecisionReport(
-            group=name,
-            property="virtually_free_by_cyclic",
-            verdict=UNKNOWN,
-            route="AmalgamOverNonRetractor",
-            citation="amalgam over a non-virtual-retract element rule",
-            notes=("hypothesis (element is not a virtual retractor) not established",),
+    if a_not_virtual_retractor:
+        verdict = NO
+        cert = serialize_forced_values(forced_values) if forced_values else None
+        citation = (
+            "amalgam with F2 x Z over a non-virtual-retract central element "
+            "is not virtually free-by-cyclic"
         )
-    notes = [f"glued element {elem} at vertex {vertex}"]
-    if user_asserted:
-        notes.append("user-asserted hypothesis: element is not a virtual retractor")
+        if user_asserted:
+            hypothesis = "user-asserted hypothesis: element is not a virtual retractor"
+        else:
+            hypothesis = (
+                "hypothesis certified by the forced-value obstruction to retracting "
+                "onto the central cyclic subgroup"
+            )
+        notes = (f"glued element {elem} at vertex {vertex}", hypothesis)
     else:
-        notes.append(
-            "hypothesis certified by the forced-value obstruction to retracting "
-            "onto the central cyclic subgroup"
-        )
-    cert = serialize_forced_values(forced_values) if forced_values else None
+        verdict, cert = UNKNOWN, None
+        citation = "amalgam over a non-virtual-retract element rule"
+        notes = ("hypothesis (element is not a virtual retractor) not established",)
     return DecisionReport(
-        group=name,
+        group=f"{g.name or 'G'} *_(a=t) F2xZ",
         property="virtually_free_by_cyclic",
-        verdict=NO,
+        verdict=verdict,
         route="AmalgamOverNonRetractor",
         certificate=cert,
-        citation="amalgam with F2 x Z over a non-virtual-retract central element "
-        "is not virtually free-by-cyclic",
-        notes=tuple(notes),
+        citation=citation,
+        notes=notes,
     )

@@ -1,8 +1,6 @@
 import itertools
 import random
 
-import pytest
-
 from test_invariance import _random_presentation
 from tubular.cat0 import decide_cat0
 from tubular.core import Edge, GpqParams, IntVec2, TubularPresentation, primitive_of
@@ -17,11 +15,11 @@ from tubular.corpus import (
 )
 from tubular.special import (
     Answer,
+    _line_counts,
     cocompact_cubulation_decide,
     gpq_compact_special_decide,
     gpq_to_tubular,
     gpq_vspecial_decide,
-    parallelism_class_count,
     vspecial_fbc_decide,
     vspecial_sufficient,
 )
@@ -117,11 +115,9 @@ def test_compact_special_goldens():
 
 
 def test_parallelism_class_counts():
-    assert parallelism_class_count(gersten_presentation(), "V") == 3
-    assert parallelism_class_count(lyman_phi(), "V") == 2
-    assert parallelism_class_count(f2xz(), "V") == 1
-    with pytest.raises(ValueError):
-        parallelism_class_count(f2xz(), "X")
+    assert _line_counts(gersten_presentation()) == {"V": 3}
+    assert _line_counts(lyman_phi()) == {"V": 2}
+    assert _line_counts(f2xz()) == {"V": 1}
 
 
 def _per_vertex_count_oracle(g, vertex):
@@ -160,7 +156,7 @@ def test_line_counts_agree_with_per_vertex_oracle():
     for g in inputs:
         counts = [_per_vertex_count_oracle(g, v) for v in g.vertices]
         isolated += counts.count(0)
-        assert [parallelism_class_count(g, v) for v in g.vertices] == counts
+        assert list(_line_counts(g).values()) == counts
         notes = cocompact_cubulation_decide(g, cat0_known=True).notes
         if max(counts, default=0) < 3:
             assert notes == tuple(
@@ -172,7 +168,7 @@ def test_line_counts_agree_with_per_vertex_oracle():
                 for v, c in zip(g.vertices, counts)
                 if c >= 3
             )
-    assert [parallelism_class_count(hand_made[1], v) for v in ("V", "W")] == [2, 3]
+    assert _line_counts(hand_made[1]) == {"V": 2, "W": 3}
     assert isolated > 100
 
 
