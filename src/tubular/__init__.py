@@ -49,6 +49,7 @@ _EXPORTS = {
         "generalized_retractor",
         "hom_space",
     ),
+    "report": ("th9_rule",),
     "special": (
         "Answer",
         "SpecialVerdict",
@@ -59,11 +60,11 @@ _EXPORTS = {
         "vspecial_fbc_decide",
         "vspecial_sufficient",
     ),
-    "vrc": ("VrcVerdict", "th9_rule", "vrc_obstruction"),
+    "vrc": ("VrcVerdict", "vrc_obstruction"),
 }
 
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
-_SUBMODULES = frozenset(_EXPORTS) | {"linalg", "report"}
+_SUBMODULES = frozenset(_EXPORTS) | {"linalg"}
 
 __all__ = sorted(_HOME)
 

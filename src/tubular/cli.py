@@ -24,7 +24,7 @@ import sys
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
-from .cat0 import decide_cat0, vertex_necessary_checks
+from .cat0 import Cat0Verdict, decide_cat0, vertex_necessary_checks
 from .core import GpqParams, IntVec2, TubularPresentation, VertexId
 from .corpus import corpus, corpus_entry
 from .cubulate import (
@@ -94,32 +94,38 @@ def _load(args) -> tuple[TubularPresentation | GpqParams, str]:
     if path is None:
         raise ValueError("no input given (file, '-', or --corpus NAME)")
     obj = parse(_read(path))
-    name = obj.name if isinstance(obj, TubularPresentation) and obj.name else "G"
-    if isinstance(obj, GpqParams):
-        name = "gpq"
-    return obj, name
+    return obj, "gpq" if isinstance(obj, GpqParams) else obj.name or "G"
 
 
 def _as_tubular(obj) -> TubularPresentation:
-    if isinstance(obj, GpqParams):
-        return gpq_to_tubular(obj)
-    return obj
+    return gpq_to_tubular(obj) if isinstance(obj, GpqParams) else obj
+
+
+# The equitable-set search bounds that --coord-bound and --size-bound default to.
+COORD_BOUND, SIZE_BOUND = 3, 3
 
 
 @dataclass
 class _Input:
     """One input to report on: a tubular presentation, gpq parameters, or an
-    amalgam analysis.  The equitable-set search and its wall graph run at most
-    once and are shared by every report and export."""
+    amalgam analysis.  The CAT(0) decision, the equitable-set search and its
+    wall graph run at most once and are shared by every report and export."""
 
     obj: TubularPresentation | GpqParams | AmalgamAnalysis
     name: str
-    coord_bound: int = 3
-    size_bound: int = 3
+    coord_bound: int = COORD_BOUND
+    size_bound: int = SIZE_BOUND
 
     @cached_property
     def g(self) -> TubularPresentation:
         return _as_tubular(self.obj)
+
+    @cached_property
+    def cat0(self) -> Cat0Verdict | None:
+        """The verdict of `decide_cat0` on a one-vertex input with edges."""
+        if len(self.g.vertices) == 1 and self.g.edges:
+            return decide_cat0(self.g.single_vertex_pairs())
+        return None
 
     @cached_property
     def search(self) -> tuple[EquitableSet | NotFound, WallGraph | None]:
@@ -160,7 +166,7 @@ def _from_special(v: SpecialVerdict) -> dict:
     )
 
 
-def _fbc(s: _Input, done) -> dict:
+def _fbc(s: _Input) -> dict:
     if isinstance(s.obj, AmalgamAnalysis):
         return _amalgam_fbc(s.obj)
     if len(s.g.vertices) == 1:
@@ -170,8 +176,9 @@ def _fbc(s: _Input, done) -> dict:
 
 
 def _amalgam_fbc(a: AmalgamAnalysis) -> dict:
-    """The retractor sufficiency rule when it applies, otherwise the Button
-    verdict on the glued presentation; notes lead with the retractor checks."""
+    """Yes by the retractor rule, with Button's witness on the glued
+    presentation, or No with Button's obstruction: the two agree (see
+    `fbc.amalgam_fbc_sufficient`).  Notes lead with the retractor checks."""
     notes = tuple(
         f"gluing element {i} retractor certificate: "
         f"{'found' if r.answer else 'not found'}"
@@ -179,11 +186,8 @@ def _amalgam_fbc(a: AmalgamAnalysis) -> dict:
     )
     if a.rule_applies:
         citation = "amalgam of free-by-cyclic groups over generalized retractors"
-        fields = _from_fbc(a.button, "RetractorSufficiency", citation)
-        return {**fields, "verdict": YES, "notes": notes}
+        return {**_from_fbc(a.button, "RetractorSufficiency", citation), "notes": notes}
     fields = _from_fbc(a.button, *BUTTON)
-    if a.button.answer:
-        return {**fields, "notes": notes}
     necessary = (
         "necessary condition: both gluing elements would have to be "
         "generalized retractors (or lie in free complements)"
@@ -191,26 +195,23 @@ def _amalgam_fbc(a: AmalgamAnalysis) -> dict:
     return {**fields, "notes": notes + fields["notes"] + (necessary,)}
 
 
-def _cat0(s: _Input, done) -> dict:
-    g = s.g
-    citation = "positive-definite form equalizing each edge's attaching vectors"
-    if len(g.vertices) == 1 and g.edges:
-        verdict = decide_cat0(g.single_vertex_pairs())
-        if verdict.answer:
-            return dict(
-                verdict=YES,
-                route="QuadraticFormEqualization",
-                certificate=serialize_qform(verdict.certificate, verdict.cos_phi),
-                citation=citation,
-            )
-        return dict(
-            verdict=NO,
+def _cat0(s: _Input) -> dict:
+    verdict = s.cat0
+    if verdict is not None:
+        fields = dict(
             route="QuadraticFormEqualization",
-            certificate=serialize_obstruction(verdict.obstruction),
-            citation=citation,
-            notes=(verdict.obstruction.describe(),),
+            citation="positive-definite form equalizing each edge's attaching vectors",
         )
-    checks = vertex_necessary_checks(g)
+        if verdict.answer:
+            cert = serialize_qform(verdict.certificate, verdict.cos_phi)
+            return {**fields, "verdict": YES, "certificate": cert}
+        return {
+            **fields,
+            "verdict": NO,
+            "certificate": serialize_obstruction(verdict.obstruction),
+            "notes": (verdict.obstruction.describe(),),
+        }
+    checks = vertex_necessary_checks(s.g)
     bad = {v: r for v, r in checks.items() if not r.answer}
     if bad:
         v, r = next(iter(sorted(bad.items())))
@@ -229,7 +230,7 @@ def _cat0(s: _Input, done) -> dict:
     )
 
 
-def _vspecial(s: _Input, done) -> dict:
+def _vspecial(s: _Input) -> dict:
     if isinstance(s.obj, GpqParams):
         return _from_special(gpq_vspecial_decide(s.obj))
     g = s.g
@@ -253,20 +254,18 @@ def _vspecial(s: _Input, done) -> dict:
     return dict(verdict=UNKNOWN, route="None", notes=notes)
 
 
-def _compact_special(s: _Input, done) -> dict | None:
+def _compact_special(s: _Input) -> dict | None:
     if not isinstance(s.obj, GpqParams):
         return None
     return _from_special(gpq_compact_special_decide(s.obj))
 
 
-def _cocompact(s: _Input, done) -> dict:
-    cat0 = done.get("cat0")
-    return _from_special(
-        cocompact_cubulation_decide(s.g, cat0 is not None and cat0.verdict == YES)
-    )
+def _cocompact(s: _Input) -> dict:
+    cat0 = s.cat0 is not None and s.cat0.answer
+    return _from_special(cocompact_cubulation_decide(s.g, cat0))
 
 
-def _equitable_set(s: _Input, done) -> dict:
+def _equitable_set(s: _Input) -> dict:
     found, _ = s.search
     citation = "bounded exhaustive equitable-set search"
     if isinstance(found, NotFound):
@@ -287,7 +286,7 @@ def _equitable_set(s: _Input, done) -> dict:
     )
 
 
-def _dilation(s: _Input, done) -> dict:
+def _dilation(s: _Input) -> dict:
     found, wall = s.search
     citation = "multiplicative holonomy of wall cycles"
     if wall is None:
@@ -318,7 +317,7 @@ def _dilation(s: _Input, done) -> dict:
     )
 
 
-def _dilation_spectrum(s: _Input, done) -> dict:
+def _dilation_spectrum(s: _Input) -> dict:
     found, _ = s.search
     verdicts, complete = all_matching_verdicts(s.g, found)
     spectrum = sorted("Dilated" if d else "NonDilated" for d in verdicts)
@@ -330,7 +329,7 @@ def _dilation_spectrum(s: _Input, done) -> dict:
     )
 
 
-def _vrc(s: _Input, done) -> dict | None:
+def _vrc(s: _Input) -> dict | None:
     if not isinstance(s.obj, GpqParams):
         return None
     v = vrc_obstruction(s.obj)
@@ -348,9 +347,8 @@ def _vrc(s: _Input, done) -> dict | None:
 
 
 # Each property and the function that reports it, in report order.  A
-# function takes the input and the reports made so far by property (the
-# cocompact verdict reads the cat0 one) and returns the report's fields, or
-# None where the property does not apply to the input.
+# function takes the input and returns the report's fields, or None where the
+# property does not apply to the input.
 PROPERTIES = (
     ("fbc", _fbc),
     ("cat0", _cat0),
@@ -384,18 +382,13 @@ COMMANDS = {
 
 
 def _reports(s: _Input, props) -> list[DecisionReport]:
-    done: dict[str, DecisionReport] = {}
-    for prop, fields_of in PROPERTIES:
-        if prop in props:
-            fields = fields_of(s, done)
-            if fields is not None:
-                done[prop] = DecisionReport(s.name, prop, **fields)
-    return list(done.values())
+    rows = [(prop, fields_of(s)) for prop, fields_of in PROPERTIES if prop in props]
+    return [DecisionReport(s.name, prop, **f) for prop, f in rows if f is not None]
 
 
-def analyze(obj, name: str, coord_bound: int = 3, size_bound: int = 3):
-    """Run all applicable deciders in dependency order."""
-    return _reports(_Input(obj, name, coord_bound, size_bound), COMMANDS["analyze"])
+def analyze(obj, name: str) -> list[DecisionReport]:
+    """Every applicable analyze report, at the default search bounds."""
+    return _reports(_Input(obj, name), COMMANDS["analyze"])
 
 
 def _emit(reports: list[DecisionReport], as_json: bool):
@@ -441,10 +434,13 @@ def _parser() -> argparse.ArgumentParser:
         p.add_argument("--corpus", dest="corpus_name", help="use a named corpus entry")
         p.add_argument("--json", action="store_true", help="emit the JSON schema")
 
+    def add_bounds(p):
+        p.add_argument("--coord-bound", type=int, default=COORD_BOUND)
+        p.add_argument("--size-bound", type=int, default=SIZE_BOUND)
+
     p = sub.add_parser("analyze", help="run every applicable decider")
     add_io(p)
-    p.add_argument("--coord-bound", type=int, default=3)
-    p.add_argument("--size-bound", type=int, default=3)
+    add_bounds(p)
 
     for cmd in ("cat0", "fbc", "special", "vrc"):
         p = sub.add_parser(cmd)
@@ -452,8 +448,7 @@ def _parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("cubulate", help="equitable set search and wall dilation")
     add_io(p)
-    p.add_argument("--coord-bound", type=int, default=3)
-    p.add_argument("--size-bound", type=int, default=3)
+    add_bounds(p)
     p.add_argument("--all-matchings", action="store_true")
     p.add_argument("--dot", action="store_true", help="emit the wall graph as DOT")
 
@@ -513,9 +508,9 @@ def _dispatch(args) -> int:
         obj, name = _load(args)
         if cmd == "vrc" and not isinstance(obj, GpqParams):
             raise ValueError("vrc requires a gpq input")
-        s = _Input(obj, name)
-        if cmd in ("analyze", "cubulate"):
-            s.coord_bound, s.size_bound = args.coord_bound, args.size_bound
+        searches = cmd in ("analyze", "cubulate")
+        bounds = (args.coord_bound, args.size_bound) if searches else ()
+        s = _Input(obj, name, *bounds)
     if hasattr(sys, "set_int_max_str_digits"):
         # Derived values are many times longer than the input's literals, which
         # the parser has already held to the int-to-str digit limit.

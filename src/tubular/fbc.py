@@ -308,8 +308,8 @@ def amalgamate(
 
 @dataclass(frozen=True)
 class AmalgamAnalysis:
-    """Outcome of the two-route amalgam analysis: the retractor sufficiency
-    rule, plus the definitive Button verdict on the glued presentation."""
+    """The retractor rule and the Button verdict on the glued presentation,
+    which always agree: `rule_applies == button.answer`."""
 
     rule_applies: bool
     retractor_1: FbcVerdict
@@ -324,10 +324,11 @@ def amalgam_fbc_sufficient(
     g2: TubularPresentation,
     b: tuple[VertexId, IntVec2],
 ) -> AmalgamAnalysis:
-    """Sufficiency rule: when both gluing elements are (certified) generalized
-    retractors, the amalgam is free-by-cyclic.  Otherwise the rule alone is
-    inconclusive and the Button verdict on the glued tubular presentation
-    decides."""
+    """The retractor rule: the amalgam is free-by-cyclic exactly when both
+    gluing elements have a retractor certificate, so Button on the glued
+    presentation agrees with it.  Button's witness restricts to a certificate
+    on each side, as the bridge's edge group is generated by a = b; and
+    certificates f1, f2 rescaled to f2(b) f1 and f1(a) f2 agree on the bridge."""
     r1 = generalized_retractor(g1, a[0], a[1])
     r2 = generalized_retractor(g2, b[0], b[1])
     glued = amalgamate(g1, a, g2, b)

@@ -3,7 +3,8 @@
 A report is one (group, property) verdict plus its route, citation, notes, and
 an optional machine-checkable certificate.  Rationals serialize as "p/q"
 strings so certificates round-trip exactly; certificates never pass through
-floating point.
+floating point.  Reports are built only here (`th9_rule`) and in the rows of
+`cli.PROPERTIES`.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .cat0 import ObstructionDatum
-from .core import IntVec2, QForm2, Rat
+from .core import IntVec2, QForm2, Rat, TubularPresentation, VertexId
 from .cubulate import Arc, EquitableSet
 from .fbc import Functional
 
@@ -112,3 +113,48 @@ def serialize_obstruction(o: ObstructionDatum) -> dict:
 
 def serialize_forced_values(values: tuple[Rat, ...]) -> dict:
     return {"type": "forced_values", "values": [rat_str(v) for v in values]}
+
+
+def th9_rule(
+    g: TubularPresentation,
+    a: tuple[VertexId, IntVec2],
+    a_not_virtual_retractor: bool,
+    user_asserted: bool = False,
+    forced_values: tuple[Rat, ...] = (),
+) -> DecisionReport:
+    """Report on the amalgam of g with F2 x Z over a = t.
+
+    When the chosen element is known not to be a virtual retractor (from an
+    Obstructed verdict, or asserted by the caller), the amalgam over that
+    element with F2 x Z (t central) is not virtually free-by-cyclic.  Without
+    that hypothesis the rule says nothing.
+    """
+    vertex, elem = a
+    if a_not_virtual_retractor:
+        verdict = NO
+        cert = serialize_forced_values(forced_values) if forced_values else None
+        citation = (
+            "amalgam with F2 x Z over a non-virtual-retract central element "
+            "is not virtually free-by-cyclic"
+        )
+        if user_asserted:
+            hypothesis = "user-asserted hypothesis: element is not a virtual retractor"
+        else:
+            hypothesis = (
+                "hypothesis certified by the forced-value obstruction to retracting "
+                "onto the central cyclic subgroup"
+            )
+        notes = (f"glued element {elem} at vertex {vertex}", hypothesis)
+    else:
+        verdict, cert = UNKNOWN, None
+        citation = "amalgam over a non-virtual-retract element rule"
+        notes = ("hypothesis (element is not a virtual retractor) not established",)
+    return DecisionReport(
+        group=f"{g.name or 'G'} *_(a=t) F2xZ",
+        property="virtually_free_by_cyclic",
+        verdict=verdict,
+        route="AmalgamOverNonRetractor",
+        certificate=cert,
+        citation=citation,
+        notes=notes,
+    )

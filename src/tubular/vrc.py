@@ -1,6 +1,6 @@
 """Obstruction to virtually retracting onto the central cyclic subgroup, for
-the two-parameter integer family, and the derived non-virtually-free-by-cyclic
-report for amalgams with F2 x Z.
+the two-parameter integer family.  The report it feeds, on amalgams with
+F2 x Z, is `report.th9_rule`.
 
 Expanding ||v - p_i w||^2 = ||v + q_i w||^2 for real vectors v, w (w nonzero)
 gives, per index with p_i + q_i != 0, the single-parameter condition
@@ -16,8 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import GpqParams, IntVec2, Rat, TubularPresentation, VertexId
-from .report import NO, UNKNOWN, DecisionReport, serialize_forced_values
+from .core import GpqParams, Rat
 
 OBSTRUCTED = "Obstructed"
 INCONCLUSIVE = "Inconclusive"
@@ -58,48 +57,3 @@ def vrc_obstruction(params: GpqParams) -> VrcVerdict:
             witness_indices=(first_index[forced[0]], first_index[forced[1]]),
         )
     return VrcVerdict(INCONCLUSIVE, tuple(forced))
-
-
-def th9_rule(
-    g: TubularPresentation,
-    a: tuple[VertexId, IntVec2],
-    a_not_virtual_retractor: bool,
-    user_asserted: bool = False,
-    forced_values: tuple[Rat, ...] = (),
-) -> DecisionReport:
-    """Report on the amalgam of g with F2 x Z over a = t.
-
-    When the chosen element is known not to be a virtual retractor (from an
-    Obstructed verdict, or asserted by the caller), the amalgam over that
-    element with F2 x Z (t central) is not virtually free-by-cyclic.  Without
-    that hypothesis the rule says nothing.
-    """
-    vertex, elem = a
-    if a_not_virtual_retractor:
-        verdict = NO
-        cert = serialize_forced_values(forced_values) if forced_values else None
-        citation = (
-            "amalgam with F2 x Z over a non-virtual-retract central element "
-            "is not virtually free-by-cyclic"
-        )
-        if user_asserted:
-            hypothesis = "user-asserted hypothesis: element is not a virtual retractor"
-        else:
-            hypothesis = (
-                "hypothesis certified by the forced-value obstruction to retracting "
-                "onto the central cyclic subgroup"
-            )
-        notes = (f"glued element {elem} at vertex {vertex}", hypothesis)
-    else:
-        verdict, cert = UNKNOWN, None
-        citation = "amalgam over a non-virtual-retract element rule"
-        notes = ("hypothesis (element is not a virtual retractor) not established",)
-    return DecisionReport(
-        group=f"{g.name or 'G'} *_(a=t) F2xZ",
-        property="virtually_free_by_cyclic",
-        verdict=verdict,
-        route="AmalgamOverNonRetractor",
-        certificate=cert,
-        citation=citation,
-        notes=notes,
-    )

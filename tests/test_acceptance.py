@@ -57,6 +57,7 @@ from tubular.fbc import (
     button_decide,
     decide_fbc_single_vertex,
 )
+from tubular.report import th9_rule
 from tubular.special import (
     Answer,
     cocompact_cubulation_decide,
@@ -64,7 +65,7 @@ from tubular.special import (
     gpq_to_tubular,
     gpq_vspecial_decide,
 )
-from tubular.vrc import OBSTRUCTED, th9_rule, vrc_obstruction
+from tubular.vrc import OBSTRUCTED, vrc_obstruction
 
 V = IntVec2
 

@@ -57,6 +57,9 @@ def test_all_parallel_equal_pairs_yield_identity_form():
     assert verdict.answer
     assert verdict.certificate.value(V(1, 0)) == 1
     assert verdict.certificate.value(V(0, 1)) == 1
+    # Every form equalizes v == w, but a degenerate one is no certificate.
+    degenerate = QForm2(Fraction(1), Fraction(1), Fraction(1))
+    assert not check_certificate(degenerate, f2xz().single_vertex_pairs())
 
 
 def test_parallel_mismatch_is_fatal():

@@ -16,7 +16,7 @@ from tubular.cli import main
 from tubular.core import GpqParams, det2
 from tubular.cubulate import equitable_search, wall_graph
 from tubular.dsl import parse, unparse
-from tubular.corpus import corpus, corpus_entry, eg2_g1, gersten_presentation
+from tubular.corpus import corpus, corpus_entry, eg2_double, eg2_g1, gersten_presentation
 from tubular.report import deserialize_qform
 from tubular.special import gpq_to_tubular
 
@@ -374,6 +374,10 @@ def test_cubulate_searches_once(capsys, monkeypatch):
             "error: bad vector spec 'nonsense' (expected V:x,y)\n",
         ),
         (
+            ["amalgam", "{h}", "1,0", "{g}", "1,0"],
+            "error: vector spec '1,0' needs a vertex prefix\n",
+        ),
+        (
             ["cubulate", "--dot", "--json", "{g}"],
             "error: --dot does not combine with --json or --all-matchings\n",
         ),
@@ -390,14 +394,17 @@ def test_cubulate_searches_once(capsys, monkeypatch):
         "unknown-corpus-entry",
         "missing-input",
         "bad-vector-spec",
+        "vertex-prefix",
         "dot-json",
         "dot-all-matchings",
     ],
 )
 def test_user_errors_exit_2(capsys, tmp_path, argv, message):
-    path = tmp_path / "g.tub"
-    path.write_text(unparse(eg2_g1()))
-    code, out, err = run(capsys, *(str(path) if a == "{g}" else a for a in argv))
+    paths = {}
+    for key, g in (("{g}", eg2_g1()), ("{h}", eg2_double())):
+        paths[key] = tmp_path / f"{key[1]}.tub"
+        paths[key].write_text(unparse(g))
+    code, out, err = run(capsys, *(str(paths.get(a, a)) for a in argv))
     assert code == 2 and out == ""
     assert err.startswith("error: ") and message in err
 

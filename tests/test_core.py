@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 
 from tubular.core import (
     Edge,
+    GpqParams,
     IntMat2,
     IntVec2,
     QForm2,
@@ -44,6 +45,11 @@ def test_primitive_of(v):
     assert p.x * v.x + p.y * v.y > 0  # same direction
 
 
+def test_primitive_of_rejects_zero():
+    with pytest.raises(ValueError, match="nonzero"):
+        primitive_of(IntVec2(0, 0))
+
+
 def test_edge_rejects_zero_vectors():
     with pytest.raises(ValueError):
         Edge("e", "V", "V", IntVec2(0, 0), IntVec2(1, 0))
@@ -66,6 +72,10 @@ def test_presentation_validation():
             Edge("e", "V", "V", IntVec2(1, 0), IntVec2(1, 0)),
             Edge("e", "V", "V", IntVec2(0, 1), IntVec2(0, 1)),
         ))
+    with pytest.raises(ValueError, match="more than one vertex"):
+        TubularPresentation(("V", "W"), (e,)).single_vertex_pairs()
+    with pytest.raises(ValueError, match="equal positive length"):
+        GpqParams((1,), ())
 
 
 def test_parallelism_classes_count_both_loop_ends():
@@ -78,6 +88,8 @@ def test_change_basis_requires_unimodular():
     g = single_vertex_presentation([(IntVec2(1, 0), IntVec2(0, 1))])
     with pytest.raises(ValueError):
         change_basis(g, "V", IntMat2(2, 0, 0, 1))
+    with pytest.raises(ValueError, match="unknown vertex 'W'"):
+        change_basis(g, "W", IntMat2(1, 1, 0, 1))
     u = IntMat2(1, 1, 0, 1)
     g2 = change_basis(g, "V", u)
     assert g2.edges[0].v == IntVec2(1, 0)

@@ -64,6 +64,11 @@ def test_verify_equitable_rejects_unbalanced_and_dependent():
     assert not verify_equitable(g, EquitableSet.single([V(0, 1), V(1, 1)]))
     # Parallel circles only: infinite index, rejected.
     assert not verify_equitable(g, EquitableSet.single([V(0, 1), V(0, 2)]))
+    # No circles at V, or a zero circle.
+    assert not verify_equitable(g, EquitableSet.single([V(0, 1), V(2, 1)], vertex="W"))
+    assert not verify_equitable(g, EquitableSet.single([V(0, 1), V(2, 1), V(0, 0)]))
+    with pytest.raises(KeyError):
+        EquitableSet.single([V(0, 1), V(2, 1)]).at("W")
 
 
 def test_canonical_set_eg2_golden():
@@ -1113,6 +1118,7 @@ def test_all_matchings_stops_at_the_budget():
     s = equitable_search(g, 3, 3)
     assert all_matching_verdicts(g, s) == ({False, True}, True)
     assert all_matching_verdicts(g, s, 1) == ({True}, False)
+    assert all_matching_verdicts(g, s, 0) == (set(), False)
 
 
 def test_all_matchings_on_the_input_that_spent_the_rank_budget(capsys, tmp_path):

@@ -35,8 +35,20 @@ def test_import_loads_no_submodule():
     assert _run("import tubular\n" + PRINT_LOADED) == []
 
 
+# Public names, each with every submodule that its first access loads.
+LOADS = {
+    "parse": ["core", "dsl"],
+    "vrc_obstruction": ["core", "vrc"],
+    "decide_cat0": ["cat0", "core"],
+}
+
+
 def test_parse_loads_only_core_and_dsl():
-    assert _run("import tubular\ntubular.parse\n" + PRINT_LOADED) == ["core", "dsl"]
+    loaded = {
+        name: _run(f"import tubular\ntubular.{name}\n" + PRINT_LOADED)
+        for name in LOADS
+    }
+    assert loaded == LOADS
 
 
 def test_every_export_is_its_defining_modules_object_and_is_stored():

@@ -122,6 +122,8 @@ def test_generalized_retractor_eg2():
     verdict = generalized_retractor(eg2_g1(), "V", V(1, 0))
     assert verdict.answer
     assert verdict.witness.at("V") == (1, 1)
+    with pytest.raises(KeyError):
+        verdict.witness.at("W")
     # a b^-1 = (1,-1) is killed by every compatible functional.
     assert not generalized_retractor(eg2_g1(), "V", V(1, -1)).answer
 
@@ -139,6 +141,10 @@ def test_amalgamate_structure():
     bridge = g.edges[-1]
     assert (bridge.src, bridge.dst) == ("g1.V", "g2.V")
     assert (bridge.v, bridge.w) == (V(1, -1), V(1, 0))
+    with pytest.raises(ValueError, match="must be nonzero"):
+        amalgamate(eg2_g1(), ("V", V(0, 0)), eg2_g1(), ("V", V(1, 0)))
+    with pytest.raises(ValueError, match="vertex not found"):
+        amalgamate(eg2_g1(), ("V", V(1, 0)), eg2_g1(), ("W", V(1, 0)))
 
 
 def test_eg2_double_not_fbc():
@@ -524,6 +530,26 @@ def test_hom_space_and_witnesses_match_dense_fraction_path():
     assert _rref_nullspace([], 4) == [
         tuple(Fraction(int(i == j)) for j in range(4)) for i in range(4)
     ]
+
+
+def test_retractor_rule_agrees_with_button_on_the_amalgam():
+    """Both retractor certificates exist exactly when Button finds a witness
+    on the glued presentation: the witness restricts to a certificate on each
+    side, and two certificates rescale to agree on the bridge."""
+    rng = random.Random(20261020)
+    answers = []
+    for _ in range(1000):
+        g1 = _workload_graph(rng, rng.randint(2, 4), rng.randint(0, 4))
+        g2 = _workload_graph(rng, rng.randint(2, 4), rng.randint(0, 4))
+        a = (rng.choice(g1.vertices), _vec(rng))
+        b = (rng.choice(g2.vertices), _vec(rng))
+        analysis = amalgam_fbc_sufficient(g1, a, g2, b)
+        assert analysis.rule_applies == analysis.button.answer
+        if analysis.button.answer:
+            witness = analysis.button.witness
+            assert witness.value(f"g1.{a[0]}", a[1]) == witness.value(f"g2.{b[0]}", b[1]) != 0
+        answers.append(analysis.rule_applies)
+    assert answers.count(True) > 300 and answers.count(False) > 300
 
 
 def test_nullspace_matches_dense_rref_on_integer_matrices():

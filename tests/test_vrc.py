@@ -6,7 +6,8 @@ import numpy as np
 
 from tubular.core import GpqParams, IntVec2
 from tubular.corpus import gersten_params, gersten_presentation
-from tubular.vrc import INCONCLUSIVE, OBSTRUCTED, th9_rule, vrc_obstruction
+from tubular.report import th9_rule
+from tubular.vrc import INCONCLUSIVE, OBSTRUCTED, vrc_obstruction
 
 
 def test_gersten_obstructed_with_golden_forced_values():
