@@ -66,7 +66,7 @@ from .special import (
     gpq_compact_special_decide,
     gpq_to_tubular,
     gpq_vspecial_decide,
-    vspecial_fbc_decide,
+    vspecial_from_verdicts,
     vspecial_sufficient,
 )
 from .vrc import vrc_obstruction
@@ -108,8 +108,9 @@ COORD_BOUND, SIZE_BOUND = 3, 3
 @dataclass
 class _Input:
     """One input to report on: a tubular presentation, gpq parameters, or an
-    amalgam analysis.  The CAT(0) decision, the equitable-set search and its
-    wall graph run at most once and are shared by every report and export."""
+    amalgam analysis.  The one-vertex free-by-cyclic and CAT(0) decisions,
+    the equitable-set search and its wall graph run at most once and are
+    shared by every report and export."""
 
     obj: TubularPresentation | GpqParams | AmalgamAnalysis
     name: str
@@ -119,6 +120,13 @@ class _Input:
     @cached_property
     def g(self) -> TubularPresentation:
         return _as_tubular(self.obj)
+
+    @cached_property
+    def fbc_single(self) -> FbcVerdict | None:
+        """The verdict of `decide_fbc_single_vertex` on a one-vertex input."""
+        if len(self.g.vertices) == 1:
+            return decide_fbc_single_vertex(self.g.single_vertex_pairs(), self.g.vertices[0])
+        return None
 
     @cached_property
     def cat0(self) -> Cat0Verdict | None:
@@ -169,9 +177,8 @@ def _from_special(v: SpecialVerdict) -> dict:
 def _fbc(s: _Input) -> dict:
     if isinstance(s.obj, AmalgamAnalysis):
         return _amalgam_fbc(s.obj)
-    if len(s.g.vertices) == 1:
-        verdict = decide_fbc_single_vertex(s.g.single_vertex_pairs(), s.g.vertices[0])
-        return _from_fbc(verdict, *LINE)
+    if s.fbc_single is not None:
+        return _from_fbc(s.fbc_single, *LINE)
     return _from_fbc(button_decide(s.g), *BUTTON)
 
 
@@ -240,11 +247,10 @@ def _vspecial(s: _Input) -> dict:
             route="None",
             notes=("no implemented criterion applies to this presentation",),
         )
-    pairs = g.single_vertex_pairs()
-    v = vspecial_sufficient(pairs)
+    v = vspecial_sufficient(g.single_vertex_pairs())
     if v.answer is Answer.YES:
         return _from_special(v)
-    v = vspecial_fbc_decide(pairs)
+    v = vspecial_from_verdicts(s.fbc_single, s.cat0)
     if v.answer is not Answer.UNKNOWN:
         return _from_special(v)
     notes = (

@@ -132,15 +132,21 @@ class NotFound:
 
 TABLE_LIMIT = 10**6
 
+# Prefixes per chunk of the search table's columns: a stream holds the
+# imbalance totals of one chunk at a time.
+CHUNK = 4096
+
 
 @functools.lru_cache(maxsize=16)
 def _search_table(
     coord_bound: int, size_bound: int
-) -> tuple[tuple[IntVec2, ...], tuple[tuple[int, ...], ...]]:
+) -> tuple[tuple[IntVec2, ...], tuple[tuple[tuple[int, ...], ...], ...]]:
     """The candidate circles, and every multiset of size_bound - 1 or fewer
-    candidate indices in (size, lexicographic) order.  Bounds under which a
-    vertex's stream could list over TABLE_LIMIT multisets of 1..size_bound
-    candidates raise ValueError; the count stops once it passes the limit."""
+    candidate indices (a prefix) in (size, lexicographic) order, as index
+    columns: chunks of at most CHUNK prefixes of one size, whose column j
+    holds each prefix's j-th index.  Bounds under which a vertex's stream
+    could list over TABLE_LIMIT multisets of 1..size_bound candidates raise
+    ValueError; the count stops once it passes the limit."""
     n = k = 0  # 4 (phi(1) + ... + phi(k)) candidates have coordinates up to k
     while k < coord_bound and n <= TABLE_LIMIT:
         k += 1
@@ -154,12 +160,12 @@ def _search_table(
         bounds = coord_bound, size_bound
         raise ValueError(f"bounds {bounds} need a table of over {TABLE_LIMIT} entries")
     cands = tuple(_candidate_vectors(coord_bound))
-    prefixes = tuple(
-        p
-        for size in range(1, size_bound)
-        for p in itertools.combinations_with_replacement(range(len(cands)), size)
-    )
-    return cands, prefixes
+    chunks = []
+    for size in range(1, size_bound):
+        prefixes = itertools.combinations_with_replacement(range(len(cands)), size)
+        while rows := tuple(itertools.islice(prefixes, CHUNK)):
+            chunks.append(tuple(zip(*rows)))
+    return cands, tuple(chunks)
 
 
 def _balanced_multisets(
@@ -174,36 +180,60 @@ def _balanced_multisets(
     intersection sums against the vectors `back` and `ahead`; of multisets
     with the same sums only the first is listed.
 
-    Each candidate gets one integer vector: its imbalance |det(c, v)| -
-    |det(c, w)| on every loop, then its |det| against every back and ahead
-    vector.  A multiset balances its loops when its imbalances sum to zero,
+    Each candidate gets two integers: its imbalances |det(c, v)| - |det(c, w)|
+    on the loops, and its |det| against the back and ahead vectors, both
+    vectors read as the digits of a number in balanced base B = 2 *
+    size_bound * coord_bound * M + 2, where M is the largest |x| + |y| of the
+    vertex's attaching vectors.  No digit of a sum of size_bound or fewer
+    candidates' vectors reaches B / 2 in absolute value, so on such sums the
+    linear map is one-to-one and an equality of integers is an equality of
+    vectors.  A multiset balances its loops when its imbalances sum to zero,
     so the last circle after a prefix is any candidate from the prefix's
-    last one on whose imbalances are the negated sums of the prefix: one
-    dict lookup and a bisect.
+    last one on whose imbalance is the negated total of the prefix.  Each
+    chunk's totals are added up column by column, and the prefixes with a
+    closing candidate picked out, by `map` and `itertools.compress`; the sums
+    are unpacked into tuples only for a multiset that is listed.
     """
-    cands, prefixes = _search_table(coord_bound, size_bound)
-    n, b = len(loops), len(back)
-    vecs = [
-        tuple(abs(det2(c, e.v)) - abs(det2(c, e.w)) for e in loops)
-        + tuple(abs(det2(c, u)) for u in back + ahead)
-        for c in cands
-    ]
-    closing: dict[tuple[int, ...], list[int]] = {}
-    for k, vec in enumerate(vecs):
-        closing.setdefault(tuple(-x for x in vec[:n]), []).append(k)
+    cands, chunks = _search_table(coord_bound, size_bound)
+    coords = [(c.x, c.y) for c in cands]
+
+    def abs_dets(u: IntVec2) -> list[int]:
+        """Each candidate's |det| against u."""
+        ux, uy = u.x, u.y
+        return [abs(x * uy - y * ux) for x, y in coords]
+
+    vectors = [u for e in loops for u in (e.v, e.w)] + back + ahead
+    norm = max((abs(u.x) + abs(u.y) for u in vectors), default=0)
+    base = 2 * size_bound * coord_bound * norm + 2
+    imbalances = [0] * len(cands)
+    for e in loops:
+        digits = zip(imbalances, abs_dets(e.v), abs_dets(e.w))
+        imbalances = [t * base + a - b for t, a, b in digits]
+    ends = [abs_dets(u) for u in back + ahead]  # the digits of `sums`
+    sums = [0] * len(cands)
+    for dets in ends:
+        sums = [t * base + d for t, d in zip(sums, dets)]
+    closing: dict[int, list[int]] = {}
+    for k, imbalance in enumerate(imbalances):
+        closing.setdefault(-imbalance, []).append(k)
+    b = len(back)
     seen = set()
-    for p in prefixes:
-        total = vecs[p[0]]
-        for k in p[1:]:
-            total = tuple(map(operator.add, total, vecs[k]))
-        last = closing.get(total[:n], ())
-        # Distinct candidates are never parallel, so a prefix of one
-        # repeated circle needs a different, later one.
-        for k in last[bisect.bisect_left(last, p[-1] + (p[0] == p[-1])) :]:
-            sums = tuple(map(operator.add, total[n:], vecs[k][n:]))
-            if sums not in seen:
-                seen.add(sums)
-                yield p + (k,), sums[:b], sums[b:]
+    for columns in chunks:
+        totals = list(map(imbalances.__getitem__, columns[0]))
+        for column in columns[1:]:
+            totals = list(map(operator.add, totals, map(imbalances.__getitem__, column)))
+        for i in itertools.compress(range(len(totals)), map(closing.__contains__, totals)):
+            p = tuple(column[i] for column in columns)
+            prefix_sum = sum(map(sums.__getitem__, p))
+            last = closing[totals[i]]
+            # Distinct candidates are never parallel, so a prefix of one
+            # repeated circle needs a different, later one.
+            for k in last[bisect.bisect_left(last, p[-1] + (p[0] == p[-1])) :]:
+                if (key := prefix_sum + sums[k]) not in seen:
+                    seen.add(key)
+                    combo = p + (k,)
+                    total = tuple(sum(map(dets.__getitem__, combo)) for dets in ends)
+                    yield combo, total[:b], total[b:]
 
 
 def equitable_search(
@@ -222,8 +252,10 @@ def equitable_search(
     The first set is found without listing the product:
 
     - The candidates and the shorter multisets are tabled once per pair of
-      bounds.  A vertex's multisets that balance its loops come from one
-      lazy stream that finds each multiset's last circle by a lookup
+      bounds, the multisets as chunks of index columns.  A vertex's
+      multisets that balance its loops come from one lazy stream that packs
+      each candidate's vectors into integers, adds up a chunk's columns at
+      a time, and finds each multiset's last circle by a lookup
       (`_balanced_multisets`).
     - Connected components do not constrain each other, and the first set
       of a product is made of the first set of each factor, so each

@@ -9,9 +9,9 @@ floating point.  Reports are built only here (`th9_rule`) and in the rows of
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 
 from .cat0 import ObstructionDatum
 from .core import IntVec2, QForm2, Rat, TubularPresentation, VertexId
@@ -33,8 +33,39 @@ class DecisionReport:
 
 
 def reports_to_json(reports: list[DecisionReport]) -> str:
-    """The reports as a JSON array of objects keyed by field, in field order."""
-    return json.dumps([vars(r) for r in reports], indent=2) + "\n"
+    """The reports as a JSON array of objects keyed by field, in field order:
+    the bytes of `json.dumps([vars(r) for r in reports], indent=2)` and a
+    newline.  `json.dumps` with an indent runs CPython's pure-Python
+    encoder, so `_json` writes the same text itself and quotes each string
+    with the C function that `json.dumps` uses."""
+    return _json([vars(r) for r in reports], "\n") + "\n"
+
+
+def _json(o, newline: str) -> str:
+    """The JSON of a str, int, bool, None, list, tuple or str-keyed dict, as
+    `json.dumps(o, indent=2)` writes it when o follows `newline` and the
+    indentation after it.  Any other value raises TypeError, and so does a
+    key that is not a str."""
+    if isinstance(o, str):
+        return encode_basestring_ascii(o)
+    elif o is None:
+        return "null"
+    elif o is True:
+        return "true"
+    elif o is False:
+        return "false"
+    elif isinstance(o, int):
+        return int.__repr__(o)
+    elif isinstance(o, (list, tuple)):
+        inner = newline + "  "
+        items = [_json(x, inner) for x in o]
+        return "[" + inner + ("," + inner).join(items) + newline + "]" if items else "[]"
+    elif isinstance(o, dict):
+        inner = newline + "  "
+        items = [encode_basestring_ascii(k) + ": " + _json(x, inner) for k, x in o.items()]
+        return "{" + inner + ("," + inner).join(items) + newline + "}" if items else "{}"
+    else:
+        raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
 
 
 def rat_str(r: Rat) -> str:

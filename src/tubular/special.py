@@ -20,7 +20,7 @@ import enum
 import math
 from dataclasses import dataclass
 
-from .cat0 import decide_cat0
+from .cat0 import Cat0Verdict, decide_cat0
 from .core import (
     GpqParams,
     IntVec2,
@@ -31,7 +31,7 @@ from .core import (
     single_vertex_presentation,
 )
 from .cubulate import CanonicalSetError, canonical_th3_set
-from .fbc import decide_fbc_single_vertex
+from .fbc import FbcVerdict, decide_fbc_single_vertex
 
 
 class Answer(enum.Enum):
@@ -81,21 +81,25 @@ def vspecial_sufficient(edges: list[Pair]) -> SpecialVerdict:
 
 def vspecial_fbc_decide(edges: list[Pair]) -> SpecialVerdict:
     """For free-by-cyclic single-vertex inputs, virtual specialness is
-    equivalent to CAT(0)ness; a No on this route is a genuine No."""
+    equivalent to CAT(0)ness; a No on this route is a genuine No.  Decides
+    free-by-cyclicity, and CAT(0)ness only after a Yes, and reads the two
+    verdicts with `vspecial_from_verdicts`."""
     fbc = decide_fbc_single_vertex(edges)
+    return vspecial_from_verdicts(fbc, decide_cat0(edges) if fbc.answer else None)
+
+
+def vspecial_from_verdicts(fbc: FbcVerdict, cat0: Cat0Verdict | None) -> SpecialVerdict:
+    """The verdict of `vspecial_fbc_decide` from a one-vertex input's
+    free-by-cyclic verdict and, when that says Yes, its CAT(0) verdict."""
+    citation = "CAT(0) <=> virtually special for free-by-cyclic one-vertex groups"
     if not fbc.answer:
         return SpecialVerdict(
             Answer.UNKNOWN,
             "FbcCat0Equiv",
-            "CAT(0) <=> virtually special for free-by-cyclic one-vertex groups",
+            citation,
             notes=("input is not free-by-cyclic; equivalence route not applicable",),
         )
-    cat0 = decide_cat0(edges)
-    return SpecialVerdict(
-        Answer.YES if cat0.answer else Answer.NO,
-        "FbcCat0Equiv",
-        "CAT(0) <=> virtually special for free-by-cyclic one-vertex groups",
-    )
+    return SpecialVerdict(Answer.YES if cat0.answer else Answer.NO, "FbcCat0Equiv", citation)
 
 
 def _line_counts(g: TubularPresentation) -> dict[VertexId, int]:

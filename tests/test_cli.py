@@ -1,6 +1,7 @@
 import gc
 import io
 import json
+import random
 import re
 import sys
 import time
@@ -352,6 +353,49 @@ def test_cubulate_searches_once(capsys, monkeypatch):
         code, _, _ = run(capsys, "cubulate", "--corpus", "gersten", *extra)
         assert code == 0
         assert calls == {"equitable_search": 1, "wall_graph": 1}, extra
+
+
+def _random_one_vertex(rng):
+    """A one-vertex presentation with 1-4 loops, coordinates up to 3."""
+
+    def vec():
+        x, y = 0, 0
+        while (x, y) == (0, 0):
+            x, y = rng.randint(-3, 3), rng.randint(-3, 3)
+        return f"({x},{y})"
+
+    edges = " ".join(f"edge e{i} : V{vec()} -> V{vec()};" for i in range(rng.randint(1, 4)))
+    return parse(f"group G {{ vertex V; {edges} }}")
+
+
+def test_analyze_decides_each_one_vertex_verdict_once(monkeypatch):
+    """The fbc, cat0 and vspecial rows of a one-vertex analyze share one
+    `decide_fbc_single_vertex` and one `decide_cat0` verdict, whichever
+    namespace calls them."""
+    calls = {"decide_fbc_single_vertex": 0, "decide_cat0": 0}
+    for module in (tubular.cli, tubular.special):
+        for name in calls:
+
+            def counted(*args, _name=name, _orig=getattr(module, name), **kwargs):
+                calls[_name] += 1
+                return _orig(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counted)
+    entries = [
+        (e.presentation, e.name)
+        for e in corpus()
+        if len(tubular.cli._as_tubular(e.presentation).vertices) == 1
+    ]
+    rng = random.Random(1204)
+    inputs = entries + [(_random_one_vertex(rng), "G") for _ in range(50)]
+    equivalence = 0
+    for obj, name in inputs:
+        calls.update(decide_fbc_single_vertex=0, decide_cat0=0)
+        reports = tubular.cli.analyze(obj, name)
+        assert calls == {"decide_fbc_single_vertex": 1, "decide_cat0": 1}, name
+        vspecial = next(r for r in reports if r.property == "vspecial")
+        equivalence += vspecial.route in ("FbcCat0Equiv", "None")
+    assert len(entries) >= 5 and equivalence >= 10
 
 
 @pytest.mark.parametrize(

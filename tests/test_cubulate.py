@@ -1,6 +1,8 @@
+import bisect
 import itertools
 import json
 import math
+import operator
 import random
 import re
 import time
@@ -32,6 +34,7 @@ from tubular.cubulate import (
     EquitableSet,
     NotFound,
     WallGraph,
+    _balanced_multisets,
     _candidate_vectors,
     _groupings,
     _has_independent_pair,
@@ -151,6 +154,98 @@ def test_table_limit_counts_the_table_exactly(monkeypatch):
         with pytest.raises(ValueError, match=re.escape(f"bounds {bounds} need a table")):
             equitable_search(gersten_presentation(), *bounds)
     _search_table.cache_clear()
+
+
+def _balanced_multisets_oracle(coord_bound, size_bound, loops, back, ahead):
+    """The tuple-based stream that `_balanced_multisets` replaced: each
+    candidate's imbalances and sums as one tuple, each prefix's total built
+    with `map(operator.add, ...)`, and `closing` and `seen` keyed by
+    tuples."""
+    cands = _candidate_vectors(coord_bound)
+    prefixes = [
+        p
+        for size in range(1, size_bound)
+        for p in itertools.combinations_with_replacement(range(len(cands)), size)
+    ]
+    n, b = len(loops), len(back)
+    vecs = [
+        tuple(abs(det2(c, e.v)) - abs(det2(c, e.w)) for e in loops)
+        + tuple(abs(det2(c, u)) for u in back + ahead)
+        for c in cands
+    ]
+    closing = {}
+    for k, vec in enumerate(vecs):
+        closing.setdefault(tuple(-x for x in vec[:n]), []).append(k)
+    seen = set()
+    for p in prefixes:
+        total = vecs[p[0]]
+        for k in p[1:]:
+            total = tuple(map(operator.add, total, vecs[k]))
+        last = closing.get(total[:n], ())
+        for k in last[bisect.bisect_left(last, p[-1] + (p[0] == p[-1])) :]:
+            sums = tuple(map(operator.add, total[n:], vecs[k][n:]))
+            if sums not in seen:
+                seen.add(sums)
+                yield p + (k,), sums[:b], sums[b:]
+
+
+def _stream_vertex(rng, big):
+    """0-4 loops and 0-3 back and ahead vectors.  Small vectors have
+    coordinates up to 3; with `big`, each is scaled by a factor up to
+    3·10^8 (a loop's two ends by the same one, so it can still balance), or
+    is drawn with coordinates up to 10^9.  Some loops have w = ±v."""
+
+    def vec(scale):
+        if big and rng.random() < 0.2:
+            return V(rng.randint(-(10**9), 10**9), rng.randint(1, 10**9))
+        x, y = 0, 0
+        while (x, y) == (0, 0):
+            x, y = rng.randint(-3, 3), rng.randint(-3, 3)
+        return V(x * scale, y * scale)
+
+    def scale():
+        return rng.randint(1, 10**9 // 3) if big else 1
+
+    loops = []
+    for k in range(rng.randint(0, 4)):
+        s = scale()
+        v = vec(s)
+        w = rng.choice([v, -v]) if rng.random() < 0.3 else vec(s)  # balanced by every circle
+        loops.append(Edge(f"e{k}", "V", "V", v, w))
+    back = [vec(scale()) for _ in range(rng.randint(0, 3))]
+    ahead = [vec(scale()) for _ in range(rng.randint(0, 3))]
+    return loops, back, ahead
+
+
+def test_balanced_multisets_agree_with_tuple_oracle():
+    """The integer stream lists the oracle's multisets and sums, in its
+    order, at every pair of bounds in 1..4 x 1..4, with coordinates up to
+    10^9: packed keys far past 64 bits, and negative imbalances."""
+    rng = random.Random(2110)
+    bounds = [(c, s) for c in range(1, 5) for s in range(1, 5)]
+    assert all(_search_table(*b) for b in bounds)  # all within TABLE_LIMIT
+    listed = {(big, kind): 0 for big in (False, True) for kind in ("two loops", "unbalanced")}
+    for i in range(320):
+        coord_bound, size_bound = bounds[i % len(bounds)]
+        big = i % 2 == 1
+        loops, back, ahead = _stream_vertex(rng, big)
+        args = coord_bound, size_bound, loops, back, ahead
+        got = list(_balanced_multisets(*args))
+        assert got == list(_balanced_multisets_oracle(*args)), args
+        if got:
+            # Two loops at large coordinates pack into keys of over 64 bits;
+            # a loop with w != ±v has imbalances of both signs.
+            listed[big, "two loops"] += len(loops) >= 2
+            listed[big, "unbalanced"] += any(e.w not in (e.v, -e.v) for e in loops)
+    assert min(listed.values()) > 15, listed
+
+
+@pytest.mark.parametrize("bounds", [(33, 2), (11, 3)])
+def test_balanced_multisets_at_the_largest_bounds(bounds):
+    loops = [Edge("e", "V", "V", V(1, 2), V(2, 1)), Edge("f", "V", "V", V(3, 1), V(1, -3))]
+    args = (*bounds, loops, [V(1, 1)], [V(2, -1), V(0, 1)])
+    got = list(_balanced_multisets(*args))
+    assert got and got == list(_balanced_multisets_oracle(*args))
 
 
 def _equitable_search_oracle(g, coord_bound, size_bound):

@@ -1,8 +1,14 @@
 import json
+import random
 from fractions import Fraction
 
+import pytest
+
+from tubular import cli
 from tubular.core import IntVec2, QForm2
+from tubular.corpus import corpus
 from tubular.cubulate import EquitableSet
+from tubular.dsl import parse
 from tubular.fbc import Functional
 from tubular.report import (
     DecisionReport,
@@ -57,3 +63,105 @@ def test_report_json_schema_keys():
     }
     assert out[0]["certificate"] is None
     assert out[0]["notes"] == ["n"]
+
+
+def _dumps(reports):
+    return json.dumps([vars(r) for r in reports], indent=2) + "\n"
+
+
+# Every subcommand with --json, and its extra flags, run on each corpus entry.
+JSON_COMMANDS = [
+    ["analyze"],
+    ["cat0"],
+    ["fbc"],
+    ["special"],
+    ["vrc"],
+    ["cubulate"],
+    ["cubulate", "--all-matchings"],
+]
+
+
+def test_emitter_matches_json_dumps_on_every_corpus_command(monkeypatch, capsys):
+    """Each report list that a --json command writes is the text of
+    json.dumps(indent=2), through the CLI's own call of the emitter."""
+    lists = []
+
+    def recording(reports):
+        lists.append(list(reports))
+        return reports_to_json(reports)
+
+    monkeypatch.setattr(cli, "reports_to_json", recording)
+    for entry in corpus():
+        for cmd in JSON_COMMANDS:
+            cli.main([*cmd, "--corpus", entry.name, "--json"])
+    cli.main(["corpus", "--run", "--json"])
+    capsys.readouterr()
+    # vrc answers only for the 3 gpq entries and exits 2 on the others.
+    assert len(lists) == len(corpus()) * (len(JSON_COMMANDS) - 1) + 3 + 1
+    for reports in lists:
+        assert reports_to_json(reports) == _dumps(reports)
+
+
+def _random_input(rng):
+    """A one-vertex input with 1-4 loops, or a two-vertex input with a loop
+    at each end and 1-2 edges between them, coordinates up to 3."""
+
+    def vec():
+        x, y = 0, 0
+        while (x, y) == (0, 0):
+            x, y = rng.randint(-3, 3), rng.randint(-3, 3)
+        return f"({x},{y})"
+
+    if rng.random() < 0.6:
+        edges = [f"V{vec()} -> V{vec()}" for _ in range(rng.randint(1, 4))]
+        vertices = "vertex V;"
+    else:
+        edges = [f"A{vec()} -> A{vec()}", f"B{vec()} -> B{vec()}"]
+        edges += [f"A{vec()} -> B{vec()}" for _ in range(rng.randint(1, 2))]
+        vertices = "vertex A, B;"
+    body = " ".join(f"edge e{i} : {e};" for i, e in enumerate(edges))
+    return parse(f"group G {{ {vertices} {body} }}")
+
+
+def test_emitter_matches_json_dumps_on_random_report_lists():
+    """analyze's reports, and cubulate --all-matchings' reports where a set
+    is found, on 200 random inputs."""
+    rng = random.Random(2101)
+    spectra = 0
+    for _ in range(200):
+        s = cli._Input(_random_input(rng), "G", coord_bound=2, size_bound=3)
+        reports = cli._reports(s, cli.COMMANDS["analyze"])
+        assert reports_to_json(reports) == _dumps(reports)
+        if s.search[1] is not None:
+            reports = cli._reports(s, cli.COMMANDS["cubulate"])
+            assert reports_to_json(reports) == _dumps(reports)
+            spectra += 1
+    assert spectra > 50
+
+
+def test_emitter_escapes_and_empty_containers_match_json_dumps():
+    notes = (
+        'a "quoted" word',
+        "back\\slash",
+        "controls \x00\x01\x1f\t\n\r\x7f",
+        "non-ASCII: é ß ∞ 中 \U0001f600  ",
+        "",
+    )
+    reports = [
+        DecisionReport("g\"\\", "p", "Yes", "R", {"x": [1, -2, 10**40]}, "c", notes),
+        DecisionReport("é", "p", "No", "R", None, "", ()),
+        DecisionReport("g", "p", "Unknown", "R", {}, "c", ()),
+        DecisionReport("g", "p", "Found", "R", {"sets": {}, "t": (), "u": [[]]}, notes=("n",)),
+        DecisionReport("g", "p", "Found", "R", {"flags": [True, False, None], "d": {"e": {}}}),
+    ]
+    assert reports_to_json(reports) == _dumps(reports)
+    assert reports_to_json([]) == _dumps([]) == "[]\n"
+
+
+@pytest.mark.parametrize(
+    "certificate",
+    [{"x": Fraction(1, 2)}, {"x": {1, 2}}, {"x": [object()]}, {1: "non-str key"}],
+)
+def test_emitter_rejects_unsupported_values(certificate):
+    with pytest.raises(TypeError):
+        reports_to_json([DecisionReport("g", "p", "Yes", "R", certificate)])
