@@ -18,32 +18,32 @@ that is missing once the CLI is imported.
 import importlib
 
 _EXPORTS = {
-    "cat0": ("Cat0Verdict", "check_certificate", "decide_cat0"),
+    "cat0": ("Cat0Verdict", "decide_cat0"),
     "core": (
         "Edge",
+        "EquitableSet",
+        "Functional",
         "GpqParams",
         "IntVec2",
         "QForm2",
         "TubularPresentation",
+        "amalgamate",
         "change_basis",
+        "check_certificate",
         "single_vertex_presentation",
+        "verify_equitable",
     ),
     "cubulate": (
-        "EquitableSet",
         "NotFound",
         "WallGraph",
-        "canonical_th3_set",
         "dilation_decide",
         "equitable_search",
-        "verify_equitable",
         "wall_graph",
     ),
     "dsl": ("DslError", "parse", "unparse"),
     "fbc": (
         "FbcVerdict",
-        "Functional",
         "amalgam_fbc_sufficient",
-        "amalgamate",
         "button_decide",
         "decide_fbc_single_vertex",
         "generalized_retractor",
@@ -53,6 +53,7 @@ _EXPORTS = {
     "special": (
         "Answer",
         "SpecialVerdict",
+        "canonical_th3_set",
         "cocompact_cubulation_decide",
         "gpq_compact_special_decide",
         "gpq_to_tubular",

@@ -8,8 +8,8 @@ the angle between the images of v_1 and w_1, constrained to the open interval
 (-1, 1) by one linear equation per remaining edge.  In Cramer coordinates
 scaled by det(v_1, w_1) every equation has integer coefficients, so the
 decider works in integers and builds Fractions only for the datum it returns.
-A Yes verdict carries the positive-definite rational form Q = A^T A, checkable
-by exact arithmetic.
+A Yes verdict carries the positive-definite rational form Q = A^T A, which
+`core.check_certificate` verifies in exact arithmetic.
 """
 
 from __future__ import annotations
@@ -152,14 +152,6 @@ def decide_cat0(edges: list[Pair]) -> Cat0Verdict:
         Fraction(cb * (x1 * x1 + x2 * x2) - 2 * ca * x1 * x2, den),
     )
     return Cat0Verdict(True, certificate=cert, cos_phi=c)
-
-
-def check_certificate(q: QForm2, edges: list[Pair]) -> bool:
-    """Exactly verify a quadratic-form certificate: positive definite and
-    Q(v_i) = Q(w_i) for every edge."""
-    if not q.is_positive_definite():
-        return False
-    return all(q.value(v) == q.value(w) for v, w in edges)
 
 
 def vertex_necessary_checks(g: TubularPresentation) -> dict[str, Cat0Verdict]:

@@ -25,10 +25,9 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 from .cat0 import Cat0Verdict, decide_cat0, vertex_necessary_checks
-from .core import GpqParams, IntVec2, TubularPresentation, VertexId
+from .core import EquitableSet, GpqParams, IntVec2, TubularPresentation, VertexId
 from .corpus import corpus, corpus_entry
 from .cubulate import (
-    EquitableSet,
     NotFound,
     WallGraph,
     all_matching_verdicts,
@@ -82,6 +81,8 @@ def _read(path: str) -> str:
 
 def _load(args) -> tuple[TubularPresentation | GpqParams, str]:
     if getattr(args, "corpus_name", None):
+        if args.input is not None:
+            raise ValueError("give an input file or --corpus NAME, not both")
         try:
             entry = corpus_entry(args.corpus_name)
         except KeyError:

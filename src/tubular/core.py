@@ -1,10 +1,10 @@
-"""Exact 2x2 integer arithmetic, binary quadratic forms and the presentation data model.
+"""Exact 2x2 integer arithmetic, the presentation data model and the certificates.
 
-A tubular group splits as a finite graph of groups with Z^2 vertex groups and
-Z edge groups.  Every vertex carries an implicit Z^2 with a fixed basis; every
-edge carries two nonzero attaching vectors, one in each endpoint's basis.  All
-arithmetic here is exact: unbounded integers and reduced rationals.  No
-floating point is used anywhere in the deciders.
+A tubular group is a finite graph of groups with Z^2 vertex groups (each with a
+fixed basis) and Z edge groups (each with two nonzero attaching vectors, one in
+each endpoint's basis); `amalgamate` glues two.  The certificate types (`QForm2`,
+`Functional`, `EquitableSet`) and their checks (`check_certificate`,
+`verify_equitable`) are here, so a checker needs no decider.  No floats anywhere.
 """
 
 from __future__ import annotations
@@ -204,3 +204,110 @@ class QForm2:
     @staticmethod
     def identity() -> "QForm2":
         return QForm2(Fraction(1), Fraction(0), Fraction(1))
+
+
+def check_certificate(q: QForm2, edges: list[Pair]) -> bool:
+    """Exactly verify a quadratic-form certificate: positive definite and
+    Q(v_i) = Q(w_i) for every edge."""
+    if not q.is_positive_definite():
+        return False
+    return all(q.value(v) == q.value(w) for v, w in edges)
+
+
+@dataclass(frozen=True)
+class Functional:
+    """A homomorphism Z^2 -> Z per vertex: f_v(x, y) = alpha_v x + beta_v y.
+
+    Well-defined on the whole tubular group (sending stable letters to 0)
+    exactly when f_src(v_e) = f_dst(w_e) for every edge e.
+    """
+
+    coeffs: tuple[tuple[VertexId, tuple[int, int]], ...]
+
+    def at(self, vertex: VertexId) -> tuple[int, int]:
+        for vid, ab in self.coeffs:
+            if vid == vertex:
+                return ab
+        raise KeyError(vertex)
+
+    def value(self, vertex: VertexId, vec: IntVec2) -> int:
+        a, b = self.at(vertex)
+        return a * vec.x + b * vec.y
+
+
+def amalgamate(
+    g1: TubularPresentation,
+    a: tuple[VertexId, IntVec2],
+    g2: TubularPresentation,
+    b: tuple[VertexId, IntVec2],
+    name: str = "",
+) -> TubularPresentation:
+    """The amalgam of two tubular presentations over a = b: their disjoint
+    union plus one bridge edge carrying the two vectors."""
+    av, bv = a[1], b[1]
+    if av.is_zero() or bv.is_zero():
+        raise ValueError("amalgamation vectors must be nonzero")
+    if a[0] not in g1.vertices or b[0] not in g2.vertices:
+        raise ValueError("amalgamation vertex not found")
+
+    def tag(which: str, vid: VertexId) -> VertexId:
+        return f"{which}.{vid}"
+
+    vertices = tuple(tag("g1", v) for v in g1.vertices) + tuple(
+        tag("g2", v) for v in g2.vertices
+    )
+    edges = [
+        Edge(tag(which, e.id), tag(which, e.src), tag(which, e.dst), e.v, e.w)
+        for which, g in (("g1", g1), ("g2", g2))
+        for e in g.edges
+    ]
+    edges.append(Edge("bridge", tag("g1", a[0]), tag("g2", b[0]), av, bv))
+    return TubularPresentation(
+        vertices, tuple(edges), name=name or f"{g1.name}*{g2.name}"
+    )
+
+
+@dataclass(frozen=True)
+class EquitableSet:
+    """Per-vertex circle lists.  Repeated vectors are allowed; a repeated
+    primitive vector is equivalent to a single longer multiple of it."""
+
+    sets: tuple[tuple[VertexId, tuple[IntVec2, ...]], ...]
+
+    def at(self, vertex: VertexId) -> tuple[IntVec2, ...]:
+        for vid, vecs in self.sets:
+            if vid == vertex:
+                return vecs
+        raise KeyError(vertex)
+
+    @staticmethod
+    def single(vectors: list[IntVec2], vertex: VertexId = "V") -> "EquitableSet":
+        return EquitableSet(((vertex, tuple(vectors)),))
+
+
+def verify_equitable(g: TubularPresentation, s: EquitableSet) -> bool:
+    """Exact check of both equitable-set conditions: balanced intersection
+    sums on every edge, and an independent pair of circles at every vertex."""
+    try:
+        circles = {v: s.at(v) for v in g.vertices}
+    except KeyError:
+        return False
+    for vecs in circles.values():
+        if any(x.is_zero() for x in vecs):
+            return False
+        if not _has_independent_pair(vecs):
+            return False
+    for e in g.edges:
+        left = sum(abs(det2(x, e.v)) for x in circles[e.src])
+        right = sum(abs(det2(x, e.w)) for x in circles[e.dst])
+        if left != right:
+            return False
+    return True
+
+
+def _has_independent_pair(vecs: tuple[IntVec2, ...]) -> bool:
+    return any(
+        det2(vecs[i], vecs[j]) != 0
+        for i in range(len(vecs))
+        for j in range(i + 1, len(vecs))
+    )

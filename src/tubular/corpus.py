@@ -8,8 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .core import GpqParams, IntVec2, TubularPresentation, single_vertex_presentation
-from .fbc import amalgamate
+from .core import GpqParams, IntVec2, TubularPresentation, amalgamate, single_vertex_presentation
 
 
 @dataclass(frozen=True)

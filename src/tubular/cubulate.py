@@ -1,9 +1,9 @@
-"""Equitable sets, immersed-wall graphs, and the dilation holonomy check.
+"""Equitable-set search, immersed-wall graphs, and the dilation holonomy check.
 
-An equitable set assigns to each vertex a finite list of nonzero vectors
-(circles on the vertex torus) such that across every edge the two ends see the
-same total intersection number, and each vertex's circles span a finite-index
-subgroup.  Its existence certifies a free action on a CAT(0) cube complex.
+An equitable set (`core.EquitableSet`, checked by `core.verify_equitable`)
+gives each vertex nonzero vectors (circles on its torus), with equal total
+intersection numbers at the two ends of every edge and an independent pair at
+each vertex.  It certifies a free action on a CAT(0) cube complex.
 
 Walls are built by joining the intersection points on the two sides of each
 edge bijectively; each arc carries the positive rational weight
@@ -25,90 +25,16 @@ from fractions import Fraction
 
 from .core import (
     Edge,
+    EquitableSet,
     IntVec2,
-    Pair,
     Rat,
     TubularPresentation,
     VertexId,
     det2,
+    verify_equitable,
 )
 
 Circle = tuple[VertexId, int]  # vertex id + index into that vertex's circle list
-
-
-@dataclass(frozen=True)
-class EquitableSet:
-    """Per-vertex circle lists.  Repeated vectors are allowed; a repeated
-    primitive vector is equivalent to a single longer multiple of it."""
-
-    sets: tuple[tuple[VertexId, tuple[IntVec2, ...]], ...]
-
-    def at(self, vertex: VertexId) -> tuple[IntVec2, ...]:
-        for vid, vecs in self.sets:
-            if vid == vertex:
-                return vecs
-        raise KeyError(vertex)
-
-    @staticmethod
-    def single(vectors: list[IntVec2], vertex: VertexId = "V") -> "EquitableSet":
-        return EquitableSet(((vertex, tuple(vectors)),))
-
-
-def verify_equitable(g: TubularPresentation, s: EquitableSet) -> bool:
-    """Exact check of both equitable-set conditions: balanced intersection
-    sums on every edge, and an independent pair of circles at every vertex."""
-    try:
-        circles = {v: s.at(v) for v in g.vertices}
-    except KeyError:
-        return False
-    for vecs in circles.values():
-        if any(x.is_zero() for x in vecs):
-            return False
-        if not _has_independent_pair(vecs):
-            return False
-    for e in g.edges:
-        left = sum(abs(det2(x, e.v)) for x in circles[e.src])
-        right = sum(abs(det2(x, e.w)) for x in circles[e.dst])
-        if left != right:
-            return False
-    return True
-
-
-def _has_independent_pair(vecs: tuple[IntVec2, ...]) -> bool:
-    return any(
-        det2(vecs[i], vecs[j]) != 0
-        for i in range(len(vecs))
-        for j in range(i + 1, len(vecs))
-    )
-
-
-class CanonicalSetError(ValueError):
-    """Raised when the two-element canonical set's determinant preconditions
-    fail; carries the failing edge index and the mismatched |det| values."""
-
-    def __init__(self, edge_index: int, pairs: tuple[tuple[int, int], ...]):
-        self.edge_index = edge_index
-        self.pairs = pairs
-        super().__init__(
-            f"edge {edge_index}: determinant conditions fail, |det| pairs {pairs}"
-        )
-
-
-def canonical_th3_set(edges: list[Pair], vertex: VertexId = "V") -> EquitableSet:
-    """The canonical two-element equitable set {w1 - v1, w1 + v1}, valid when
-    (v1, w1) is independent (reindexing to the first independent pair) and both
-    determinant families agree up to sign."""
-    base = next((i for i, (v, w) in enumerate(edges) if det2(v, w) != 0), None)
-    if base is None:
-        raise ValueError("no linearly independent attaching pair")
-    v1, w1 = edges[base]
-    z1, z2 = w1 - v1, w1 + v1
-    for i, (v, w) in enumerate(edges):
-        d1v, d1w = abs(det2(z1, v)), abs(det2(z1, w))
-        d2v, d2w = abs(det2(z2, v)), abs(det2(z2, w))
-        if d1v != d1w or d2v != d2w:
-            raise CanonicalSetError(i, ((d1v, d1w), (d2v, d2w)))
-    return EquitableSet.single([z1, z2], vertex)
 
 
 def _candidate_vectors(coord_bound: int) -> list[IntVec2]:

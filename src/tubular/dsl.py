@@ -193,8 +193,8 @@ def _checked(name: str) -> str:
 
 
 def unparse(obj: TubularPresentation | GpqParams) -> str:
-    """Print an object in the DSL; parse(unparse(x)) is structurally x.
-    Raises ValueError when a name, vertex id or edge id is not an identifier."""
+    """Print an object in the DSL; parse(unparse(x)) == x, except that the empty
+    name prints as G.  A name or id that is not an identifier raises ValueError."""
     if isinstance(obj, GpqParams):
         p = ",".join(str(n) for n in obj.p)
         q = ",".join(str(n) for n in obj.q)

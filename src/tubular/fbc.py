@@ -21,7 +21,7 @@ and kept in a small cache, shared by Button, the retractor and the amalgam
 checks.
 
 The same machinery certifies generalized retractors (an extra required-nonzero
-value) and decides amalgams of two presentations over a cyclic subgroup.
+value) and decides amalgams (`core.amalgamate`); witnesses are `core.Functional`.
 """
 
 from __future__ import annotations
@@ -32,37 +32,17 @@ import math
 from dataclasses import dataclass, field
 
 from .core import (
-    Edge,
+    Functional,
     IntVec2,
     Pair,
     TubularPresentation,
     VertexId,
+    amalgamate,
     det2,
     primitive_of,
     require_nonzero,
 )
 from .linalg import nullspace
-
-
-@dataclass(frozen=True)
-class Functional:
-    """A homomorphism Z^2 -> Z per vertex: f_v(x, y) = alpha_v x + beta_v y.
-
-    Well-defined on the whole tubular group (sending stable letters to 0)
-    exactly when f_src(v_e) = f_dst(w_e) for every edge e.
-    """
-
-    coeffs: tuple[tuple[VertexId, tuple[int, int]], ...]
-
-    def at(self, vertex: VertexId) -> tuple[int, int]:
-        for vid, ab in self.coeffs:
-            if vid == vertex:
-                return ab
-        raise KeyError(vertex)
-
-    def value(self, vertex: VertexId, vec: IntVec2) -> int:
-        a, b = self.at(vertex)
-        return a * vec.x + b * vec.y
 
 
 @dataclass(frozen=True)
@@ -272,38 +252,6 @@ def generalized_retractor(
         f"every edge-compatible functional vanishes on {elem} at vertex {vertex}"
     )
     return _nonvanishing_functional(g, [(vertex, elem, obstruction)])
-
-
-def amalgamate(
-    g1: TubularPresentation,
-    a: tuple[VertexId, IntVec2],
-    g2: TubularPresentation,
-    b: tuple[VertexId, IntVec2],
-    name: str = "",
-) -> TubularPresentation:
-    """The amalgam of two tubular presentations over a = b: their disjoint
-    union plus one bridge edge carrying the two vectors."""
-    av, bv = a[1], b[1]
-    if av.is_zero() or bv.is_zero():
-        raise ValueError("amalgamation vectors must be nonzero")
-    if a[0] not in g1.vertices or b[0] not in g2.vertices:
-        raise ValueError("amalgamation vertex not found")
-
-    def tag(which: str, vid: VertexId) -> VertexId:
-        return f"{which}.{vid}"
-
-    vertices = tuple(tag("g1", v) for v in g1.vertices) + tuple(
-        tag("g2", v) for v in g2.vertices
-    )
-    edges = [
-        Edge(tag(which, e.id), tag(which, e.src), tag(which, e.dst), e.v, e.w)
-        for which, g in (("g1", g1), ("g2", g2))
-        for e in g.edges
-    ]
-    edges.append(Edge("bridge", tag("g1", a[0]), tag("g2", b[0]), av, bv))
-    return TubularPresentation(
-        vertices, tuple(edges), name=name or f"{g1.name}*{g2.name}"
-    )
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,10 @@
 """Decision reports and exact JSON serialization of verdicts and certificates.
 
-A report is one (group, property) verdict plus its route, citation, notes, and
-an optional machine-checkable certificate.  Rationals serialize as "p/q"
-strings so certificates round-trip exactly; certificates never pass through
-floating point.  Reports are built only here (`th9_rule`) and in the rows of
-`cli.PROPERTIES`.
+A report is one (group, property) verdict with its route, citation, notes and
+an optional certificate.  Rationals serialize as "p/q" strings, so certificates
+round-trip exactly, never through floating point.  Reports are built only here
+(`th9_rule`) and in `cli.PROPERTIES` rows.  At run time this imports only
+`core`, whose checks verify the certificates that `deserialize_*` read back.
 """
 
 from __future__ import annotations
@@ -12,11 +12,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
+from typing import TYPE_CHECKING
 
-from .cat0 import ObstructionDatum
-from .core import IntVec2, QForm2, Rat, TubularPresentation, VertexId
-from .cubulate import Arc, EquitableSet
-from .fbc import Functional
+from .core import EquitableSet, Functional, IntVec2, QForm2, Rat, TubularPresentation, VertexId
+
+if TYPE_CHECKING:
+    from .cat0 import ObstructionDatum
+    from .cubulate import Arc
 
 YES, NO, UNKNOWN = "Yes", "No", "Unknown"
 

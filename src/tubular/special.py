@@ -2,9 +2,9 @@
 
 Routes, from weakest to strongest:
 
-* a sufficient determinant test on single-vertex inputs (a two-element
-  equitable set exists whenever det[w1-v1, .] and det[w1+v1, .] agree up to
-  sign across all edges);
+* a sufficient determinant test on single-vertex inputs (the two-element
+  equitable set `canonical_th3_set` exists whenever det[w1-v1, .] and
+  det[w1+v1, .] agree up to sign across all edges);
 * the equivalence "CAT(0) iff virtually special" for free-by-cyclic
   single-vertex groups, which upgrades a CAT(0) verdict to an iff;
 * counting parallelism classes of edge groups per vertex, in one pass over
@@ -22,15 +22,16 @@ from dataclasses import dataclass
 
 from .cat0 import Cat0Verdict, decide_cat0
 from .core import (
+    EquitableSet,
     GpqParams,
     IntVec2,
     Pair,
     TubularPresentation,
     VertexId,
+    det2,
     require_nonzero,
     single_vertex_presentation,
 )
-from .cubulate import CanonicalSetError, canonical_th3_set
 from .fbc import FbcVerdict, decide_fbc_single_vertex
 
 
@@ -46,6 +47,35 @@ class SpecialVerdict:
     route: str  # the route name a report prints, e.g. "DetSufficient"
     citation: str
     notes: tuple[str, ...] = ()
+
+
+class CanonicalSetError(ValueError):
+    """Raised when the two-element canonical set's determinant preconditions
+    fail; carries the failing edge index and the mismatched |det| values."""
+
+    def __init__(self, edge_index: int, pairs: tuple[tuple[int, int], ...]):
+        self.edge_index = edge_index
+        self.pairs = pairs
+        super().__init__(
+            f"edge {edge_index}: determinant conditions fail, |det| pairs {pairs}"
+        )
+
+
+def canonical_th3_set(edges: list[Pair], vertex: VertexId = "V") -> EquitableSet:
+    """The canonical two-element equitable set {w1 - v1, w1 + v1}, valid when
+    (v1, w1) is independent (reindexing to the first independent pair) and both
+    determinant families agree up to sign."""
+    base = next((i for i, (v, w) in enumerate(edges) if det2(v, w) != 0), None)
+    if base is None:
+        raise ValueError("no linearly independent attaching pair")
+    v1, w1 = edges[base]
+    z1, z2 = w1 - v1, w1 + v1
+    for i, (v, w) in enumerate(edges):
+        d1v, d1w = abs(det2(z1, v)), abs(det2(z1, w))
+        d2v, d2w = abs(det2(z2, v)), abs(det2(z2, w))
+        if d1v != d1w or d2v != d2w:
+            raise CanonicalSetError(i, ((d1v, d1w), (d2v, d2w)))
+    return EquitableSet.single([z1, z2], vertex)
 
 
 def vspecial_sufficient(edges: list[Pair]) -> SpecialVerdict:

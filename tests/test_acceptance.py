@@ -23,15 +23,19 @@ from fractions import Fraction
 import numpy as np
 
 from tubular import cli
-from tubular.cat0 import check_certificate, decide_cat0
+from tubular.cat0 import decide_cat0
 from tubular.cli import analyze
 from tubular.core import (
+    EquitableSet,
     GpqParams,
     IntMat2,
     IntVec2,
     TubularPresentation,
+    amalgamate,
     change_basis,
+    check_certificate,
     single_vertex_presentation,
+    verify_equitable,
 )
 from tubular.corpus import (
     bare_z2,
@@ -43,23 +47,20 @@ from tubular.corpus import (
     lyman_psi,
 )
 from tubular.cubulate import (
-    EquitableSet,
     NotFound,
-    canonical_th3_set,
     dilation_decide,
     equitable_search,
-    verify_equitable,
     wall_graph,
 )
 from tubular.fbc import (
     _edge_table,
-    amalgamate,
     button_decide,
     decide_fbc_single_vertex,
 )
 from tubular.report import th9_rule
 from tubular.special import (
     Answer,
+    canonical_th3_set,
     cocompact_cubulation_decide,
     gpq_compact_special_decide,
     gpq_to_tubular,

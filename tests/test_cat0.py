@@ -8,12 +8,11 @@ from tubular.cat0 import (
     ObstructionDatum,
     ObstructionKind,
     _cos_constraint,
-    check_certificate,
     decide_cat0,
     vertex_necessary_checks,
 )
 from test_invariance import _random_presentation
-from tubular.core import Edge, IntVec2, QForm2, TubularPresentation, det2
+from tubular.core import Edge, IntVec2, QForm2, TubularPresentation, check_certificate, det2
 from tubular.corpus import (
     bs12_shape,
     corlast,

@@ -12,9 +12,8 @@ from pathlib import Path
 import pytest
 
 import tubular.cli
-from tubular.cat0 import check_certificate
 from tubular.cli import main
-from tubular.core import GpqParams, det2
+from tubular.core import GpqParams, check_certificate, det2
 from tubular.cubulate import equitable_search, wall_graph
 from tubular.dsl import parse, unparse
 from tubular.corpus import corpus, corpus_entry, eg2_double, eg2_g1, gersten_presentation
@@ -414,6 +413,10 @@ def test_analyze_decides_each_one_vertex_verdict_once(monkeypatch):
         ),
         (["cat0"], "error: no input given (file, '-', or --corpus NAME)\n"),
         (
+            ["cat0", "{g}", "--corpus", "gersten"],
+            "error: give an input file or --corpus NAME, not both\n",
+        ),
+        (
             ["amalgam", "{g}", "nonsense", "{g}", "1,0"],
             "error: bad vector spec 'nonsense' (expected V:x,y)\n",
         ),
@@ -437,6 +440,7 @@ def test_analyze_decides_each_one_vertex_verdict_once(monkeypatch):
         "corpus-json-without-run",
         "unknown-corpus-entry",
         "missing-input",
+        "file-and-corpus",
         "bad-vector-spec",
         "vertex-prefix",
         "dot-json",

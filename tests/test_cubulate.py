@@ -14,11 +14,14 @@ import tubular.cubulate
 from tubular.cli import main
 from tubular.core import (
     Edge,
+    EquitableSet,
     GpqParams,
     IntVec2,
     TubularPresentation,
+    _has_independent_pair,
     det2,
     single_vertex_presentation,
+    verify_equitable,
 )
 from tubular.corpus import (
     bs12_shape,
@@ -29,29 +32,30 @@ from tubular.corpus import (
 )
 from tubular.cubulate import (
     Arc,
-    CanonicalSetError,
     DilationVerdict,
-    EquitableSet,
     NotFound,
     WallGraph,
     _balanced_multisets,
     _candidate_vectors,
     _groupings,
-    _has_independent_pair,
     _search_table,
     all_matching_verdicts,
-    canonical_th3_set,
     dilation_decide,
     equitable_search,
     export_arcs_text,
     export_dot,
     holonomy_cycle,
-    verify_equitable,
     wall_graph,
 )
 from tubular.dsl import parse
 from tubular.report import serialize_cycle
-from tubular.special import Answer, gpq_to_tubular, vspecial_sufficient
+from tubular.special import (
+    Answer,
+    CanonicalSetError,
+    canonical_th3_set,
+    gpq_to_tubular,
+    vspecial_sufficient,
+)
 
 V = IntVec2
 

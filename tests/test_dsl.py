@@ -2,11 +2,11 @@ import random
 import re
 import sys
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import pytest
 
-from tubular.core import Edge, GpqParams, IntVec2, TubularPresentation
+from tubular.core import Edge, GpqParams, IntVec2, TubularPresentation, single_vertex_presentation
 from tubular.dsl import DslError, parse, unparse
 
 V = IntVec2
@@ -106,6 +106,11 @@ def test_round_trip_random_presentations():
     for _ in range(200):
         g = _random_presentation(rng)
         assert parse(unparse(g)) == g
+    # The empty name, which single_vertex_presentation gives by default,
+    # prints as G and so comes back as G.
+    unnamed = single_vertex_presentation([(V(1, 0), V(0, 1)), (V(2, 1), V(1, 2))])
+    assert unnamed.name == ""
+    assert parse(unparse(unnamed)) == replace(unnamed, name="G")
 
 
 def test_round_trip_corpus_entries():

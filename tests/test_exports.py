@@ -40,6 +40,14 @@ LOADS = {
     "parse": ["core", "dsl"],
     "vrc_obstruction": ["core", "vrc"],
     "decide_cat0": ["cat0", "core"],
+    "th9_rule": ["core", "report"],
+    # The certificate types, their checks and the amalgam constructor.
+    "EquitableSet": ["core"],
+    "Functional": ["core"],
+    "amalgamate": ["core"],
+    "check_certificate": ["core"],
+    "verify_equitable": ["core"],
+    "vspecial_sufficient": ["cat0", "core", "fbc", "linalg", "special"],
 }
 
 
@@ -49,6 +57,10 @@ def test_parse_loads_only_core_and_dsl():
         for name in LOADS
     }
     assert loaded == LOADS
+
+
+def test_corpus_import_loads_only_core_and_corpus():
+    assert _run("import tubular.corpus\n" + PRINT_LOADED) == ["core", "corpus"]
 
 
 def test_every_export_is_its_defining_modules_object_and_is_stored():

@@ -9,8 +9,10 @@ import pytest
 from tubular import fbc
 from tubular.core import (
     Edge,
+    Functional,
     IntVec2,
     TubularPresentation,
+    amalgamate,
     det2,
     single_vertex_presentation,
 )
@@ -25,9 +27,7 @@ from tubular.corpus import (
     lyman_phi,
 )
 from tubular.fbc import (
-    Functional,
     amalgam_fbc_sufficient,
-    amalgamate,
     button_decide,
     decide_fbc_single_vertex,
     generalized_retractor,

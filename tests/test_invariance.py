@@ -8,7 +8,19 @@ Random presentations and the corpus entries both go through the changes.
 The matching spectrum of `cubulate --all-matchings` keeps its verdict and
 notes under the first three changes.  Under a basis change it describes the
 set found in the new basis, which pulled back to the old basis has the same
-spectrum there."""
+spectrum there.
+
+The rows must also agree with each other where a theorem ties them together,
+on random presentations and on the corpus entries:
+(a) `vspecial` Yes or `cocompact_cubulation` Yes => the search at the default
+    bounds finds an equitable set;
+(c) `cocompact_cubulation` Yes => `cat0` Yes;
+(d) one vertex, `fbc` Yes and `cat0` Yes => `vspecial` Yes;
+(e) a complete `dilation_spectrum` holds the `dilation` word;
+(f) the amalgam retractor rule agrees with Button on the glued presentation,
+    asserted in test_fbc.py.
+(b), that an unbalanced cycle rules out every Yes in `cat0`, `vspecial` and
+`cocompact_cubulation`, waits for a decider that finds such cycles."""
 
 import io
 import json
@@ -19,10 +31,18 @@ from collections import Counter
 import pytest
 
 import tubular.cubulate
-from tubular.cli import analyze, main
-from tubular.core import Edge, GpqParams, IntMat2, IntVec2, TubularPresentation, change_basis
+from tubular.cli import COORD_BOUND, SIZE_BOUND, _Input, _reports, analyze, main
+from tubular.core import (
+    Edge,
+    EquitableSet,
+    GpqParams,
+    IntMat2,
+    IntVec2,
+    TubularPresentation,
+    change_basis,
+)
 from tubular.corpus import corpus
-from tubular.cubulate import EquitableSet, all_matching_verdicts, equitable_search
+from tubular.cubulate import all_matching_verdicts, equitable_search
 from tubular.dsl import parse, unparse
 from tubular.special import gpq_to_tubular
 
@@ -122,6 +142,67 @@ def test_corpus_verdict_words_are_invariant():
             dilation_flips.update((entry.name, *f) for f in _dilation_flips(rng, g))
     flips = ", ".join(f"{e} {a} -> {b}: {n}" for (e, a, b), n in dilation_flips.items())
     print(f"corpus dilation flips under basis change: {flips or 'none'}")
+
+
+def _corpus_inputs() -> list:
+    """The corpus entries as (object, name), gpq entries as parameters."""
+    return [(entry.presentation, entry.name) for entry in corpus()]
+
+
+def _check_implications(obj, name) -> Counter:
+    """Assert (a), (c) and (d) of the module docstring on one input, and
+    count the implications whose premise held."""
+    g = gpq_to_tubular(obj) if isinstance(obj, GpqParams) else obj
+    words = {r.property: r.verdict for r in analyze(obj, name)}
+    held = Counter()
+    # (a) Wise, "Cubular tubular groups" (Trans. AMS 2014): a tubular group
+    # acts freely on a CAT(0) cube complex exactly when it has an equitable
+    # set.  Either Yes gives such an action on a finite-index subgroup, and
+    # the induced action of the group is free too.  The theorem does not
+    # bound the set's circles; that the default bounds find one is checked.
+    if "Yes" in (words["vspecial"], words["cocompact_cubulation"]):
+        held["a"] += 1
+        assert isinstance(equitable_search(g, COORD_BOUND, SIZE_BOUND), EquitableSet), g
+    # (c) A CAT(0) cube complex is CAT(0) (Gromov's link condition), and the
+    # action induced from a finite-index subgroup on a product of copies is
+    # free and cocompact, so a cocompactly cubulated group is CAT(0).
+    if words["cocompact_cubulation"] == "Yes":
+        held["c"] += 1
+        assert words["cat0"] == "Yes", g
+    # (d) The source paper: a free-by-cyclic one-vertex tubular group is
+    # virtually special exactly when it is CAT(0).  Another route may give
+    # the Yes first, so only the word is asserted.
+    if len(g.vertices) == 1 and words["fbc"] == words["cat0"] == "Yes":
+        held["d"] += 1
+        assert words["vspecial"] == "Yes", g
+    return held
+
+
+def test_rows_obey_the_cross_row_implications():
+    rng = random.Random(11)
+    held = Counter()
+    for _ in range(4000):
+        held += _check_implications(_random_presentation(rng), "g")
+    for obj, name in _corpus_inputs():
+        held += _check_implications(obj, name)
+    assert min(held[k] for k in "acd") > 200, held
+
+
+def test_dilation_word_lies_in_a_complete_spectrum():
+    # (e) The wall graph joins each edge's points in order, and that is one
+    # of the point matchings the spectrum runs over.
+    rng = random.Random(13)
+    inputs = [(_random_presentation(rng), "g") for _ in range(3000)] + _corpus_inputs()
+    complete = 0
+    for obj, name in inputs:
+        s = _Input(obj, name)
+        if s.search[1] is None:
+            continue
+        dilation, spectrum = _reports(s, ("dilation", "dilation_spectrum"))
+        if not spectrum.notes:
+            complete += 1
+            assert dilation.verdict in spectrum.verdict.split("/"), obj
+    assert complete > 2000
 
 
 # At a lexicographic budget of matchings, this spectrum read NonDilated with

@@ -5,11 +5,9 @@ from fractions import Fraction
 import pytest
 
 from tubular import cli
-from tubular.core import IntVec2, QForm2
+from tubular.core import EquitableSet, Functional, IntVec2, QForm2
 from tubular.corpus import corpus
-from tubular.cubulate import EquitableSet
 from tubular.dsl import parse
-from tubular.fbc import Functional
 from tubular.report import (
     DecisionReport,
     deserialize_equitable,
