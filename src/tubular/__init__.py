@@ -7,7 +7,8 @@ certificates.
 `import tubular` loads no submodule.  Each public name is listed once below,
 under the module that defines it; the first access to it imports that module
 (PEP 562) and binds the object here, so later accesses are plain attribute
-lookups.  `tubular.parse`, for example, loads only `core` and `dsl`.
+lookups.  `tubular.parse`, for example, loads only `core` and `dsl`; every
+submodule, `tubular.corpus` and `tubular.cli` too, loads the same way.
 
 `tubular.cli` still imports every decider module when it loads: perfbench's
 tracer (`Tracer.install` in `perfbench/spans.py`) patches functions only in
@@ -65,7 +66,7 @@ _EXPORTS = {
 }
 
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
-_SUBMODULES = frozenset(_EXPORTS) | {"linalg"}
+_SUBMODULES = frozenset(_EXPORTS) | {"cli", "corpus", "linalg"}
 
 __all__ = sorted(_HOME)
 

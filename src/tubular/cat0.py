@@ -9,7 +9,8 @@ the angle between the images of v_1 and w_1, constrained to the open interval
 scaled by det(v_1, w_1) every equation has integer coefficients, so the
 decider works in integers and builds Fractions only for the datum it returns.
 A Yes verdict carries the positive-definite rational form Q = A^T A, which
-`core.check_certificate` verifies in exact arithmetic.
+`core.check_certificate` verifies in exact arithmetic.  Without an independent
+pair (no edges, which is Z^2, or every v_i = +-w_i) Q is the identity form.
 """
 
 from __future__ import annotations
@@ -84,8 +85,6 @@ def _cos_constraint(
 
 def decide_cat0(edges: list[Pair]) -> Cat0Verdict:
     """Decide CAT(0)ness of the single-vertex tubular group with these edges."""
-    if not edges:
-        raise ValueError("decide_cat0 requires at least one edge")
     require_nonzero(edges)
 
     # A parallel pair is consistent only when v = +-w (conjugate elements have
@@ -157,11 +156,9 @@ def decide_cat0(edges: list[Pair]) -> Cat0Verdict:
 def vertex_necessary_checks(g: TubularPresentation) -> dict[str, Cat0Verdict]:
     """Per-vertex CAT(0) obstruction: the single-vertex criterion applied to
     the loops at each vertex.  Necessary for any CAT(0) group containing the
-    tubular group; vertices without loops pass vacuously."""
+    tubular group; a vertex without loops gets the identity form."""
     loops: dict[str, list[Pair]] = {v: [] for v in g.vertices}
     for e in g.edges:
         if e.src == e.dst:
             loops[e.src].append((e.v, e.w))
-    return {
-        v: decide_cat0(pairs) if pairs else _IDENTITY_YES for v, pairs in loops.items()
-    }
+    return {v: decide_cat0(pairs) for v, pairs in loops.items()}

@@ -131,8 +131,8 @@ class _Input:
 
     @cached_property
     def cat0(self) -> Cat0Verdict | None:
-        """The verdict of `decide_cat0` on a one-vertex input with edges."""
-        if len(self.g.vertices) == 1 and self.g.edges:
+        """The verdict of `decide_cat0` on a one-vertex input."""
+        if len(self.g.vertices) == 1:
             return decide_cat0(self.g.single_vertex_pairs())
         return None
 
@@ -242,7 +242,7 @@ def _vspecial(s: _Input) -> dict:
     if isinstance(s.obj, GpqParams):
         return _from_special(gpq_vspecial_decide(s.obj))
     g = s.g
-    if len(g.vertices) != 1 or not g.edges:
+    if len(g.vertices) != 1:
         return dict(
             verdict=UNKNOWN,
             route="None",

@@ -4,9 +4,11 @@ Routes, from weakest to strongest:
 
 * a sufficient determinant test on single-vertex inputs (the two-element
   equitable set `canonical_th3_set` exists whenever det[w1-v1, .] and
-  det[w1+v1, .] agree up to sign across all edges);
+  det[w1+v1, .] agree up to sign across all edges; otherwise the reason it
+  fails is the test's note, and the text of the set's ValueError);
 * the equivalence "CAT(0) iff virtually special" for free-by-cyclic
-  single-vertex groups, which upgrades a CAT(0) verdict to an iff;
+  single-vertex groups, which upgrades a CAT(0) verdict to an iff (and
+  decides Z^2, a vertex without edges, Yes);
 * counting parallelism classes of edge groups per vertex, in one pass over
   the edges, which controls cocompact cubulation (three or more classes at a
   vertex is fatal);
@@ -49,33 +51,30 @@ class SpecialVerdict:
     notes: tuple[str, ...] = ()
 
 
-class CanonicalSetError(ValueError):
-    """Raised when the two-element canonical set's determinant preconditions
-    fail; carries the failing edge index and the mismatched |det| values."""
-
-    def __init__(self, edge_index: int, pairs: tuple[tuple[int, int], ...]):
-        self.edge_index = edge_index
-        self.pairs = pairs
-        super().__init__(
-            f"edge {edge_index}: determinant conditions fail, |det| pairs {pairs}"
-        )
-
-
-def canonical_th3_set(edges: list[Pair], vertex: VertexId = "V") -> EquitableSet:
-    """The canonical two-element equitable set {w1 - v1, w1 + v1}, valid when
-    (v1, w1) is independent (reindexing to the first independent pair) and both
-    determinant families agree up to sign."""
+def _canonical_pair(edges: list[Pair]) -> tuple[IntVec2, IntVec2] | str:
+    """The pair (w1 - v1, w1 + v1) of the first independent attaching pair
+    (v1, w1), when both determinant families agree up to sign on every edge;
+    otherwise the text of the reason it fails."""
     base = next((i for i, (v, w) in enumerate(edges) if det2(v, w) != 0), None)
     if base is None:
-        raise ValueError("no linearly independent attaching pair")
+        return "no linearly independent attaching pair; test not applicable"
     v1, w1 = edges[base]
     z1, z2 = w1 - v1, w1 + v1
     for i, (v, w) in enumerate(edges):
         d1v, d1w = abs(det2(z1, v)), abs(det2(z1, w))
         d2v, d2w = abs(det2(z2, v)), abs(det2(z2, w))
         if d1v != d1w or d2v != d2w:
-            raise CanonicalSetError(i, ((d1v, d1w), (d2v, d2w)))
-    return EquitableSet.single([z1, z2], vertex)
+            return f"edge {i}: |det| families disagree ({d1v} vs {d1w} and {d2v} vs {d2w})"
+    return z1, z2
+
+
+def canonical_th3_set(edges: list[Pair], vertex: VertexId = "V") -> EquitableSet:
+    """The canonical two-element equitable set {w1 - v1, w1 + v1}; raises
+    ValueError with the reason when `_canonical_pair` finds none."""
+    pair = _canonical_pair(edges)
+    if isinstance(pair, str):
+        raise ValueError(pair)
+    return EquitableSet.single(list(pair), vertex)
 
 
 def vspecial_sufficient(edges: list[Pair]) -> SpecialVerdict:
@@ -85,28 +84,14 @@ def vspecial_sufficient(edges: list[Pair]) -> SpecialVerdict:
     Only ever answers Yes or Unknown; the condition is not necessary.
     """
     require_nonzero(edges)
-    citation = "two-element equitable set sufficiency test"
-    try:
-        canonical_th3_set(edges)
-    except CanonicalSetError as e:
-        (d1v, d1w), (d2v, d2w) = e.pairs
-        return SpecialVerdict(
-            Answer.UNKNOWN,
-            "DetSufficient",
-            citation,
-            notes=(
-                f"edge {e.edge_index}: |det| families disagree "
-                f"({d1v} vs {d1w} and {d2v} vs {d2w})",
-            ),
-        )
-    except ValueError:
-        return SpecialVerdict(
-            Answer.UNKNOWN,
-            "DetSufficient",
-            citation,
-            notes=("no linearly independent attaching pair; test not applicable",),
-        )
-    return SpecialVerdict(Answer.YES, "DetSufficient", citation)
+    pair = _canonical_pair(edges)
+    notes = (pair,) if isinstance(pair, str) else ()
+    return SpecialVerdict(
+        Answer.UNKNOWN if notes else Answer.YES,
+        "DetSufficient",
+        "two-element equitable set sufficiency test",
+        notes,
+    )
 
 
 def vspecial_fbc_decide(edges: list[Pair]) -> SpecialVerdict:

@@ -80,8 +80,9 @@ def test_inconsistent_cosines():
 
 
 def test_rejects_degenerate_input():
-    with pytest.raises(ValueError):
-        decide_cat0([])
+    # No edges is Z^2, not a degenerate input: Yes with a checkable form.
+    verdict = decide_cat0([])
+    assert verdict.answer and check_certificate(verdict.certificate, [])
     with pytest.raises(ValueError):
         decide_cat0(pairs(((0, 0), (1, 0))))
 
@@ -140,7 +141,7 @@ def test_verdict_invariant_under_edge_reordering():
 def test_vertex_necessary_checks_multi_vertex():
     checks = vertex_necessary_checks(corlast())
     assert not checks["g1.V"].answer  # the Gersten loops fail
-    assert checks["g2.V"].answer  # no loops: vacuous pass
+    assert checks["g2.V"].certificate == QForm2.identity()  # no loops: Z^2
 
 
 def _per_vertex_checks_oracle(g):

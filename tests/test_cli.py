@@ -13,12 +13,12 @@ import pytest
 
 import tubular.cli
 from tubular.cli import main
-from tubular.core import GpqParams, check_certificate, det2
+from tubular.core import GpqParams, QForm2, check_certificate, det2
 from tubular.cubulate import equitable_search, wall_graph
 from tubular.dsl import parse, unparse
-from tubular.corpus import corpus, corpus_entry, eg2_double, eg2_g1, gersten_presentation
+from tubular.corpus import bare_z2, corpus, corpus_entry, eg2_double, eg2_g1, gersten_presentation
 from tubular.report import deserialize_qform
-from tubular.special import gpq_to_tubular
+from tubular.special import Answer, gpq_to_tubular, vspecial_fbc_decide, vspecial_sufficient
 
 SCHEMA_KEYS = {"group", "property", "verdict", "route", "certificate", "citation", "notes"}
 
@@ -386,7 +386,8 @@ def test_analyze_decides_each_one_vertex_verdict_once(monkeypatch):
         if len(tubular.cli._as_tubular(e.presentation).vertices) == 1
     ]
     rng = random.Random(1204)
-    inputs = entries + [(_random_one_vertex(rng), "G") for _ in range(50)]
+    inputs = entries + [(bare_z2(), "z2")]
+    inputs += [(_random_one_vertex(rng), "G") for _ in range(50)]
     equivalence = 0
     for obj, name in inputs:
         calls.update(decide_fbc_single_vertex=0, decide_cat0=0)
@@ -395,6 +396,25 @@ def test_analyze_decides_each_one_vertex_verdict_once(monkeypatch):
         vspecial = next(r for r in reports if r.property == "vspecial")
         equivalence += vspecial.route in ("FbcCat0Equiv", "None")
     assert len(entries) >= 5 and equivalence >= 10
+
+
+def test_analyze_decides_z2():
+    """A vertex without edges is Z^2: CAT(0) by the identity form, virtually
+    special by the free-by-cyclic equivalence, cocompactly cubulated."""
+    reports = tubular.cli.analyze(bare_z2(), "z2")
+    by_property = {r.property: r for r in reports}
+    assert {p: (r.verdict, r.route) for p, r in by_property.items()} == {
+        "fbc": ("Yes", "LineCriterion"),
+        "cat0": ("Yes", "QuadraticFormEqualization"),
+        "vspecial": ("Yes", "FbcCat0Equiv"),
+        "cocompact_cubulation": ("Yes", "ParallelismClassCount"),
+        "dilation": ("NonDilated", "WallHolonomy"),
+    }
+    assert deserialize_qform(by_property["cat0"].certificate) == QForm2.identity()
+    assert vspecial_fbc_decide([]).answer is Answer.YES
+    sufficient = vspecial_sufficient([])
+    assert sufficient.answer is Answer.UNKNOWN
+    assert sufficient.notes == ("no linearly independent attaching pair; test not applicable",)
 
 
 @pytest.mark.parametrize(
