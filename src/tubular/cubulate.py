@@ -58,10 +58,6 @@ class NotFound:
 
 TABLE_LIMIT = 10**6
 
-# Prefixes per chunk of the search table's columns: a stream holds the
-# imbalance totals of one chunk at a time.
-CHUNK = 4096
-
 
 @functools.lru_cache(maxsize=16)
 def _search_table(
@@ -69,10 +65,10 @@ def _search_table(
 ) -> tuple[tuple[IntVec2, ...], tuple[tuple[tuple[int, ...], ...], ...]]:
     """The candidate circles, and every multiset of size_bound - 1 or fewer
     candidate indices (a prefix) in (size, lexicographic) order, as index
-    columns: chunks of at most CHUNK prefixes of one size, whose column j
-    holds each prefix's j-th index.  Bounds under which a vertex's stream
-    could list over TABLE_LIMIT multisets of 1..size_bound candidates raise
-    ValueError; the count stops once it passes the limit."""
+    columns: one block per size, whose column j holds each prefix's j-th
+    index.  Bounds under which a vertex's stream could list over TABLE_LIMIT
+    multisets of 1..size_bound candidates raise ValueError; the count stops
+    once it passes the limit."""
     n = k = 0  # 4 (phi(1) + ... + phi(k)) candidates have coordinates up to k
     while k < coord_bound and n <= TABLE_LIMIT:
         k += 1
@@ -86,12 +82,11 @@ def _search_table(
         bounds = coord_bound, size_bound
         raise ValueError(f"bounds {bounds} need a table of over {TABLE_LIMIT} entries")
     cands = tuple(_candidate_vectors(coord_bound))
-    chunks = []
-    for size in range(1, size_bound):
-        prefixes = itertools.combinations_with_replacement(range(len(cands)), size)
-        while rows := tuple(itertools.islice(prefixes, CHUNK)):
-            chunks.append(tuple(zip(*rows)))
-    return cands, tuple(chunks)
+    blocks = tuple(
+        tuple(zip(*itertools.combinations_with_replacement(range(len(cands)), size)))
+        for size in range(1, size_bound)
+    )
+    return cands, blocks
 
 
 def _balanced_multisets(
@@ -116,11 +111,12 @@ def _balanced_multisets(
     vectors.  A multiset balances its loops when its imbalances sum to zero,
     so the last circle after a prefix is any candidate from the prefix's
     last one on whose imbalance is the negated total of the prefix.  Each
-    chunk's totals are added up column by column, and the prefixes with a
-    closing candidate picked out, by `map` and `itertools.compress`; the sums
-    are unpacked into tuples only for a multiset that is listed.
+    size's block of prefixes has its totals added up column by column, and
+    the prefixes with a closing candidate picked out, by `map` and
+    `itertools.compress`; the sums are unpacked into tuples only for a
+    multiset that is listed.
     """
-    cands, chunks = _search_table(coord_bound, size_bound)
+    cands, blocks = _search_table(coord_bound, size_bound)
     coords = [(c.x, c.y) for c in cands]
 
     def abs_dets(u: IntVec2) -> list[int]:
@@ -144,7 +140,7 @@ def _balanced_multisets(
         closing.setdefault(-imbalance, []).append(k)
     b = len(back)
     seen = set()
-    for columns in chunks:
+    for columns in blocks:
         totals = list(map(imbalances.__getitem__, columns[0]))
         for column in columns[1:]:
             totals = list(map(operator.add, totals, map(imbalances.__getitem__, column)))
@@ -178,15 +174,17 @@ def equitable_search(
     The first set is found without listing the product:
 
     - The candidates and the shorter multisets are tabled once per pair of
-      bounds, the multisets as chunks of index columns.  A vertex's
-      multisets that balance its loops come from one lazy stream that packs
-      each candidate's vectors into integers, adds up a chunk's columns at
-      a time, and finds each multiset's last circle by a lookup
+      bounds, the multisets as one block of index columns per size.  A
+      vertex's multisets that balance its loops come from one lazy stream
+      that packs each candidate's vectors into integers, adds up a block's
+      columns at a time, and finds each multiset's last circle by a lookup
       (`_balanced_multisets`).
     - Connected components do not constrain each other, and the first set
-      of a product is made of the first set of each factor, so each
-      component is searched alone.
-    - A component's vertices are walked in order, depth first.  A vertex's
+      of a product is made of the first set of each factor, so the vertices
+      are walked with each component contiguous: components in the order of
+      their first vertex, presentation order inside each.  The edges are
+      read once, into each vertex's loops, edges back and frontier.
+    - The vertices are walked in that order, depth first.  A vertex's
       options are its stream grouped by the sums against its edges to
       earlier vertices, as it is consumed, so each such edge is checked
       once, by a key lookup at its later end.
@@ -196,7 +194,9 @@ def equitable_search(
       failed is recorded as dead, and of a vertex's multisets with the same
       sums on all its edges only the first is tried.
     - When a vertex runs out of options, the walk goes back one vertex,
-      to its next option.
+      to its next option.  A vertex whose key is empty begins a component,
+      and no earlier choice can help it, so when it runs out the search
+      returns NotFound.
     - A vertex is checked early, after each earlier vertex that its edges
       back start at, except the one just before it: the sums fixed so far
       must begin one of its keys.
@@ -212,44 +212,34 @@ def equitable_search(
         if part[e.src] is not part[e.dst]:
             merged = part[e.src] | part[e.dst]
             part.update(dict.fromkeys(merged, merged))
-    chosen: dict[VertexId, tuple[int, ...]] = {}
-    for v in g.vertices:
-        if v not in chosen:
-            vertices = [u for u in g.vertices if u in part[v]]
-            found = _search_component(g, vertices, coord_bound, size_bound)
-            if found is None:
-                return NotFound(coord_bound, size_bound)
-            chosen.update(zip(vertices, found))
-    return EquitableSet(
-        tuple((v, tuple(cands[c] for c in chosen[v])) for v in g.vertices)
-    )
-
-
-def _search_component(
-    g: TubularPresentation, vertices: list[VertexId], coord_bound: int, size_bound: int
-) -> list[tuple[int, ...]] | None:
-    """The first multisets of candidate indices, one per vertex of a
-    connected component in vertex order, that balance every edge, or None;
-    see `equitable_search`."""
-    pos = {v: i for i, v in enumerate(vertices)}
+    first: dict[int, int] = {}  # per component, the position of its first vertex
+    for i, v in enumerate(g.vertices):
+        first.setdefault(id(part[v]), i)
+    order = sorted(g.vertices, key=lambda v: first[id(part[v])])
+    pos = {v: i for i, v in enumerate(order)}
     # Non-loop edges as (earlier position, later position, vector at the
     # earlier end, vector at the later end), by earlier position, so the
-    # edges that leave a vertex forward are a slice.
+    # edges that leave a vertex forward are a slice; per vertex, its loops,
+    # its edges back, and the edges that cross into it or past it.
     spans = []
-    for e in g.edges:
-        if e.src != e.dst and e.src in pos:
-            a, b = pos[e.src], pos[e.dst]
-            spans.append((a, b, e.v, e.w) if a < b else (b, a, e.w, e.v))
-    spans.sort(key=lambda span: span[0])
+    loops, back, cut = [[] for _ in order], [[] for _ in order], [[] for _ in order]
+    for e in sorted(g.edges, key=lambda e: min(pos[e.src], pos[e.dst])):
+        a, b = pos[e.src], pos[e.dst]
+        if a == b:
+            loops[a].append(e)
+            continue
+        a, b, u, w = (a, b, e.v, e.w) if a < b else (b, a, e.w, e.v)
+        back[b].append(len(spans))
+        for crossed in cut[a + 1 : b + 1]:
+            crossed.append(len(spans))
+        spans.append((a, b, u, w))
     starts = [a for a, _, _, _ in spans]
-    cut, back, ahead, streams = [], [], [], []
-    for i, v in enumerate(vertices):
-        cut.append([k for k, (a, b, _, _) in enumerate(spans) if a < i <= b])
-        back.append([k for k, (_, b, _, _) in enumerate(spans) if b == i])
+    ahead, streams = [], []
+    for i, ks in enumerate(back):
         ahead.append(slice(bisect.bisect_left(starts, i), bisect.bisect_right(starts, i)))
-        ends = [spans[k][3] for k in back[i]], [u for _, _, u, _ in spans[ahead[i]]]
-        streams.append(_balanced_multisets(coord_bound, size_bound, g.loops_at(v), *ends))
-    grouped: list[dict] = [{} for _ in vertices]  # per vertex: need -> options
+        ends = [spans[k][3] for k in ks], [u for _, _, u, _ in spans[ahead[i]]]
+        streams.append(_balanced_multisets(coord_bound, size_bound, loops[i], *ends))
+    grouped: list[dict] = [{} for _ in order]  # per vertex: need -> options
 
     def option(i: int, need: tuple[int, ...] | None, k: int) -> tuple | None:
         """Vertex i's k-th (multiset, sums at its edges forward) among those
@@ -266,7 +256,7 @@ def _search_component(
     # back from i or before, with the sums on them that begin one of j's
     # keys (j's edges back are listed by earlier end).  Right after j - 1,
     # j itself looks its key up.
-    checks: list[list] = [[] for _ in vertices]
+    checks: list[list] = [[] for _ in order]
     for j, ks in enumerate(back):
         for i in {starts[k] for k in ks} - {j - 1}:
             option(j, None, 0)  # no need is None: lists all of j's options
@@ -275,10 +265,10 @@ def _search_component(
             checks[i].append((fixed, heads))
 
     front = [0] * len(spans)  # per edge, the sum at its earlier end
-    dead: list[set[tuple[int, ...]]] = [set() for _ in vertices]
+    dead: list[set[tuple[int, ...]]] = [set() for _ in order]
     frames: list[list] = []  # per vertex reached: [key, need, options tried, multiset]
     i = 0
-    while 0 <= i < len(vertices):
+    while i < len(order):
         if i == len(frames):
             key = tuple(map(front.__getitem__, cut[i]))
             need = None if key in dead[i] else tuple(map(front.__getitem__, back[i]))
@@ -286,6 +276,8 @@ def _search_component(
         key, need, k, _ = frame = frames[i]
         found = None if need is None else option(i, need, k)
         if found is None:
+            if not key:
+                return NotFound(coord_bound, size_bound)
             dead[i].add(key)
             frames.pop()
             i -= 1
@@ -297,7 +289,10 @@ def _search_component(
                     break
             else:
                 i += 1
-    return [combo for _, _, _, combo in frames] if frames else None
+    chosen = {v: frame[3] for v, frame in zip(order, frames)}
+    return EquitableSet(
+        tuple((v, tuple(cands[c] for c in chosen[v])) for v in g.vertices)
+    )
 
 
 @dataclass(frozen=True)

@@ -225,12 +225,13 @@ def decide_fbc_single_vertex(edges: list[Pair], vertex: VertexId = "V") -> FbcVe
 def _line_avoiding(vectors: list[IntVec2]) -> IntVec2:
     """First primitive direction spanning a line that contains none of the
     given nonzero vectors, in order of increasing max-norm, then
-    lexicographically."""
+    lexicographically.  A primitive d spans the line of v exactly when
+    d = ±primitive_of(v), so each candidate is one set lookup."""
+    spanned = {p for u in map(primitive_of, vectors) for p in (u, -u)}
     for n in itertools.count(1):
         for x, y in itertools.product(range(-n, n + 1), repeat=2):
-            d = IntVec2(x, y)
             if max(abs(x), abs(y)) == n and math.gcd(x, y) == 1:
-                if all(det2(d, v) != 0 for v in vectors):
+                if (d := IntVec2(x, y)) not in spanned:
                     return d
 
 

@@ -1,8 +1,10 @@
 import gc
 import io
 import json
+import os
 import random
 import re
+import subprocess
 import sys
 import time
 import warnings
@@ -85,6 +87,20 @@ def test_golden_output(capsys, tmp_path, golden, argv):
     code, out, err = run(capsys, *(str(files.get(a, a)) for a in argv))
     assert code == 0 and err == ""
     assert out.encode() == (GOLDEN_DIR / golden).read_bytes()
+
+
+def test_module_entry_point_prints_the_corpus():
+    """`python -m tubular.cli` runs `main` and exits with its status."""
+    src = str(Path(tubular.cli.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-m", "tubular.cli", "corpus"],
+        capture_output=True,
+        env={**os.environ, "PYTHONPATH": path},
+        check=False,
+    )
+    assert (done.returncode, done.stderr) == (0, b"")
+    assert done.stdout == (GOLDEN_DIR / "corpus.txt").read_bytes()
 
 
 DILATED_GOLDENS = [

@@ -351,6 +351,7 @@ def _random_presentation(rng):
 def test_equitable_search_agrees_with_product_oracle():
     rng = random.Random(20261019)
     seen = {key: 0 for key in ("loop", "bridge", "parallel", "bare", "found", "none")}
+    interleaved = 0
     bounds_seen = set()
     for _ in range(1500):
         g = _random_presentation(rng)
@@ -368,8 +369,10 @@ def test_equitable_search_agrees_with_product_oracle():
             all(v not in p for p in pairs) for v in g.vertices
         )
         seen["found" if isinstance(out, EquitableSet) else "none"] += 1
+        interleaved += _interleaved(g)
     assert len(bounds_seen) == 4
     assert min(seen.values()) > 100, seen
+    assert interleaved >= 50, interleaved
     no_edges = TubularPresentation(("A", "B"), ())
     for bounds in bounds_seen:
         out = equitable_search(no_edges, *bounds)
@@ -453,6 +456,36 @@ def _components(g):
             for v in merged:
                 part[v] = merged
     return {frozenset(p) for p in part.values()}
+
+
+def _interleaved(g):
+    """Whether some component's vertices are not contiguous in vertex order,
+    as when V0 - V2 is a component and V1 is alone."""
+    index = {v: i for i, v in enumerate(g.vertices)}
+    return any(
+        max(index[v] for v in c) - min(index[v] for v in c) >= len(c) for c in _components(g)
+    )
+
+
+def test_equitable_search_stops_at_a_failing_component(monkeypatch):
+    """Z's loop is balanced by no multiset, and Z begins its component in the
+    walk, so the search stops there instead of going back into A0 - A1 - A2,
+    whose choices cannot help it (170 multisets listed when it went back)."""
+    listed = 0
+
+    def counted(*args):
+        nonlocal listed
+        for multiset in _balanced_multisets(*args):
+            listed += 1
+            yield multiset
+
+    monkeypatch.setattr(tubular.cubulate, "_balanced_multisets", counted)
+    g = parse(
+        "group t { vertex A0, Z, A1, A2; edge a : A0(1,1) -> A1(1,2); "
+        "edge b : A1(1,1) -> A2(1,2); edge d : Z(1,0) -> Z(2,0); }\n"
+    )
+    assert equitable_search(g, 3, 3) == NotFound(3, 3)
+    assert listed <= 6, listed
 
 
 def _far_graph(rng):

@@ -323,6 +323,55 @@ def test_line_avoiding_takes_the_first_direction_in_shell_order():
         assert fbc._line_avoiding(vectors) == expected, vectors
 
 
+def _line_avoiding_oracle(vectors):
+    """The loop `fbc._line_avoiding` replaced: every direction of the shell
+    order checked against every vector by a determinant."""
+    for n in itertools.count(1):
+        for x, y in itertools.product(range(-n, n + 1), repeat=2):
+            d = V(x, y)
+            if max(abs(x), abs(y)) == n and math.gcd(x, y) == 1:
+                if all(det2(d, v) != 0 for v in vectors):
+                    return d
+
+
+def _sign_normalized_directions(k):
+    """The first k primitive directions of the shell order whose first
+    nonzero coordinate is positive."""
+    out = (
+        V(*t)
+        for t in _coefficient_tuples(2)
+        if math.gcd(*t) == 1 and (t[0] > 0 or (t[0] == 0 and t[1] > 0))
+    )
+    return list(itertools.islice(out, k))
+
+
+def test_line_avoiding_agrees_with_determinant_oracle():
+    """Non-primitive and negated attaching vectors block the same line as
+    their primitive direction."""
+    rng = random.Random(20261019)
+    for k in range(40):
+        vectors = [
+            V(d.x * m, d.y * m)
+            for d in _sign_normalized_directions(k)
+            for m in rng.sample((1, -1, 2, -3), rng.randint(1, 2))
+        ]
+        rng.shuffle(vectors)
+        assert fbc._line_avoiding(vectors) == _line_avoiding_oracle(vectors), k
+
+
+def test_line_criterion_on_many_equal_loops_is_fast():
+    """One vertex whose 2,000 loops have v = w, on the first 2,000
+    sign-normalized directions: the direction search made 2,000 determinant
+    checks per candidate and took about 1 s of CPU."""
+    pairs = [(d, d) for d in _sign_normalized_directions(2000)]
+    t0 = time.process_time()
+    verdict = decide_fbc_single_vertex(pairs)
+    elapsed = time.process_time() - t0
+    assert verdict.answer
+    assert witness_is_valid(single_vertex_presentation(pairs), verdict.witness)
+    assert elapsed < 0.5
+
+
 def test_greedy_search_agrees_with_shell_oracle():
     rng = random.Random(20261018)
     yes = dim_one = 0
