@@ -9,6 +9,7 @@ each endpoint's basis); `amalgamate` glues two.  The certificate types (`QForm2`
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -69,6 +70,15 @@ def primitive_of(v: IntVec2) -> IntVec2:
         raise ValueError("primitive_of requires a nonzero vector")
     g = math.gcd(abs(v.x), abs(v.y))
     return IntVec2(v.x // g, v.y // g)
+
+
+def line_of(x: int, y: int) -> tuple[int, int]:
+    """The one vector kept for the line through the nonzero vector (x, y):
+    primitive, with its first nonzero coordinate positive."""
+    g = math.gcd(x, y)
+    if x < 0 or (x == 0 and y < 0):
+        g = -g
+    return x // g, y // g
 
 
 @dataclass(frozen=True)
@@ -274,11 +284,12 @@ class EquitableSet:
 
     sets: tuple[tuple[VertexId, tuple[IntVec2, ...]], ...]
 
+    @functools.cached_property
+    def _first(self) -> dict[VertexId, tuple[IntVec2, ...]]:
+        return dict(reversed(self.sets))  # the first entry of a vertex wins
+
     def at(self, vertex: VertexId) -> tuple[IntVec2, ...]:
-        for vid, vecs in self.sets:
-            if vid == vertex:
-                return vecs
-        raise KeyError(vertex)
+        return self._first[vertex]
 
     @staticmethod
     def single(vectors: list[IntVec2], vertex: VertexId = "V") -> "EquitableSet":
@@ -293,9 +304,7 @@ def verify_equitable(g: TubularPresentation, s: EquitableSet) -> bool:
     except KeyError:
         return False
     for vecs in circles.values():
-        if any(x.is_zero() for x in vecs):
-            return False
-        if not _has_independent_pair(vecs):
+        if any(x.is_zero() for x in vecs) or not _has_independent_pair(vecs):
             return False
     for e in g.edges:
         left = sum(abs(det2(x, e.v)) for x in circles[e.src])
@@ -306,8 +315,6 @@ def verify_equitable(g: TubularPresentation, s: EquitableSet) -> bool:
 
 
 def _has_independent_pair(vecs: tuple[IntVec2, ...]) -> bool:
-    return any(
-        det2(vecs[i], vecs[j]) != 0
-        for i in range(len(vecs))
-        for j in range(i + 1, len(vecs))
-    )
+    """Whether the vectors, which must be nonzero, span two lines: exactly
+    when one of them is off the first one's line."""
+    return any(det2(u, x) for u in vecs[:1] for x in vecs[1:])

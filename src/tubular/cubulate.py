@@ -31,6 +31,7 @@ from .core import (
     TubularPresentation,
     VertexId,
     det2,
+    line_of,
     verify_equitable,
 )
 
@@ -39,15 +40,10 @@ Circle = tuple[VertexId, int]  # vertex id + index into that vertex's circle lis
 
 def _candidate_vectors(coord_bound: int) -> list[IntVec2]:
     """Primitive vectors with |coords| <= bound, sign-normalized (first
-    nonzero coordinate positive), in lexicographic order."""
-    out = []
-    for x in range(0, coord_bound + 1):
-        for y in range(-coord_bound, coord_bound + 1):
-            if x == 0 and y <= 0:
-                continue
-            if math.gcd(x, abs(y)) == 1:
-                out.append(IntVec2(x, y))
-    return out
+    nonzero coordinate positive), in lexicographic order: one per line."""
+    box = range(-coord_bound, coord_bound + 1)
+    lines = {line_of(x, y) for x in box for y in box if x or y}
+    return [IntVec2(x, y) for x, y in sorted(lines)]
 
 
 @dataclass(frozen=True)
@@ -207,15 +203,18 @@ def equitable_search(
     if coord_bound < 1 or size_bound < 1:
         raise ValueError("bounds must be >= 1")
     cands, _ = _search_table(coord_bound, size_bound)
-    part = {v: {v} for v in g.vertices}  # per vertex, its component
+    index = {v: i for i, v in enumerate(g.vertices)}
+    up = list(range(len(g.vertices)))  # union-find; a root is its component's first vertex
+
+    def root(i: int) -> int:
+        while up[i] != i:
+            up[i] = i = up[up[i]]
+        return i
+
     for e in g.edges:
-        if part[e.src] is not part[e.dst]:
-            merged = part[e.src] | part[e.dst]
-            part.update(dict.fromkeys(merged, merged))
-    first: dict[int, int] = {}  # per component, the position of its first vertex
-    for i, v in enumerate(g.vertices):
-        first.setdefault(id(part[v]), i)
-    order = sorted(g.vertices, key=lambda v: first[id(part[v])])
+        a, b = sorted((root(index[e.src]), root(index[e.dst])))
+        up[b] = a
+    order = sorted(g.vertices, key=lambda v: root(index[v]))
     pos = {v: i for i, v in enumerate(order)}
     # Non-loop edges as (earlier position, later position, vector at the
     # earlier end, vector at the later end), by earlier position, so the

@@ -7,14 +7,14 @@ Two routes are implemented and cross-checked against each other:
 * Button's criterion for arbitrary graphs: free-by-cyclic exactly when some
   homomorphism to Z is nonzero on every edge group.  The homomorphisms to Z
   form a rational subspace S cut out by one sparse integer constraint per
-  edge.  `linalg.nullspace` eliminates them fraction-free and returns the
-  reduced-row-echelon basis of S as integer vectors over one common
-  denominator.  Each required value (one per edge group) is tabulated once
-  on that integer basis; an all-zero row is the obstruction.  Otherwise a
-  greedy walk over the basis picks the witness sum c_i b_i with every c_i in
-  1..k+1 for k required values, in at most dim(S) * (k+1) trials.  The
-  common denominator changes no choice of the walk and not the primitive
-  witness, so all of this runs in integers.
+  edge.  `linalg.nullspace` eliminates them fraction-free, forward to
+  echelon form and then back, and returns the reduced-row-echelon basis of S
+  as integer vectors over one common denominator.  Each required value (one
+  per edge group) is tabulated once on that integer basis; an all-zero row
+  is the obstruction.  Otherwise a greedy walk over the basis picks the
+  witness sum c_i b_i with every c_i in 1..k+1 for k required values, in at
+  most dim(S) * (k+1) trials.  The common denominator changes no choice of
+  the walk and not the primitive witness, so all of this runs in integers.
 
 The hom space and its table of edge values are built once per presentation
 and kept in a small cache, shared by Button, the retractor and the amalgam
@@ -39,6 +39,7 @@ from .core import (
     VertexId,
     amalgamate,
     det2,
+    line_of,
     primitive_of,
     require_nonzero,
 )
@@ -215,24 +216,20 @@ def decide_fbc_single_vertex(edges: list[Pair], vertex: VertexId = "V") -> FbcVe
         direction = _line_avoiding([v for v, _ in edges])
     # Projection onto the completed basis vector: f(x) = det2(direction, x),
     # normalized so the first nonzero coefficient is positive.
-    alpha, beta = -direction.y, direction.x
-    if alpha < 0 or (alpha == 0 and beta < 0):
-        alpha, beta = -alpha, -beta
-    witness = Functional(((vertex, (alpha, beta)),))
+    witness = Functional(((vertex, line_of(-direction.y, direction.x)),))
     return FbcVerdict(True, witness=witness)
 
 
 def _line_avoiding(vectors: list[IntVec2]) -> IntVec2:
     """First primitive direction spanning a line that contains none of the
     given nonzero vectors, in order of increasing max-norm, then
-    lexicographically.  A primitive d spans the line of v exactly when
-    d = ±primitive_of(v), so each candidate is one set lookup."""
-    spanned = {p for u in map(primitive_of, vectors) for p in (u, -u)}
+    lexicographically.  Each candidate is one lookup of its `line_of`."""
+    spanned = {line_of(v.x, v.y) for v in vectors}
     for n in itertools.count(1):
         for x, y in itertools.product(range(-n, n + 1), repeat=2):
             if max(abs(x), abs(y)) == n and math.gcd(x, y) == 1:
-                if (d := IntVec2(x, y)) not in spanned:
-                    return d
+                if line_of(x, y) not in spanned:
+                    return IntVec2(x, y)
 
 
 def generalized_retractor(

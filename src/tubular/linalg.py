@@ -1,8 +1,8 @@
 """Exact sparse linear algebra over the integers.
 
 This is the only module that does elimination.  Rows are sparse integer
-vectors, `dict[column, int]`, and elimination is fraction-free: every stored
-row is primitive (its entries have gcd 1) with a positive pivot.
+vectors, `dict[column, int]`, and elimination is fraction-free two-phase
+Gauss-Jordan: every stored row is primitive (gcd 1) with a positive pivot.
 """
 
 from __future__ import annotations
@@ -13,15 +13,18 @@ from collections.abc import Iterable
 Row = dict[int, int]
 
 
-def _combine(a: int, r: Row, b: int, s: Row) -> Row:
-    """The row a*r - b*s, dropping zero entries."""
-    out = {c: a * x for c, x in r.items()}
-    for c, x in s.items():
-        y = out.get(c, 0) - b * x
-        if y:
-            out[c] = y
+def _eliminate(r: Row, s: Row, c: int) -> Row:
+    """The integer combination of r and s that is zero at column c,
+    (s[c] * r - r[c] * s) / gcd(r[c], s[c]), without zero entries.  The scale
+    of r is positive when s[c] is, as it is in a stored pivot row."""
+    g = math.gcd(r[c], s[c])
+    a, b = s[c] // g, r[c] // g
+    out = {k: a * x for k, x in r.items()}
+    for k, x in s.items():
+        if y := out.get(k, 0) - b * x:
+            out[k] = y
         else:
-            del out[c]
+            del out[k]
     return out
 
 
@@ -38,32 +41,29 @@ def nullspace(rows: Iterable[Row], ncols: int) -> tuple[int, list[tuple[int, ...
     in increasing free-column order, as integer vectors over one common
     denominator: returns (D, [D * b for each basis vector b]).
 
-    The rows are added one at a time.  Each is reduced by the stored pivot
-    rows, its leftmost nonzero column becomes a new pivot, and the other
-    pivot rows are back-reduced by it.  A stored row is then zero at every
-    other pivot column, so it is the unique reduced-row-echelon row for its
-    pivot up to a positive scale, and the basis is the dense Gauss-Jordan one
-    by construction.  D is the least common multiple of the pivot entries,
-    which is the least common denominator of that basis (1 when it has no
-    vectors).  Pivots are never reordered to reduce fill: that would change
-    the free columns, and with them the basis.
+    Forward, each row loses its lowest column while that is a pivot; a
+    nonzero remainder becomes the pivot row of its lowest column.  Backward,
+    by decreasing pivot, each row's other pivot columns are cleared by the
+    later pivot rows, reduced by then.  An echelon form has the pivot columns
+    of the unique reduced row echelon form, so each row is that form's row
+    up to the positive scale `_primitive` removes: the basis is the dense
+    Gauss-Jordan one.  On a chain both phases are linear.  D is the least
+    common multiple of the pivot entries, the least common denominator of
+    the basis (1 when it is empty).  Pivots are never reordered: that would
+    change the free columns.
     """
     pivots: dict[int, Row] = {}
     for row in rows:
         r = {c: x for c, x in row.items() if x}
-        for c in [c for c in r if c in pivots]:
-            s = pivots[c]
-            g = math.gcd(s[c], r[c])
-            r = _combine(s[c] // g, r, r[c] // g, s)
-        if not r:
-            continue
-        p = min(r)
-        r = _primitive(r, p)
-        for q, s in pivots.items():
-            if p in s:
-                g = math.gcd(r[p], s[p])
-                pivots[q] = _primitive(_combine(r[p] // g, s, s[p] // g, r), q)
-        pivots[p] = r
+        while r and (p := min(r)) in pivots:
+            r = _eliminate(r, pivots[p], p)
+        if r:
+            pivots[p] = _primitive(r, p)
+    for p in sorted(pivots, reverse=True):
+        s = pivots[p]
+        for q in [q for q in s if q != p and q in pivots]:
+            s = _eliminate(s, pivots[q], q)
+        pivots[p] = _primitive(s, p)
     denominator = math.lcm(*(s[p] for p, s in pivots.items()))
     free = {c: i for i, c in enumerate(c for c in range(ncols) if c not in pivots)}
     basis = [[0] * ncols for _ in free]

@@ -19,7 +19,6 @@ Routes, from weakest to strongest:
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass
 
 from .cat0 import Cat0Verdict, decide_cat0
@@ -31,6 +30,7 @@ from .core import (
     TubularPresentation,
     VertexId,
     det2,
+    line_of,
     require_nonzero,
     single_vertex_presentation,
 )
@@ -119,16 +119,12 @@ def vspecial_from_verdicts(fbc: FbcVerdict, cat0: Cat0Verdict | None) -> Special
 
 def _line_counts(g: TubularPresentation) -> dict[VertexId, int]:
     """Each vertex's number of lines through the origin spanned by its
-    attaching vectors (both ends of loops counted), in one pass over the
-    edges."""
+    attaching vectors (both ends of loops counted): the distinct `line_of`
+    vectors at the vertex, in one pass over the edges."""
     lines: dict[VertexId, set[tuple[int, int]]] = {v: set() for v in g.vertices}
     for e in g.edges:
-        for vertex, vec in ((e.src, e.v), (e.dst, e.w)):
-            d = math.gcd(vec.x, vec.y)
-            x, y = vec.x // d, vec.y // d
-            if x < 0 or (x == 0 and y < 0):
-                x, y = -x, -y
-            lines[vertex].add((x, y))
+        lines[e.src].add(line_of(e.v.x, e.v.y))
+        lines[e.dst].add(line_of(e.w.x, e.w.y))
     return {v: len(found) for v, found in lines.items()}
 
 

@@ -13,6 +13,7 @@ from tubular.core import (
     TubularPresentation,
     change_basis,
     det2,
+    line_of,
     primitive_of,
     single_vertex_presentation,
 )
@@ -43,6 +44,14 @@ def test_primitive_of(v):
     assert math.gcd(abs(p.x), abs(p.y)) == 1
     assert det2(p, v) == 0
     assert p.x * v.x + p.y * v.y > 0  # same direction
+
+
+@given(nonzero_vec, st.integers(-20, 20).filter(bool))
+def test_line_of_picks_one_vector_per_line(v, k):
+    x, y = line_of(v.x, v.y)
+    assert line_of(k * v.x, k * v.y) == line_of(-v.x, -v.y) == (x, y)
+    assert math.gcd(x, y) == 1 and det2(IntVec2(x, y), v) == 0
+    assert x > 0 or (x == 0 and y > 0)
 
 
 def test_primitive_of_rejects_zero():

@@ -630,6 +630,72 @@ def test_chain_with_distorted_loop_first_is_not_found_quickly(capsys, tmp_path):
     assert "c dilation: Unknown" in capsys.readouterr().out
 
 
+def _path(n):
+    """V0 - V1 - ... - V(n-1) by edges (1,0) -> (1,0)."""
+    vertices = tuple(f"V{i}" for i in range(n))
+    edges = (Edge(f"e{i}", vertices[i], vertices[i + 1], V(1, 0), V(1, 0)) for i in range(n - 1))
+    return TubularPresentation(vertices, tuple(edges))
+
+
+def test_equitable_search_is_fast_on_a_long_path():
+    """Merging components by copying each one into every member took 4.5 s
+    on this path; the union-find takes under 1 s."""
+    g = _path(8000)
+    t0 = time.process_time()
+    out = equitable_search(g, 3, 3)
+    assert time.process_time() - t0 < 2.5
+    assert out.sets == tuple((v, (V(0, 1), V(1, -3))) for v in g.vertices)
+
+
+def test_set_lookups_are_fast_on_a_long_path():
+    """`EquitableSet.at` was a scan, called per vertex or per edge end:
+    these three calls took 8 s on this path."""
+    g = _path(8000)
+    s = equitable_search(g, 3, 3)
+    t0 = time.process_time()
+    assert verify_equitable(g, s)
+    assert len(wall_graph(g, s).arcs) == 2 * len(g.edges)
+    assert all_matching_verdicts(g, s) == ({False}, True)
+    assert time.process_time() - t0 < 2.0
+
+
+def test_equitable_set_at_takes_the_first_entry_of_a_vertex():
+    s = EquitableSet((("V", (V(1, 0),)), ("W", (V(0, 1),)), ("V", (V(1, 1),))))
+    assert s.at("V") == (V(1, 0),) and s.at("W") == (V(0, 1),)
+    with pytest.raises(KeyError):
+        s.at("U")
+    assert s == EquitableSet(s.sets) and "_first" not in repr(s)
+
+
+def _candidate_vectors_oracle(coord_bound):
+    """The loop that `_candidate_vectors` replaced."""
+    out = []
+    for x in range(0, coord_bound + 1):
+        for y in range(-coord_bound, coord_bound + 1):
+            if x == 0 and y <= 0:
+                continue
+            if math.gcd(x, abs(y)) == 1:
+                out.append(IntVec2(x, y))
+    return out
+
+
+def test_candidate_vectors_agree_with_loop_oracle():
+    for coord_bound in range(1, 34):
+        assert _candidate_vectors(coord_bound) == _candidate_vectors_oracle(coord_bound)
+
+
+def test_independent_pair_agrees_with_pairwise_scan():
+    rng = random.Random(25)
+    vecs = [V(x, y) for x in range(-3, 4) for y in range(-3, 4) if (x, y) != (0, 0)]
+    answers = []
+    for _ in range(2000):
+        combo = tuple(rng.choice(vecs) for _ in range(rng.randint(0, 5)))
+        pairwise = any(det2(u, w) for u, w in itertools.combinations(combo, 2))
+        assert _has_independent_pair(combo) == pairwise, combo
+        answers.append(pairwise)
+    assert answers.count(True) > 500 and answers.count(False) > 300
+
+
 def test_lyman_canonical_set_non_dilated():
     g = gpq_to_tubular(lyman_psi(1, 1))
     s = canonical_th3_set(g.single_vertex_pairs())

@@ -601,9 +601,60 @@ def test_retractor_rule_agrees_with_button_on_the_amalgam():
     assert answers.count(True) > 300 and answers.count(False) > 300
 
 
+def _incremental_nullspace(rows, ncols):
+    """The kernel that the two-phase `linalg.nullspace` replaced: each new
+    row is reduced at every stored pivot column, and every stored row is
+    then back-reduced by it, which is quadratic on a chain."""
+
+    def combine(a, r, b, s):
+        out = {c: a * x for c, x in r.items()}
+        for c, x in s.items():
+            y = out.get(c, 0) - b * x
+            if y:
+                out[c] = y
+            else:
+                del out[c]
+        return out
+
+    def primitive(r, p):
+        g = math.gcd(*r.values())
+        if r[p] < 0:
+            g = -g
+        return {c: x // g for c, x in r.items()} if g != 1 else r
+
+    pivots = {}
+    for row in rows:
+        r = {c: x for c, x in row.items() if x}
+        for c in [c for c in r if c in pivots]:
+            s = pivots[c]
+            g = math.gcd(s[c], r[c])
+            r = combine(s[c] // g, r, r[c] // g, s)
+        if not r:
+            continue
+        p = min(r)
+        r = primitive(r, p)
+        for q, s in pivots.items():
+            if p in s:
+                g = math.gcd(r[p], s[p])
+                pivots[q] = primitive(combine(r[p] // g, s, s[p] // g, r), q)
+        pivots[p] = r
+    denominator = math.lcm(*(s[p] for p, s in pivots.items()))
+    free = {c: i for i, c in enumerate(c for c in range(ncols) if c not in pivots)}
+    basis = [[0] * ncols for _ in free]
+    for c, i in free.items():
+        basis[i][c] = denominator
+    for p, s in pivots.items():
+        scale = denominator // s[p]
+        for c, x in s.items():
+            if c != p:
+                basis[free[c]][p] = -x * scale
+    return denominator, [tuple(b) for b in basis]
+
+
 def test_nullspace_matches_dense_rref_on_integer_matrices():
     """Random integer matrices, including zero rows, repeated rows and rank
-    deficiency; the basis is the dense one over its least common denominator."""
+    deficiency; the basis is the dense one over its least common denominator,
+    and the same as the incremental kernel's."""
     rng = random.Random(7)
     for _ in range(300):
         ncols = rng.randint(1, 7)
@@ -614,9 +665,24 @@ def test_nullspace_matches_dense_rref_on_integer_matrices():
         if rows and rng.randrange(3) == 0:
             rows.append([2 * x for x in rng.choice(rows)])
         den, numerators = nullspace([dict(enumerate(r)) for r in rows], ncols)
+        assert (den, numerators) == _incremental_nullspace(
+            [dict(enumerate(r)) for r in rows], ncols
+        )
         dense = _rref_nullspace([[Fraction(x) for x in r] for r in rows], ncols)
         assert den == math.lcm(*(x.denominator for b in dense for x in b))
         assert [tuple(Fraction(x, den) for x in b) for b in numerators] == dense
+
+
+def test_hom_space_is_linear_on_a_chain():
+    """Back-reducing every stored row after each new one took 2.8-6 s on
+    this path; two-phase elimination takes under 0.4 s."""
+    vertices = tuple(f"V{i}" for i in range(2000))
+    edges = (Edge(f"e{i}", vertices[i], vertices[i + 1], V(1, 0), V(1, 0)) for i in range(1999))
+    g = TubularPresentation(vertices, tuple(edges))
+    t0 = time.process_time()
+    space = hom_space(g)
+    assert time.process_time() - t0 < 1.5
+    assert space.dim == 2001 and space.denominator == 1
 
 
 def test_sparse_kernel_bounded_work():
