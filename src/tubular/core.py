@@ -13,6 +13,7 @@ import functools
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from typing import NamedTuple
 
 # Rationals are fractions.Fraction: always reduced, positive denominator.
 Rat = Fraction
@@ -21,9 +22,13 @@ VertexId = str
 EdgeId = str
 
 
-@dataclass(frozen=True, order=True)
-class IntVec2:
-    """An element of a Z^2 vertex group, written in that vertex's chosen basis."""
+class IntVec2(NamedTuple):
+    """An element of a Z^2 vertex group, written in that vertex's chosen basis.
+
+    A tuple: it unpacks as (x, y), equals and hashes as the plain tuple, and
+    orders lexicographically.  `+` and `-` are vector arithmetic, not tuple
+    concatenation.
+    """
 
     x: int
     y: int
@@ -97,27 +102,40 @@ class IntMat2:
         return IntVec2(self.a * v.x + self.b * v.y, self.c * v.x + self.d * v.y)
 
 
-@dataclass(frozen=True)
-class Edge:
-    """A directed edge: the relation s v s^-1 = w between the endpoint Z^2 groups.
-
-    `v` is the attaching vector at the initial vertex `src`, `w` the attaching
-    vector at the terminal vertex `dst`.  The deciders treat an edge and its
-    reversal (swap v/w, src/dst) identically.
-    """
-
+class _EdgeFields(NamedTuple):
     id: EdgeId
     src: VertexId
     dst: VertexId
     v: IntVec2
     w: IntVec2
 
-    def __post_init__(self):
-        if self.v.is_zero() or self.w.is_zero():
-            raise ValueError(f"edge {self.id}: attaching vectors must be nonzero")
 
-    def reversed(self) -> "Edge":
-        return Edge(self.id, self.dst, self.src, self.w, self.v)
+class Edge(_EdgeFields):
+    """A directed edge: the relation s v s^-1 = w between the endpoint Z^2 groups.
+
+    `v` is the attaching vector at the initial vertex `src`, `w` the attaching
+    vector at the terminal vertex `dst`.  The deciders treat an edge and its
+    reversal (swap v/w, src/dst) identically.  A tuple of its five fields, so
+    it unpacks and equals the plain tuple; every way to build one, `_make`
+    and `_replace` included, rejects a zero attaching vector.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, id: EdgeId, src: VertexId, dst: VertexId, v: IntVec2, w: IntVec2):
+        if v.is_zero() or w.is_zero():
+            raise ValueError(f"edge {id}: attaching vectors must be nonzero")
+        return tuple.__new__(cls, (id, src, dst, v, w))
+
+    @classmethod
+    def _make(cls, iterable) -> "Edge":
+        return cls(*iterable)
+
+    def _replace(self, **changes) -> "Edge":
+        edge = self._make(map(changes.pop, self._fields, self))
+        if changes:
+            raise ValueError(f"Got unexpected field names: {list(changes)!r}")
+        return edge
 
 
 @dataclass(frozen=True)
@@ -142,9 +160,6 @@ class TubularPresentation:
         for e in self.edges:
             if e.src not in vset or e.dst not in vset:
                 raise ValueError(f"edge {e.id}: unknown vertex {e.src!r} or {e.dst!r}")
-
-    def loops_at(self, v: VertexId) -> list[Edge]:
-        return [e for e in self.edges if e.src == v and e.dst == v]
 
     def single_vertex_pairs(self) -> list[Pair]:
         if len(self.vertices) != 1:
@@ -178,7 +193,7 @@ def change_basis(
     for e in g.edges:
         v = u.apply(e.v) if e.src == vertex else e.v
         w = u.apply(e.w) if e.dst == vertex else e.w
-        new_edges.append(replace(e, v=v, w=w))
+        new_edges.append(Edge(e.id, e.src, e.dst, v, w))
     return replace(g, edges=tuple(new_edges))
 
 

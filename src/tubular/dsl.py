@@ -14,6 +14,14 @@ Whitespace is insignificant, `#` starts a comment to end of line, and the
 semicolon before `}` is optional.  Names, vertex ids and edge labels are
 identifiers, `[A-Za-z_][A-Za-z0-9_.-]*`, and integers are `-?[0-9]+`, ASCII
 digits only.  Errors carry 1-based line/column positions.
+
+A group text is read by whole statements: one match for the head and the
+vertex list, one for each whole `edge` statement, each anchored where the
+last one ended, and one for the closing brace; the data model checks the
+rest (ids, ends, nonzero vectors).  These statement patterns define the
+group texts that parse.  A gpq text, and any text that the statement match
+or the data model rejects, goes to a token walker built from the same token
+fragments; on a group text it only words the first error with its position.
 """
 
 from __future__ import annotations
@@ -31,14 +39,38 @@ class DslError(ValueError):
         super().__init__(f"{line}:{col}: {message}")
 
 
-# One match per token: skip whitespace and comments, then capture an integer,
-# an identifier, a punctuator or any other (bad) character; at the end of the
+# The token fragments, shared by the statement patterns and the walker.
+# Between tokens come whitespace and comments; a comment ends only at the end
+# of its line, so that no backtracking in a statement pattern can end one
+# early and read the rest of its line as text.
+_ID = r"[A-Za-z_][A-Za-z0-9_.-]*"
+_INT = r"-?[0-9]+"
+_SKIP = r"[ \t\r\n]*(?:\#[^\n]*(?![^\n])[ \t\r\n]*)*"
+
+# The statement patterns, which define the group texts that parse.  A keyword
+# is not followed by an identifier character; nothing else needs a guard,
+# since every token after an identifier or an integer starts with a character
+# neither can contain.  A group text is _HEAD, then one _EDGE match after
+# another, each with its ';', which the last may leave out, then _TAIL.
+_END = r"(?![A-Za-z0-9_.-])"
+_VEC = rf"({_ID}){_SKIP}\({_SKIP}({_INT}){_SKIP},{_SKIP}({_INT}){_SKIP}\)"
+_HEAD = re.compile(
+    rf"{_SKIP}group{_END}{_SKIP}({_ID}){_SKIP}\{{{_SKIP}vertex{_END}{_SKIP}"
+    rf"({_ID}(?:{_SKIP},{_SKIP}{_ID})*){_SKIP};"
+)
+_EDGE = re.compile(
+    rf"{_SKIP}edge{_END}{_SKIP}({_ID}){_SKIP}:{_SKIP}{_VEC}{_SKIP}->{_SKIP}{_VEC}{_SKIP}"
+    r"(?:;|(?=\}))"
+)
+_TAIL = re.compile(rf"{_SKIP}\}}{_SKIP}")
+_VERTEX = re.compile(rf"{_SKIP}({_ID}){_SKIP},?")
+
+# The walker's tokens, one match each: skip, then capture an integer, an
+# identifier, a punctuator or any other (bad) character; at the end of the
 # text every group is empty.  `findall` gives one 4-tuple per token, indexed
 # by the slots below, and always ends with an end-of-input tuple.
 _RE = re.compile(
-    r"""[ \t\r\n]*(?:\#[^\n]*[ \t\r\n]*)*
-        (?:(-?[0-9]+)|([A-Za-z_][A-Za-z0-9_.-]*)|(->|[{}();:,=\[\]])|(.)|\Z)""",
-    re.VERBOSE | re.DOTALL,
+    rf"{_SKIP}(?:({_INT})|({_ID})|(->|[{{}}();:,=\[\]])|(.)|\Z)", re.DOTALL
 )
 INT, IDENT, PUNCT, BAD = range(4)
 _EOF = ("", "", "", "")
@@ -49,7 +81,11 @@ def _shown(tok: tuple[str, ...]) -> str:
 
 
 class _Parser:
-    """Walks the token tuples by index; positions are found only on error."""
+    """Walks the token tuples by index; positions are found only on error.
+
+    A group text reaches the walker only when the statement patterns or the
+    data model rejected it; the walker words the first error, and must reject
+    every such text too."""
 
     def __init__(self, text: str):
         self.text = text
@@ -183,6 +219,20 @@ class _Parser:
 
 def parse(text: str) -> TubularPresentation | GpqParams:
     """Parse the DSL; raises DslError with line/column on malformed input."""
+    if head := _HEAD.match(text):
+        pos, edges = head.end(), []
+        try:
+            while m := _EDGE.match(text, pos):
+                label, src, x, y, dst, z, t = m.groups()
+                v, w = IntVec2(int(x), int(y)), IntVec2(int(z), int(t))
+                edges.append(Edge(label, src, dst, v, w))
+                pos = m.end()
+            if _TAIL.fullmatch(text, pos):
+                name, vertices = head.groups()
+                ids = tuple(_VERTEX.findall(vertices))
+                return TubularPresentation(ids, tuple(edges), name=name)
+        except ValueError:  # a repeated id, unknown end, zero vector or long integer
+            pass
     return _Parser(text).parse()
 
 

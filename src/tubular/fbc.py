@@ -8,13 +8,18 @@ Two routes are implemented and cross-checked against each other:
   homomorphism to Z is nonzero on every edge group.  The homomorphisms to Z
   form a rational subspace S cut out by one sparse integer constraint per
   edge.  `linalg.nullspace` eliminates them fraction-free, forward to
-  echelon form and then back, and returns the reduced-row-echelon basis of S
-  as integer vectors over one common denominator.  Each required value (one
-  per edge group) is tabulated once on that integer basis; an all-zero row
-  is the obstruction.  Otherwise a greedy walk over the basis picks the
-  witness sum c_i b_i with every c_i in 1..k+1 for k required values, in at
-  most dim(S) * (k+1) trials.  The common denominator changes no choice of
-  the walk and not the primitive witness, so all of this runs in integers.
+  echelon form and then back, and returns the reduced pivot rows and free
+  columns.  They give the free-variable basis of S as integer vectors over
+  one common denominator, kept sparse: for each coordinate, the basis
+  vectors nonzero there.  Each required value (one per edge group) is
+  tabulated once on that basis, as its nonzero entries; an empty row is the
+  obstruction.  Otherwise a greedy walk over the basis picks the witness
+  sum c_i b_i with every c_i in 1..k+1 for k required values, in at most
+  dim(S) * (k+1) trials, and updates only the rows nonzero at each b_i.
+  The common denominator changes no choice of the walk and not the
+  primitive witness, so all of this runs in integers.  On a chain every
+  step is linear; where the pivot rows fill in, the sparse form holds as
+  many entries as the dense basis.
 
 The hom space and its table of edge values are built once per presentation
 and kept in a small cache, shared by Button, the retractor and the amalgam
@@ -45,6 +50,9 @@ from .core import (
 )
 from .linalg import nullspace
 
+# Values on the basis of a HomSpace: (basis index, nonzero value) pairs.
+Sparse = tuple[tuple[int, int], ...]
+
 
 @dataclass(frozen=True)
 class HomSpace:
@@ -52,20 +60,23 @@ class HomSpace:
 
     Coordinates are ordered (alpha_v1, beta_v1, alpha_v2, beta_v2, ...) in
     vertex order; the basis is the reduced-row-echelon free-variable basis, so
-    it is deterministic for a given presentation.  It is stored as integer
-    vectors `numerators` over one common positive `denominator`, the least
-    common denominator of the basis.
+    it is deterministic for a given presentation.  Basis vector i is the one
+    of free coordinate `free[i]`.  The basis is integer vectors over one
+    common positive `denominator`, the least common denominator of the
+    basis, stored by coordinate: `entries[j]` lists the pairs (i, numerator
+    of basis vector i at coordinate j) that are nonzero, by increasing i.
     `columns` maps each vertex to the column of its alpha coordinate.
     """
 
     vertices: tuple[VertexId, ...]
     denominator: int
-    numerators: tuple[tuple[int, ...], ...]
+    free: tuple[int, ...]
+    entries: tuple[Sparse, ...]
     columns: dict[VertexId, int] = field(compare=False, repr=False)
 
     @property
     def dim(self) -> int:
-        return len(self.numerators)
+        return len(self.free)
 
 
 @dataclass(frozen=True)
@@ -79,14 +90,25 @@ def hom_space(g: TubularPresentation) -> HomSpace:
     """Solve the edge compatibility constraints f_src(v_e) = f_dst(w_e)."""
     columns = {v: 2 * i for i, v in enumerate(g.vertices)}
     rows = []
-    for e in g.edges:
-        s, d = columns[e.src], columns[e.dst]
-        row = {s: e.v.x, s + 1: e.v.y}
-        row[d] = row.get(d, 0) - e.w.x
-        row[d + 1] = row.get(d + 1, 0) - e.w.y
+    for _, src, dst, (vx, vy), (wx, wy) in g.edges:
+        s, d = columns[src], columns[dst]
+        row = {s: vx, s + 1: vy}
+        row[d] = row.get(d, 0) - wx
+        row[d + 1] = row.get(d + 1, 0) - wy
         rows.append(row)
-    denominator, numerators = nullspace(rows, 2 * len(g.vertices))
-    return HomSpace(g.vertices, denominator, tuple(numerators), columns)
+    ncols = 2 * len(g.vertices)
+    pivots, free = nullspace(rows, ncols)
+    # Basis vector i is the denominator at free[i], -s[free[i]] * denominator
+    # / s[p] at the pivot p of each pivot row s, and 0 elsewhere.
+    denominator = math.lcm(*(s[p] for p, s in pivots.items()))
+    index = {c: i for i, c in enumerate(free)}
+    entries: list[Sparse] = [()] * ncols
+    for c, i in index.items():
+        entries[c] = ((i, denominator),)
+    for p, s in pivots.items():
+        scale = denominator // s[p]
+        entries[p] = tuple(sorted((index[c], -x * scale) for c, x in s.items() if c != p))
+    return HomSpace(g.vertices, denominator, tuple(free), tuple(entries), columns)
 
 
 def _integer_functional(space: HomSpace, coords: list[int]) -> Functional:
@@ -102,41 +124,46 @@ def _integer_functional(space: HomSpace, coords: list[int]) -> Functional:
     return Functional(pairs)
 
 
-def _greedy_coefficients(table: list[tuple[int, ...]], dim: int) -> list[int]:
+def _greedy_coefficients(table: list[Sparse], dim: int) -> list[int]:
     """Coefficients c_1..c_dim with every table row nonzero at sum c_i b_i.
 
-    Row r of the table lists a required value on the basis vectors b_i, and
-    none is all zero.  Walking the basis, c_i is the least value in 1..k+1
-    (k rows) keeping nonzero every row that is nonzero at the previous partial
-    sum; a row zero there so far becomes c_i * r(b_i).  Each such row rules
-    out at most one c_i, so the walk makes at most dim * (k+1) trials and no
-    coefficient exceeds k+1.
+    Row r of the table lists the pairs (i, r(b_i)) of a required value r
+    where r(b_i) is nonzero, and no row is empty.  Walking the basis, c_i is
+    the least value in 1..k+1 (k rows) keeping nonzero every row that is
+    nonzero at the previous partial sum; a row zero there so far becomes
+    c_i * r(b_i).  Each such row rules out at most one c_i, so the walk makes
+    at most dim * (k+1) trials and no coefficient exceeds k+1.  A row zero at
+    b_i keeps its value, so step i reads only the rows nonzero at b_i.
     """
     at = [0] * len(table)
+    nonzero_at: list[list[tuple[int, int]]] = [[] for _ in range(dim)]
+    for r, row in enumerate(table):
+        for i, x in row:
+            nonzero_at[i].append((r, x))
     coeffs = []
-    for i in range(dim):
-        ruled_out = {
-            -a // row[i]
-            for a, row in zip(at, table)
-            if a and row[i] and not a % row[i]
-        }
+    for nonzero in nonzero_at:
+        ruled_out = {-at[r] // x for r, x in nonzero if at[r] and not at[r] % x}
         c = next(c for c in range(1, len(table) + 2) if c not in ruled_out)
-        at = [a + c * row[i] for a, row in zip(at, table)]
+        for r, x in nonzero:
+            at[r] += c * x
         coeffs.append(c)
     return coeffs
 
 
-def _row(space: HomSpace, vertex: VertexId, vec: IntVec2) -> tuple[int, ...]:
-    """The values at `vec` in the vertex group of `vertex` of the basis
-    functionals, on their integer form."""
-    i = space.columns[vertex]
-    return tuple(b[i] * vec.x + b[i + 1] * vec.y for b in space.numerators)
+def _row(space: HomSpace, vertex: VertexId, vec: IntVec2) -> Sparse:
+    """The nonzero values at `vec` in the vertex group of `vertex` of the
+    basis functionals, on their integer form, as (basis index, value)."""
+    i, (x, y) = space.columns[vertex], vec
+    row = {k: a * x for k, a in space.entries[i]}
+    for k, b in space.entries[i + 1]:
+        row[k] = row.get(k, 0) + b * y
+    return tuple((k, value) for k, value in row.items() if value)
 
 
 @functools.lru_cache(maxsize=16)
 def _edge_table(
     g: TubularPresentation,
-) -> tuple[HomSpace, tuple[tuple[int, ...], ...] | str]:
+) -> tuple[HomSpace, tuple[Sparse, ...] | str]:
     """The hom space of g, and each edge group's row of values on its basis
     in edge order, or instead the obstruction text of the first edge on
     which every edge-compatible functional vanishes.  Callers share the
@@ -145,7 +172,7 @@ def _edge_table(
     rows = []
     for e in g.edges:
         row = _row(space, e.src, e.v)
-        if not any(row):
+        if not row:
             return space, f"every edge-compatible functional vanishes on edge {e.id}"
         rows.append(row)
     return space, tuple(rows)
@@ -166,17 +193,14 @@ def _nonvanishing_functional(
     table = list(rows)
     for vertex, vec, obstruction in extra:
         row = _row(space, vertex, vec)
-        if not any(row):
+        if not row:
             return FbcVerdict(False, obstruction=obstruction)
         table.append(row)
     if space.dim == 0:
         # Only a presentation without vertices gets here.
         return FbcVerdict(False, obstruction="empty homomorphism space")
     coeffs = _greedy_coefficients(table, space.dim)
-    coords = [
-        sum(c * b[j] for c, b in zip(coeffs, space.numerators))
-        for j in range(2 * len(space.vertices))
-    ]
+    coords = [sum(coeffs[i] * a for i, a in column) for column in space.entries]
     return FbcVerdict(True, witness=_integer_functional(space, coords))
 
 

@@ -36,21 +36,22 @@ def _primitive(r: Row, p: int) -> Row:
     return {c: x // g for c, x in r.items()} if g != 1 else r
 
 
-def nullspace(rows: Iterable[Row], ncols: int) -> tuple[int, list[tuple[int, ...]]]:
-    """The standard free-variable basis of {x : row . x = 0 for every row},
-    in increasing free-column order, as integer vectors over one common
-    denominator: returns (D, [D * b for each basis vector b]).
+def nullspace(rows: Iterable[Row], ncols: int) -> tuple[dict[int, Row], list[int]]:
+    """The solution space {x : row . x = 0 for every row}, as the reduced row
+    echelon form of the rows: its pivot rows, keyed by pivot column, and its
+    free columns in increasing order.  Each pivot row s of pivot p
+    is primitive, has s[p] > 0 and is zero at every other pivot column.  So
+    the standard free-variable basis has one vector per free column c, equal
+    to 1 at c, to -s[c] / s[p] at each pivot p, and to 0 elsewhere.
 
     Forward, each row loses its lowest column while that is a pivot; a
     nonzero remainder becomes the pivot row of its lowest column.  Backward,
     by decreasing pivot, each row's other pivot columns are cleared by the
     later pivot rows, reduced by then.  An echelon form has the pivot columns
     of the unique reduced row echelon form, so each row is that form's row
-    up to the positive scale `_primitive` removes: the basis is the dense
-    Gauss-Jordan one.  On a chain both phases are linear.  D is the least
-    common multiple of the pivot entries, the least common denominator of
-    the basis (1 when it is empty).  Pivots are never reordered: that would
-    change the free columns.
+    up to the positive scale `_primitive` removes.  On a chain both phases
+    are linear; a graph with many independent cycles can fill the rows in.
+    Pivots are never reordered: that would change the free columns.
     """
     pivots: dict[int, Row] = {}
     for row in rows:
@@ -64,14 +65,4 @@ def nullspace(rows: Iterable[Row], ncols: int) -> tuple[int, list[tuple[int, ...
         for q in [q for q in s if q != p and q in pivots]:
             s = _eliminate(s, pivots[q], q)
         pivots[p] = _primitive(s, p)
-    denominator = math.lcm(*(s[p] for p, s in pivots.items()))
-    free = {c: i for i, c in enumerate(c for c in range(ncols) if c not in pivots)}
-    basis = [[0] * ncols for _ in free]
-    for c, i in free.items():
-        basis[i][c] = denominator
-    for p, s in pivots.items():
-        scale = denominator // s[p]
-        for c, x in s.items():
-            if c != p:
-                basis[free[c]][p] = -x * scale
-    return denominator, [tuple(b) for b in basis]
+    return pivots, [c for c in range(ncols) if c not in pivots]

@@ -148,7 +148,7 @@ def _per_vertex_checks_oracle(g):
     """The per-vertex scan that the one-pass grouping replaced."""
     out = {}
     for v in g.vertices:
-        loops = g.loops_at(v)
+        loops = [e for e in g.edges if e.src == e.dst == v]
         if loops:
             out[v] = decide_cat0([(e.v, e.w) for e in loops])
         else:

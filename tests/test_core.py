@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 import pytest
 from fractions import Fraction
 
@@ -60,14 +62,53 @@ def test_primitive_of_rejects_zero():
 
 
 def test_edge_rejects_zero_vectors():
-    with pytest.raises(ValueError):
-        Edge("e", "V", "V", IntVec2(0, 0), IntVec2(1, 0))
+    """On every construction path the tuple type offers: `_make` and
+    `_replace` of a NamedTuple would otherwise skip `__new__`."""
+    e = Edge("e", "V", "V", IntVec2(1, 0), IntVec2(1, 0))
+    zero = IntVec2(0, 0)
+    for build in (
+        lambda: Edge("e", "V", "V", zero, IntVec2(1, 0)),
+        lambda: Edge(id="e", src="V", dst="V", v=IntVec2(1, 0), w=zero),
+        lambda: Edge._make(("e", "V", "V", zero, zero)),
+        lambda: e._replace(v=zero),
+        lambda: e._replace(w=zero),
+    ):
+        with pytest.raises(ValueError, match=r"^edge e: attaching vectors must be nonzero$"):
+            build()
+    with pytest.raises(ValueError, match="unexpected field names"):
+        e._replace(label="f")
+    assert e._replace(src="W") == Edge("e", "W", "V", IntVec2(1, 0), IntVec2(1, 0))
+    assert Edge._make(e) == e and type(Edge._make(e)) is Edge
+
+
+def test_value_types_are_tuples():
+    v = IntVec2(1, 2)
+    assert repr(v) == "IntVec2(x=1, y=2)" and str(v) == f"{v}" == "(1,2)"
+    assert v == (1, 2) and tuple(v) == (1, 2) and hash(v) == hash((v.x, v.y))
+    x, y = v
+    assert (x, y) == (1, 2)
+    assert sorted([IntVec2(1, 0), IntVec2(0, 5), IntVec2(0, -1), IntVec2(-2, 9)]) == [
+        IntVec2(-2, 9), IntVec2(0, -1), IntVec2(0, 5), IntVec2(1, 0)
+    ]
+    assert IntVec2(0, 5) < IntVec2(1, -9) and not IntVec2(1, 0) < IntVec2(1, 0)
+    e = Edge("e", "A", "B", v, IntVec2(0, -1))
+    assert e == ("e", "A", "B", (1, 2), (0, -1)) and hash(e) == hash(tuple(e))
+    assert repr(e) == "Edge(id='e', src='A', dst='B', v=IntVec2(x=1, y=2), w=IntVec2(x=0, y=-1))"
+    label, src, dst, ev, ew = e
+    assert (label, src, dst, ev, ew) == (e.id, e.src, e.dst, e.v, e.w)
+    for obj in (v, e, single_vertex_presentation([(v, IntVec2(0, 1))])):
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            back = pickle.loads(pickle.dumps(obj, protocol))
+            assert back == obj and type(back) is type(obj)
+        assert copy.deepcopy(obj) == obj
 
 
 def test_edge_reversed():
+    """An edge reverses through `_replace`, which keeps its type."""
     e = Edge("e", "A", "B", IntVec2(1, 0), IntVec2(0, 1))
-    r = e.reversed()
-    assert (r.src, r.dst, r.v, r.w) == ("B", "A", IntVec2(0, 1), IntVec2(1, 0))
+    r = e._replace(src=e.dst, dst=e.src, v=e.w, w=e.v)
+    assert type(r) is Edge
+    assert r == ("e", "B", "A", (0, 1), (1, 0))
 
 
 def test_presentation_validation():
@@ -90,7 +131,6 @@ def test_presentation_validation():
 def test_parallelism_classes_count_both_loop_ends():
     g = single_vertex_presentation([(IntVec2(1, 0), IntVec2(0, 1))])
     assert _line_counts(g)["V"] == 2
-    assert g.loops_at("V") == list(g.edges)
 
 
 def test_change_basis_requires_unimodular():

@@ -314,7 +314,7 @@ def _equitable_search_walk_oracle(g, coord_bound, size_bound):
         ]
         keyed = {}
         for combo in multisets:
-            if all(total(combo, e.v) == total(combo, e.w) for e in g.loops_at(v)):
+            if all(total(combo, e.v) == total(combo, e.w) for e in g.edges if e.src == e.dst == v):
                 keyed.setdefault(tuple(total(combo, w) for _, _, w in back), []).append(combo)
         levels.append((back, keyed))
 
@@ -616,8 +616,10 @@ def test_analyze_chain_with_distorted_loop_last(capsys, tmp_path):
 
 
 def test_chain_with_distorted_loop_first_is_not_found_quickly(capsys, tmp_path):
-    """ROADMAP item 2's chain: the product search did not finish at the CLI
-    bounds; the vertex walk stops at V0, whose loop no multiset balances."""
+    """The three-vertex chain V0 - V1 - V2 whose distorted loop (1,0) ->
+    (2,0) sits on V0, the first vertex: the product search did not finish at
+    the CLI bounds; the vertex walk stops at V0, whose loop no multiset
+    balances."""
     path = tmp_path / "chain.tub"
     path.write_text(
         "group c { vertex V0, V1, V2; edge d : V0(1,0) -> V0(2,0); "

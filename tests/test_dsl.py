@@ -7,6 +7,7 @@ from dataclasses import dataclass, replace
 import pytest
 
 from tubular.core import Edge, GpqParams, IntVec2, TubularPresentation, single_vertex_presentation
+from tubular import dsl
 from tubular.dsl import DslError, parse, unparse
 
 V = IntVec2
@@ -361,9 +362,20 @@ def _random_gpq(rng) -> GpqParams:
     )
 
 
-def test_parser_agrees_with_oracle_on_mutated_texts():
+def test_parser_agrees_with_oracle_on_mutated_texts(monkeypatch):
     from tubular.corpus import corpus
 
+    # The statement patterns define the group texts that parse: the walker
+    # runs only on texts that they reject, and must reject each of them too.
+    real = dsl._Parser.parse
+
+    def walker(self):
+        out = real(self)
+        if isinstance(out, TubularPresentation):
+            pytest.fail(f"only the walker accepts {self.text!r}")
+        return out
+
+    monkeypatch.setattr(dsl._Parser, "parse", walker)
     rng = random.Random(909)
     bases = [unparse(entry.presentation) for entry in corpus()]
     bases += [unparse(_random_presentation(rng)) for _ in range(60)]
@@ -432,6 +444,14 @@ EXACT_ERRORS = [
     # A bad character wins over an earlier syntax error ('vertex ;').
     ("group g { vertex ; edge e : V(1,0) -> V(0,1); } @", "1:49: unexpected character '@'"),
     ("group g {\n vertex V\n #@\n}\t$\n", "4:3: unexpected character '$'"),
+    # A comment runs to the end of its line, also inside a statement: read
+    # short, it would make a fourth vertex or an arrow of its rest.
+    ("group g70 {\n  vertex V0, gV1, V1#,, V2;\n}\n", "3:1: expected ';', got '}'"),
+    (
+        "group g {\n  vertex V;\n  edge e : V(1,0)#) -> V(0,1);\n V(0,1);\n}\n",
+        "4:2: expected '->', got 'V'",
+    ),
+    ("group g {\n  vertex V;\n  edge e : V(1,0)#) -> V(0,1);\n}\n", "4:1: expected '->', got '}'"),
 ]
 
 
@@ -541,6 +561,17 @@ def test_long_inputs_parse_in_one_pass():
         parse(filler + "gpq p=[1] q=[2" + filler)
     with pytest.raises(DslError, match=r"^100001:16: expected ']', got 'q'$"):
         parse(filler + "gpq p=[1] q=[2 q]")
+
+    # The same run before the '}' of a group text, with and without an edge
+    # before it: each statement match is anchored, so the edge pattern is
+    # tried there once, not at every later position.
+    e = Edge("e", "V", "V", V(1, 0), V(0, 1))
+    for body, edges in (("", ()), ("edge e : V(1,0) -> V(0,1);\n", (e,))):
+        head = filler + "group g { vertex V;\n" + body
+        expected = TubularPresentation(("V",), edges, name="g")
+        assert parse(head + filler + "}" + filler) == expected
+        with pytest.raises(DslError, match=r"^\d+:1: expected '}', got 'end of input'$"):
+            parse(head + filler)
 
     edges = tuple(
         Edge(f"e{i}", "V", "W", V(i + 1, -i), V(-i, i + 1)) for i in range(5000)

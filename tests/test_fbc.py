@@ -2,11 +2,12 @@ import itertools
 import math
 import random
 import time
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-from tubular import fbc
+from tubular import fbc, linalg
 from tubular.core import (
     Edge,
     Functional,
@@ -36,6 +37,8 @@ from tubular.fbc import (
 from tubular.dsl import parse, unparse
 from tubular.linalg import nullspace
 
+from test_cubulate import _path
+
 V = IntVec2
 
 
@@ -44,6 +47,16 @@ def witness_is_valid(g, f: Functional) -> bool:
         f.value(e.src, e.v) == f.value(e.dst, e.w) and f.value(e.src, e.v) != 0
         for e in g.edges
     )
+
+
+def _numerators(space):
+    """The dense basis of a HomSpace: basis vector i's numerator at every
+    coordinate, read back from the sparse entries."""
+    numerators = [[0] * len(space.entries) for _ in range(space.dim)]
+    for j, column in enumerate(space.entries):
+        for i, a in column:
+            numerators[i][j] = a
+    return tuple(map(tuple, numerators))
 
 
 def test_gersten_fbc_with_golden_witness():
@@ -271,17 +284,15 @@ def _oracle(g, extra):
         )
         for e in g.edges
     ] + [(row(vertex, elem), text) for vertex, elem, text in extra]
-    table = [
-        [sum(c * x for c, x in zip(lin, b)) for b in space.numerators]
-        for lin, _ in required
-    ]
+    numerators = _numerators(space)
+    table = [[sum(c * x for c, x in zip(lin, b)) for b in numerators] for lin, _ in required]
     for vals, (_, text) in zip(table, required):
         if not any(vals):
             return fbc.FbcVerdict(False, obstruction=text), table
     for tup in _coefficient_tuples(space.dim):
         if all(sum(t * x for t, x in zip(tup, vals)) != 0 for vals in table):
             coords = [
-                sum(t * b[j] for t, b in zip(tup, space.numerators))
+                sum(t * b[j] for t, b in zip(tup, numerators))
                 for j in range(2 * len(g.vertices))
             ]
             witness = fbc._integer_functional(space, coords)
@@ -396,10 +407,12 @@ def test_greedy_search_agrees_with_shell_oracle():
             if space.dim == 1:
                 dim_one += 1
                 assert f == expected.witness
-            coeffs = fbc._greedy_coefficients(table, space.dim)
+            sparse = [tuple((i, x) for i, x in enumerate(row) if x) for row in table]
+            coeffs = fbc._greedy_coefficients(sparse, space.dim)
+            assert coeffs == _dense_greedy_coefficients(table, space.dim)
             assert max(coeffs) <= len(table) + 1
             coords = [
-                sum(c * b[j] for c, b in zip(coeffs, space.numerators))
+                sum(c * b[j] for c, b in zip(coeffs, _numerators(space)))
                 for j in range(2 * len(g.vertices))
             ]
             assert fbc._integer_functional(space, coords) == f
@@ -408,7 +421,8 @@ def test_greedy_search_agrees_with_shell_oracle():
 
 def _rref_nullspace(rows, ncols):
     """The dense Fraction Gauss-Jordan that `linalg.nullspace` replaced: the
-    standard free-variable basis in increasing free-column order."""
+    standard free-variable basis in increasing free-column order, and those
+    free columns."""
     m = [row[:] for row in rows]
     pivots = []
     r = 0
@@ -435,7 +449,7 @@ def _rref_nullspace(rows, ncols):
         for ri, pc in enumerate(pivots):
             vec[pc] = -m[ri][fc]
         basis.append(tuple(vec))
-    return basis
+    return basis, free
 
 
 def _dense_hom_space(g):
@@ -451,10 +465,12 @@ def _dense_hom_space(g):
         row[columns[e.dst]] -= e.w.x
         row[columns[e.dst] + 1] -= e.w.y
         rows.append(row)
-    basis = _rref_nullspace(rows, ncols)
+    basis, free = _rref_nullspace(rows, ncols)
     den = math.lcm(*(x.denominator for b in basis for x in b))
-    numerators = tuple(tuple(int(x * den) for x in b) for b in basis)
-    return basis, fbc.HomSpace(g.vertices, den, numerators, columns)
+    entries = tuple(
+        tuple((i, int(b[j] * den)) for i, b in enumerate(basis) if b[j]) for j in range(ncols)
+    )
+    return basis, fbc.HomSpace(g.vertices, den, tuple(free), entries, columns)
 
 
 def _fraction_downstream(g, basis, extra):
@@ -536,7 +552,7 @@ def _assert_matches_dense(g, vertex, elem):
     space = hom_space(g)
     assert space == expected
     assert [
-        tuple(Fraction(x, space.denominator) for x in b) for b in space.numerators
+        tuple(Fraction(x, space.denominator) for x in b) for b in _numerators(space)
     ] == list(basis)
     assert button_decide(g) == _fraction_downstream(g, basis, [])
     assert generalized_retractor(g, vertex, elem) == _fraction_downstream(
@@ -576,9 +592,10 @@ def test_hom_space_and_witnesses_match_dense_fraction_path():
         basis, expected = _dense_hom_space(g)
         assert hom_space(g) == expected
         assert button_decide(g) == _fraction_downstream(g, basis, [])
-    assert _rref_nullspace([], 4) == [
-        tuple(Fraction(int(i == j)) for j in range(4)) for i in range(4)
-    ]
+    assert _rref_nullspace([], 4) == (
+        [tuple(Fraction(int(i == j)) for j in range(4)) for i in range(4)],
+        [0, 1, 2, 3],
+    )
 
 
 def test_retractor_rule_agrees_with_button_on_the_amalgam():
@@ -638,23 +655,30 @@ def _incremental_nullspace(rows, ncols):
                 g = math.gcd(r[p], s[p])
                 pivots[q] = primitive(combine(r[p] // g, s, s[p] // g, r), q)
         pivots[p] = r
+    return pivots, [c for c in range(ncols) if c not in pivots]
+
+
+def _dense_basis(pivots, free, ncols):
+    """The dense free-variable basis of reduced pivot rows over its least
+    common denominator D, as (D, [D * b for each basis vector b]): what
+    `linalg.nullspace` returned before it returned the pivot rows."""
     denominator = math.lcm(*(s[p] for p, s in pivots.items()))
-    free = {c: i for i, c in enumerate(c for c in range(ncols) if c not in pivots)}
+    index = {c: i for i, c in enumerate(free)}
     basis = [[0] * ncols for _ in free]
-    for c, i in free.items():
+    for c, i in index.items():
         basis[i][c] = denominator
     for p, s in pivots.items():
         scale = denominator // s[p]
         for c, x in s.items():
             if c != p:
-                basis[free[c]][p] = -x * scale
+                basis[index[c]][p] = -x * scale
     return denominator, [tuple(b) for b in basis]
 
 
 def test_nullspace_matches_dense_rref_on_integer_matrices():
     """Random integer matrices, including zero rows, repeated rows and rank
-    deficiency; the basis is the dense one over its least common denominator,
-    and the same as the incremental kernel's."""
+    deficiency: the pivot rows and free columns are the incremental kernel's,
+    and give the dense basis over its least common denominator."""
     rng = random.Random(7)
     for _ in range(300):
         ncols = rng.randint(1, 7)
@@ -664,11 +688,13 @@ def test_nullspace_matches_dense_rref_on_integer_matrices():
         ]
         if rows and rng.randrange(3) == 0:
             rows.append([2 * x for x in rng.choice(rows)])
-        den, numerators = nullspace([dict(enumerate(r)) for r in rows], ncols)
-        assert (den, numerators) == _incremental_nullspace(
-            [dict(enumerate(r)) for r in rows], ncols
-        )
-        dense = _rref_nullspace([[Fraction(x) for x in r] for r in rows], ncols)
+        pivots, free = nullspace([dict(enumerate(r)) for r in rows], ncols)
+        assert (pivots, free) == _incremental_nullspace([dict(enumerate(r)) for r in rows], ncols)
+        assert all(s[p] > 0 and math.gcd(*s.values()) == 1 for p, s in pivots.items())
+        assert all(q == p or q not in pivots for p, s in pivots.items() for q in s)
+        den, numerators = _dense_basis(pivots, free, ncols)
+        dense, dense_free = _rref_nullspace([[Fraction(x) for x in r] for r in rows], ncols)
+        assert free == dense_free
         assert den == math.lcm(*(x.denominator for b in dense for x in b))
         assert [tuple(Fraction(x, den) for x in b) for b in numerators] == dense
 
@@ -730,10 +756,50 @@ def test_each_presentation_builds_its_hom_space_once(monkeypatch):
     assert len(calls) == 3
 
 
+def _dense_greedy_coefficients(table, dim):
+    """The greedy walk on dense rows that the sparse walk replaced: every
+    step reads and updates every row of the table."""
+    at = [0] * len(table)
+    coeffs = []
+    for i in range(dim):
+        ruled_out = {
+            -a // row[i]
+            for a, row in zip(at, table)
+            if a and row[i] and not a % row[i]
+        }
+        c = next(c for c in range(1, len(table) + 2) if c not in ruled_out)
+        at = [a + c * row[i] for a, row in zip(at, table)]
+        coeffs.append(c)
+    return coeffs
+
+
+def _primitive_functional(vertices, coords):
+    """The functional with these coordinates divided by their gcd, its first
+    nonzero coordinate positive, paired with the vertices in order."""
+    d = math.gcd(*coords) or 1
+    ints = [c // d for c in coords]
+    if next((c for c in ints if c), 0) < 0:
+        ints = [-c for c in ints]
+    return Functional(
+        tuple((v, (ints[2 * i], ints[2 * i + 1])) for i, v in enumerate(vertices))
+    )
+
+
 def _per_call_oracle(g, extra):
-    """The per-call body that the cached edge table replaced: a fresh hom
-    space and value table on every call."""
-    space = hom_space(g)
+    """The dense per-call path that the cached sparse table replaced: on
+    every call a fresh dense basis from the incremental kernel, a dense value
+    table and the dense greedy walk."""
+    columns = {v: 2 * i for i, v in enumerate(g.vertices)}
+    ncols = 2 * len(g.vertices)
+    rows = []
+    for e in g.edges:
+        row = dict.fromkeys(range(ncols), 0)
+        row[columns[e.src]] += e.v.x
+        row[columns[e.src] + 1] += e.v.y
+        row[columns[e.dst]] -= e.w.x
+        row[columns[e.dst] + 1] -= e.w.y
+        rows.append(row)
+    _, numerators = _dense_basis(*_incremental_nullspace(rows, ncols), ncols)
     required = [
         (
             e.src,
@@ -744,19 +810,16 @@ def _per_call_oracle(g, extra):
     ] + extra
     table = []
     for vertex, vec, obstruction in required:
-        i = space.columns[vertex]
-        row = [b[i] * vec.x + b[i + 1] * vec.y for b in space.numerators]
+        i = columns[vertex]
+        row = [b[i] * vec.x + b[i + 1] * vec.y for b in numerators]
         if not any(row):
             return fbc.FbcVerdict(False, obstruction=obstruction)
         table.append(row)
-    if space.dim == 0:
+    if not numerators:
         return fbc.FbcVerdict(False, obstruction="empty homomorphism space")
-    coeffs = fbc._greedy_coefficients(table, space.dim)
-    coords = [
-        sum(c * b[j] for c, b in zip(coeffs, space.numerators))
-        for j in range(2 * len(space.vertices))
-    ]
-    return fbc.FbcVerdict(True, witness=fbc._integer_functional(space, coords))
+    coeffs = _dense_greedy_coefficients(table, len(numerators))
+    coords = [sum(c * b[j] for c, b in zip(coeffs, numerators)) for j in range(ncols)]
+    return fbc.FbcVerdict(True, witness=_primitive_functional(g.vertices, coords))
 
 
 def test_cached_verdicts_match_per_call_oracle():
@@ -792,3 +855,73 @@ def test_cached_verdicts_match_per_call_oracle():
                 yes += sum(v.answer for v in expected)
                 no += sum(not v.answer for v in expected)
     assert yes > 300 and no > 100
+
+
+def _item5_graph(rng):
+    """1-9 vertices and 0-12 edges between random ends, loops and parallel
+    edges included, every coordinate in [-4, 4]."""
+    vs = [f"V{i}" for i in range(rng.randint(1, 9))]
+    edges = [
+        Edge(f"e{i}", rng.choice(vs), rng.choice(vs), _vec(rng), _vec(rng))
+        for i in range(rng.randint(0, 12))
+    ]
+    return TubularPresentation(tuple(vs), tuple(edges))
+
+
+def test_sparse_basis_matches_dense_path_on_random_graphs():
+    """Button and the retractor give the dense path's verdicts, witnesses
+    and obstruction texts on 3,000 random graphs."""
+    rng = random.Random(99)
+    answers = Counter()
+    for _ in range(3000):
+        g = _item5_graph(rng)
+        vertex, elem = rng.choice(g.vertices), _vec(rng)
+        extra = [(vertex, elem, _text(vertex, elem))]
+        fbc._edge_table.cache_clear()
+        button = button_decide(g)
+        assert button == _per_call_oracle(g, []), g
+        assert generalized_retractor(g, vertex, elem) == _per_call_oracle(g, extra), g
+        answers[button.answer] += 1
+    assert answers[True] > 1000 and answers[False] > 1000, answers
+
+
+def test_button_is_linear_on_a_chain():
+    """With the dense basis, 2,001 vectors of 4,000 integers, Button took
+    1.6-2.35 s on this path; the sparse form takes a few hundredths."""
+    g = _path(2000)
+    fbc._edge_table.cache_clear()
+    t0 = time.process_time()
+    verdict = button_decide(g)
+    elapsed = time.process_time() - t0
+    assert verdict.answer and witness_is_valid(g, verdict.witness)
+    assert elapsed < 0.5
+
+
+def _work_on_path(monkeypatch, n):
+    """Calls of `linalg._eliminate`, and table entries given to the greedy
+    walk, which updates one row per entry, for Button on the n-vertex path."""
+    counts = Counter()
+    eliminate, walk = linalg._eliminate, fbc._greedy_coefficients
+
+    def counted_eliminate(*args):
+        counts["eliminate"] += 1
+        return eliminate(*args)
+
+    def counted_walk(table, dim):
+        counts["updates"] += sum(len(row) for row in table)
+        return walk(table, dim)
+
+    monkeypatch.setattr(linalg, "_eliminate", counted_eliminate)
+    monkeypatch.setattr(fbc, "_greedy_coefficients", counted_walk)
+    fbc._edge_table.cache_clear()
+    assert button_decide(_path(n)).answer
+    return counts
+
+
+@pytest.mark.parametrize("work", ["eliminate", "updates"])
+def test_button_work_is_linear_on_a_chain(monkeypatch, work):
+    """Counts, unlike CPU time, do not depend on the machine: doubling the
+    path at most about doubles them."""
+    small, large = (_work_on_path(monkeypatch, n)[work] for n in (300, 600))
+    assert small >= 298
+    assert large / small <= 2.2, (small, large)

@@ -79,7 +79,10 @@ def _random_unimodular(rng) -> IntMat2:
 
 
 def _reversed(rng, g):
-    edges = tuple(e.reversed() if rng.random() < 0.5 else e for e in g.edges)
+    edges = tuple(
+        e._replace(src=e.dst, dst=e.src, v=e.w, w=e.v) if rng.random() < 0.5 else e
+        for e in g.edges
+    )
     return TubularPresentation(g.vertices, edges)
 
 
