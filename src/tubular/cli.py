@@ -505,6 +505,8 @@ def _dispatch(args) -> int:
         return 0
 
     if cmd == "amalgam":
+        if args.input1 == args.input2 == "-":
+            raise ValueError("only one input may be '-'")
         g1 = _as_tubular(parse(_read(args.input1)))
         g2 = _as_tubular(parse(_read(args.input2)))
         a = _parse_vec_spec(args.vec1, g1)

@@ -336,12 +336,24 @@ def wall_graph(g: TubularPresentation, s: EquitableSet) -> WallGraph:
     return WallGraph(nodes, tuple(arcs))
 
 
-def _point_counts(g: TubularPresentation, s: EquitableSet, caller: str) -> list:
+def _point_counts(g: TubularPresentation, s: EquitableSet, caller: str) -> tuple:
     """Per edge, the points on each left circle and on each right circle."""
-    if not verify_equitable(g, s):
+    counts = _checked_point_counts(g, s)
+    if counts is None:
         raise ValueError(f"{caller} requires an equitable set")
+    return counts
+
+
+@functools.lru_cache(maxsize=16)
+def _checked_point_counts(g: TubularPresentation, s: EquitableSet) -> tuple | None:
+    """The point counts of an equitable set, or None when s is not one, so
+    that the wall graph and the spectrum of one set verify it once.  Callers
+    share the result, so it is made of tuples."""
+    if not verify_equitable(g, s):
+        return None
     ends = [((e.src, e.v), (e.dst, e.w)) for e in g.edges]
-    return [tuple([abs(det2(x, u)) for x in s.at(v)] for v, u in end) for end in ends]
+    counts = [tuple([tuple([abs(det2(x, u)) for x in s.at(v)]) for v, u in end]) for end in ends]
+    return tuple(counts)
 
 
 @dataclass(frozen=True)
@@ -441,12 +453,18 @@ def all_matching_verdicts(
     star arcs (`_consistent`).  Merging groups only adds equalities.
     Each grouping of an edge splits the one group of all its circles, and
     each of its groups is a union of blocks: the circles that share a group
-    in every grouping of the edge.  So the flags are settled in three steps:
+    in every grouping of the edge.  So the flags are settled in four steps:
 
     - one group per edge is consistent: no tuple is dilated, and the
       default matching is a tuple, so the spectrum is NonDilated alone;
+    - two matchings are read off the point counts: the default one
+      (`_default_grouping`), decided once, and the one group per edge, a
+      matching when each edge's n points per side satisfy n >= |L| + |R| - 1
+      and then dilated by the first step.  When they show both flags, the
+      spectrum is complete; the flags they show are kept for the last step;
     - each edge has at most `budget` groupings, and their common blocks are
-      inconsistent: every tuple is dilated;
+      inconsistent: every tuple is dilated (a consistent default tuple
+      rules this out);
     - otherwise the tuples of per-edge groupings (at most budget + 1 per
       edge) are decided one at a time until both flags show, or `budget`
       tuples are decided with more left: then the result is incomplete.
@@ -463,11 +481,22 @@ def all_matching_verdicts(
     ]
     if _consistent(circles, [[c for c in end if c[1]] for end in ends]):
         return {False}, True
+    default = (
+        [end[i] for i in L] + [end[len(a) + j] for j in R]
+        for end, (a, b) in zip(ends, counts)
+        for L, R in _default_grouping(a, b)
+    )
+    verdicts = {not _consistent(circles, default)}
+    if all(sum(a) >= sum(map(bool, a + b)) - 1 for a, b in counts):
+        verdicts.add(True)
+    if len(verdicts) == 2:
+        return verdicts, True
     per_edge = []  # per edge, each grouping as its groups of positions in `ends`
     for a, b in counts:
         groupings = itertools.islice(_groupings(a, b), budget + 1)
         per_edge.append([[[*L, *(len(a) + j for j in R)] for L, R in x] for x in groupings])
-    if all(len(groupings) <= budget for groupings in per_edge):
+    # A consistent tuple shows that the blocks are consistent.
+    if False not in verdicts and all(len(groupings) <= budget for groupings in per_edge):
         blocks: dict[tuple, list] = {}  # an edge's circles in one group in all its groupings
         for k, (end, groupings) in enumerate(zip(ends, per_edge)):
             tags = [{p: t for t, group in enumerate(x) for p in group} for x in groupings]
@@ -481,7 +510,6 @@ def all_matching_verdicts(
         for end, groupings in zip(ends, per_edge)
     ]
     tuples = itertools.product(*choices)
-    verdicts = set()
     for key in itertools.islice(tuples, budget):
         verdicts.add(not _consistent(circles, itertools.chain(*key)))
         if len(verdicts) == 2:
@@ -496,6 +524,22 @@ def _consistent(circles: Sequence[Circle], groups: Iterable[Sequence[tuple[Circl
     member (x, n)."""
     arcs = [(y, x, m, n) for (y, m), *rest in groups for x, n in rest]
     return holonomy_cycle(circles, arcs) is None
+
+
+def _default_grouping(a: Sequence[int], b: Sequence[int]) -> tuple:
+    """The groups (left circles, right circles) of an edge's default
+    matching, which joins its points in order, a_i on left circle i and b_j
+    on right circle j, in the shape of `_groupings`' groupings.  A group
+    ends where a left and a right circle end at the same cumulative count;
+    circles without points are in no group."""
+    A, B = list(itertools.accumulate(a)), list(itertools.accumulate(b))
+    cuts = sorted(set(A) & set(B) - {0})
+    sides = [[[] for _ in cuts] for _ in "LR"]
+    for side, points, totals in zip(sides, (a, b), (A, B)):
+        for i, (n, total) in enumerate(zip(points, totals)):
+            if n:
+                side[bisect.bisect_left(cuts, total)].append(i)
+    return tuple((tuple(L), tuple(R)) for L, R in zip(*sides))
 
 
 def _groupings(a: list[int], b: list[int]) -> Iterator[tuple]:

@@ -14,6 +14,7 @@ from pathlib import Path
 import pytest
 
 import tubular.cli
+import tubular.cubulate
 from tubular.cli import main
 from tubular.core import GpqParams, QForm2, check_certificate, det2
 from tubular.cubulate import equitable_search, wall_graph
@@ -355,19 +356,26 @@ def test_parse_error_exit_code(capsys, tmp_path):
 
 
 def test_cubulate_searches_once(capsys, monkeypatch):
-    calls = {"equitable_search": 0, "wall_graph": 0}
-    for name, orig in [(n, getattr(tubular.cli, n)) for n in calls]:
+    """One search, one wall graph and one check of the set per command: the
+    spectrum reads the point counts the wall graph verified."""
+    calls = {"equitable_search": 0, "wall_graph": 0, "verify_equitable": 0}
+    for module, name in (
+        (tubular.cli, "equitable_search"),
+        (tubular.cli, "wall_graph"),
+        (tubular.cubulate, "verify_equitable"),
+    ):
 
-        def counted(*args, _name=name, _orig=orig):
+        def counted(*args, _name=name, _orig=getattr(module, name)):
             calls[_name] += 1
             return _orig(*args)
 
-        monkeypatch.setattr(tubular.cli, name, counted)
+        monkeypatch.setattr(module, name, counted)
     for extra in ([], ["--json"], ["--dot"], ["--all-matchings"]):
-        calls.update(equitable_search=0, wall_graph=0)
+        tubular.cubulate._checked_point_counts.cache_clear()
+        calls.update(equitable_search=0, wall_graph=0, verify_equitable=0)
         code, _, _ = run(capsys, "cubulate", "--corpus", "gersten", *extra)
         assert code == 0
-        assert calls == {"equitable_search": 1, "wall_graph": 1}, extra
+        assert calls == {"equitable_search": 1, "wall_graph": 1, "verify_equitable": 1}, extra
 
 
 def _random_one_vertex(rng):
@@ -468,6 +476,7 @@ def test_analyze_decides_z2():
             ["cubulate", "--dot", "--all-matchings", "{g}"],
             "error: --dot does not combine with --json or --all-matchings\n",
         ),
+        (["amalgam", "-", "V:1,0", "-", "V:1,0"], "error: only one input may be '-'\n"),
     ],
     ids=[
         "coord-bound-0",
@@ -481,6 +490,7 @@ def test_analyze_decides_z2():
         "vertex-prefix",
         "dot-json",
         "dot-all-matchings",
+        "two-stdin-inputs",
     ],
 )
 def test_user_errors_exit_2(capsys, tmp_path, argv, message):

@@ -9,6 +9,8 @@ import time
 from fractions import Fraction
 
 import pytest
+from test_invariance import CLOSED_TESTS, _corpus_presentations, _planted_spectrum_input
+from test_invariance import _random_presentation as _invariance_presentation
 
 import tubular.cubulate
 from tubular.cli import main
@@ -37,6 +39,8 @@ from tubular.cubulate import (
     WallGraph,
     _balanced_multisets,
     _candidate_vectors,
+    _consistent,
+    _default_grouping,
     _groupings,
     _search_table,
     all_matching_verdicts,
@@ -865,32 +869,6 @@ def _all_matching_verdicts_oracle(g, s):
     return verdicts
 
 
-def _planted_spectrum_input(rng):
-    """One vertex, 1-3 edges with coordinates up to 1, each edge balanced
-    against a random set of 2-3 primitive circles with coordinates up to 2,
-    so an equitable set exists."""
-    prims = [
-        V(x, y)
-        for x in range(3)
-        for y in range(-2, 3)
-        if (x > 0 or y > 0) and math.gcd(x, abs(y)) == 1
-    ]
-    while True:
-        circles = rng.sample(prims, rng.randint(2, 3))
-        if any(det2(a, b) for a in circles for b in circles):
-            break
-    vecs = [V(x, y) for x in range(-1, 2) for y in range(-1, 2) if (x, y) != (0, 0)]
-
-    def norm(v):
-        return sum(abs(det2(c, v)) for c in circles)
-
-    pairs = []
-    for _ in range(rng.randint(1, 3)):
-        v = rng.choice(vecs)
-        pairs.append((v, rng.choice([w for w in vecs if norm(w) == norm(v)])))
-    return single_vertex_presentation(pairs)
-
-
 def _edge_counts(g, s):
     """Per edge, the points on each left circle and on each right circle."""
     return [
@@ -940,8 +918,10 @@ def _star_dilated(g, s, parts):
 
 
 def _closed_test_oracle(g, s, budget=10000):
-    """The closed test that settles the spectrum, decided on star graphs, or
-    None.  "one-group": one group of all its circles per edge is consistent.
+    """The closed test that settles the spectrum, decided on star graphs and
+    wall graphs, or None.  "one-group": one group of all its circles per
+    edge is consistent.  "two-matchings": that one group per edge is a
+    grouping of every edge, and the default wall graph is NonDilated.
     "forced-group": each edge has at most `budget` groupings, and the blocks
     of circles that share a group in all of them are inconsistent."""
     counts = _edge_counts(g, s)
@@ -951,6 +931,9 @@ def _closed_test_oracle(g, s, budget=10000):
     ]
     if not _star_dilated(g, s, whole):
         return "one-group"
+    if all(any(len(x) == 1 for x in _groupings(a, b)) for a, b in counts):
+        if not dilation_decide(wall_graph(g, s)).dilated:
+            return "two-matchings"
     per_edge = [list(itertools.islice(_groupings(a, b), budget + 1)) for a, b in counts]
     if any(len(groupings) > budget for groupings in per_edge):
         return None
@@ -973,7 +956,7 @@ def _closed_test_oracle(g, s, budget=10000):
 
 def _check_budgets(g, s, flags, budgets):
     """At each budget the flags are among the full spectrum's, all of them
-    when the result is complete, and it is incomplete exactly when neither
+    when the result is complete, and it is incomplete exactly when no
     closed test settles the input, one flag showed, and more than `budget`
     tuples of per-edge groupings remained."""
     tuples = math.prod(len(list(_groupings(a, b))) for a, b in _edge_counts(g, s))
@@ -1022,12 +1005,7 @@ def _union_find_oracle(groups):
 
 def _decisions(monkeypatch):
     """The results of all_matching_verdicts' calls of `_consistent`, in
-    order, each checked against `_union_find_oracle`.  The first call is
-    the one-group test, so [True] means that it settled the spectrum and
-    no tuple was decided.  At the default budget [False, False] means that
-    the forced-group test settled it: a tuple list ends after one tuple
-    only when each edge has one grouping, and then the forced-group test
-    runs first.  Later calls decide tuples."""
+    order, each checked against `_union_find_oracle` (see CLOSED_TESTS)."""
     results = []
     decide = tubular.cubulate._consistent
 
@@ -1045,8 +1023,9 @@ def test_all_matchings_agrees_with_grouping_tuple_oracle(monkeypatch):
     """On 1,000 random presentations that have an equitable set and on 200
     planted spectrum inputs, the closed tests and the integer decider give
     the per-tuple wall graphs' result wherever those are complete, and the
-    closed test that settles an input is the one found on star graphs.
-    Every system posed to `holonomy_cycle` gets the union-find's answer."""
+    closed test that settles an input is the one found on star graphs and
+    wall graphs.  Every system posed to `holonomy_cycle` gets the
+    union-find's answer."""
     results = _decisions(monkeypatch)
     rng = random.Random(20261023)
     inputs = []
@@ -1058,20 +1037,64 @@ def test_all_matchings_agrees_with_grouping_tuple_oracle(monkeypatch):
     for _ in range(200):
         g = _planted_spectrum_input(rng)
         inputs.append((g, equitable_search(g, 3, 3)))
-    settled, systems = {"one-group": 0, "forced-group": 0, None: 0}, 0
+    settled = {"one-group": 0, "two-matchings": 0, "forced-group": 0, None: 0}
+    systems = 0
+    spectra = {"one-group": {False}, "two-matchings": {False, True}, "forced-group": {True}}
     for g, s in inputs:
         results.clear()
         got, want = all_matching_verdicts(g, s), _grouping_tuple_oracle(g, s)
         systems += len(results)
         assert got == want if want[1] else want[0] <= got[0], (g, s)
         closed = _closed_test_oracle(g, s)
-        assert closed is None or got == ({closed == "forced-group"}, True), (g, s)
-        labels = {(True,): "one-group", (False, False): "forced-group"}
-        assert labels.get(tuple(results)) == closed, (g, s, results)
+        assert closed is None or got == (spectra[closed], True), (g, s)
+        assert CLOSED_TESTS.get(tuple(results)) == closed, (g, s, results)
         settled[closed] += 1
     print(f"spectra settled by a closed test: {settled}; systems decided: {systems}")
     assert settled["one-group"] > 300 and settled["forced-group"] > 300 and settled[None] > 50
+    assert settled["two-matchings"] > 20
     assert systems > 2000
+
+
+def test_default_grouping_is_the_wall_graphs_matching():
+    """The default tuple that all_matching_verdicts decides is the wall
+    graph's matching.  On the 2,348 sets with edges of 4,000 seed-5
+    invariance draws, on planted spectrum inputs and on the corpus: each
+    edge's default grouping is one of its groupings, and `_consistent` on
+    the tuple gives the wall graph's word.  Wherever the spectrum from the
+    one-group test, the forced-group test and the tuple walk alone was
+    complete, the spectrum is the same; where it was truncated, the
+    spectrum holds it."""
+    rng = random.Random(5)
+    inputs = [_invariance_presentation(rng) for _ in range(4000)] + _corpus_presentations()
+    rng = random.Random(20261024)
+    inputs += [_planted_spectrum_input(rng) for _ in range(200)]
+    checked = 0
+    for g in inputs:
+        s = equitable_search(g, 3, 3)
+        if not isinstance(s, EquitableSet) or not g.edges:
+            continue
+        checked += 1
+        groups = []
+        for e, (a, b) in zip(g.edges, _edge_counts(g, s)):
+            grouping = _default_grouping(a, b)
+            assert frozenset(grouping) in {frozenset(x) for x in _groupings(a, b)}, (a, b)
+            for L, R in grouping:
+                groups.append([((e.src, i), a[i]) for i in L] + [((e.dst, j), b[j]) for j in R])
+        circles = tuple((v, i) for v in g.vertices for i in range(len(s.at(v))))
+        assert _consistent(circles, groups) == (not dilation_decide(wall_graph(g, s)).dilated), g
+        closed = _closed_test_oracle(g, s)
+        if closed in ("one-group", "forced-group"):
+            before = {closed == "forced-group"}, True
+        else:
+            before = _grouping_tuple_oracle(g, s)
+        got = all_matching_verdicts(g, s)
+        assert got == before if before[1] else before[0] <= got[0], g
+    assert checked > 2500
+
+
+# One group per edge is an inconsistent matching, the default matching is
+# consistent, and the second edge groups its circles in two ways.
+MIXED = "group G { vertex V; edge e1 : V(0,1) -> V(-1,-2); edge e2 : V(6,0) -> V(6,0); }"
 
 
 def test_all_matchings_decides_each_support_once(monkeypatch):
@@ -1093,15 +1116,13 @@ def test_all_matchings_decides_each_support_once(monkeypatch):
     assert s.at("V") == (V(0, 1), V(1, 0))
     assert all_matching_verdicts(g, s) == ({False}, True)
     assert results == [True]
-    # Mixed flags pass both closed tests, and each of the 1 x 2 tuples of
-    # groupings is decided once.
+    # Mixed flags pass the one-group test, and the default matching and the
+    # one group per edge, both matchings, show them without a tuple.
     results.clear()
-    g = parse(
-        "group G { vertex V; edge e1 : V(0,1) -> V(-1,-2); edge e2 : V(6,0) -> V(6,0); }"
-    )
+    g = parse(MIXED)
     s = equitable_search(g, 3, 3)
     assert all_matching_verdicts(g, s) == ({False, True}, True)
-    assert results[:2] == [False, True] and sorted(results[2:]) == [False, True]
+    assert results == [False, True]
 
 
 def _odometer_oracle(g, s):
@@ -1286,13 +1307,17 @@ def test_groupings_match_the_gale_supports():
 
 
 def test_all_matchings_requires_an_equitable_set():
+    """Also when the point counts of an equitable set of the same group are
+    cached, and when the same set was refused before."""
     g = gersten_presentation()
+    wall_graph(g, equitable_search(g, 3, 3))
+    all_matching_verdicts(g, equitable_search(g, 3, 3))
     s = EquitableSet.single([V(0, 1), V(1, 1)])
-    for budget in (0, 10000):
+    for budget in (0, 10000, 0):
         with pytest.raises(ValueError, match="^all_matching_verdicts requires an equitable set$"):
             all_matching_verdicts(g, s, budget)
-    with pytest.raises(ValueError, match="^wall_graph requires an equitable set$"):
-        wall_graph(g, s)
+        with pytest.raises(ValueError, match="^wall_graph requires an equitable set$"):
+            wall_graph(g, s)
 
 
 def test_all_matchings_work_does_not_grow_with_points(monkeypatch):
@@ -1308,15 +1333,40 @@ def test_all_matchings_work_does_not_grow_with_points(monkeypatch):
 
 
 def test_all_matchings_stops_at_the_budget():
-    """Two flags over 1 x 2 grouping tuples: a budget of one tuple shows one
-    flag and is not complete."""
+    """No closed test settles this input: its default matching is
+    NonDilated, one group per edge is not a matching, and only the third of
+    its 2 x 2 tuples of groupings shows Dilated.  A budget of one or two
+    tuples shows one flag and is not complete.  A budget of 0 decides
+    nothing, even where a closed test would settle the spectrum."""
     g = parse(
-        "group G { vertex V; edge e1 : V(0,1) -> V(-1,-2); edge e2 : V(6,0) -> V(6,0); }"
+        "group G { vertex V; edge e1 : V(-1,1) -> V(-1,3); edge e2 : V(6,6) -> V(6,6); }"
     )
     s = equitable_search(g, 3, 3)
+    assert _closed_test_oracle(g, s) is None
     assert all_matching_verdicts(g, s) == ({False, True}, True)
-    assert all_matching_verdicts(g, s, 1) == ({True}, False)
-    assert all_matching_verdicts(g, s, 0) == (set(), False)
+    for budget in (1, 2):
+        assert all_matching_verdicts(g, s, budget) == ({False}, False)
+    assert all_matching_verdicts(g, s, 3) == ({False, True}, True)
+    for g in (g, parse(MIXED)):
+        assert all_matching_verdicts(g, equitable_search(g, 3, 3), 0) == (set(), False)
+
+
+def test_all_matchings_settles_mixed_flags_from_two_matchings(monkeypatch):
+    """The default matching and the one group per edge are matchings that
+    show both flags: at any budget the spectrum takes one system each and
+    lists no grouping."""
+    results = _decisions(monkeypatch)
+
+    def unlisted(a, b):
+        raise AssertionError("groupings listed")
+
+    monkeypatch.setattr(tubular.cubulate, "_groupings", unlisted)
+    g = parse(MIXED)
+    s = equitable_search(g, 3, 3)
+    for budget in (1, 10000):
+        results.clear()
+        assert all_matching_verdicts(g, s, budget) == ({False, True}, True)
+        assert results == [False, True], budget
 
 
 def test_all_matchings_on_the_input_that_spent_the_rank_budget(capsys, tmp_path):
@@ -1374,7 +1424,7 @@ def test_all_matchings_forced_groups_settle_a_dilated_input(monkeypatch):
     assert [len(list(_groupings(a, b))) for a, b in counts] == [3, 9, 9, 9, 9]
     assert _grouping_tuple_oracle(g, s, 100) == ({True}, False)
     assert all_matching_verdicts(g, s) == ({True}, True)
-    assert results == [False, False]
+    assert results == [False, False, False]
     assert all_matching_verdicts(g, s, 100) == ({True}, True)
 
 

@@ -24,6 +24,7 @@ on random presentations and on the corpus entries:
 
 import io
 import json
+import math
 import random
 import sys
 from collections import Counter
@@ -40,6 +41,8 @@ from tubular.core import (
     IntVec2,
     TubularPresentation,
     change_basis,
+    det2,
+    single_vertex_presentation,
 )
 from tubular.corpus import corpus
 from tubular.cubulate import all_matching_verdicts, equitable_search
@@ -226,6 +229,32 @@ def _loop_input(rng) -> TubularPresentation:
     )
 
 
+def _planted_spectrum_input(rng):
+    """One vertex, 1-3 edges with coordinates up to 1, each edge balanced
+    against a random set of 2-3 primitive circles with coordinates up to 2,
+    so an equitable set exists."""
+    prims = [
+        V(x, y)
+        for x in range(3)
+        for y in range(-2, 3)
+        if (x > 0 or y > 0) and math.gcd(x, abs(y)) == 1
+    ]
+    while True:
+        circles = rng.sample(prims, rng.randint(2, 3))
+        if any(det2(a, b) for a in circles for b in circles):
+            break
+    vecs = [V(x, y) for x in range(-1, 2) for y in range(-1, 2) if (x, y) != (0, 0)]
+
+    def norm(v):
+        return sum(abs(det2(c, v)) for c in circles)
+
+    pairs = []
+    for _ in range(rng.randint(1, 3)):
+        v = rng.choice(vecs)
+        pairs.append((v, rng.choice([w for w in vecs if norm(w) == norm(v)])))
+    return single_vertex_presentation(pairs)
+
+
 def _corpus_presentations() -> list[TubularPresentation]:
     out = []
     for entry in corpus():
@@ -282,12 +311,25 @@ def test_spectrum_of_dense_loops_is_invariant_under_edge_changes(spectrum):
     assert spectrum(swapped) == spectrum(parse(EXAMPLE)) == ("Dilated/NonDilated", [])
 
 
+# The `_consistent` results of all_matching_verdicts that mean a closed test
+# settled the spectrum, at the default budget.  The first call is the
+# one-group test: [True] means that it settled the spectrum.  The second
+# decides the default matching: [False, True] ends there only when one group
+# per edge is a matching too.  The third is the forced-group test, which runs
+# only after a Dilated default matching: [False, False, False] means that it
+# settled the spectrum.  A tuple walk in its place decides more than one
+# tuple, since it ends after one only when each edge has one grouping, and
+# then the forced-group test runs.  Later calls decide tuples.
+CLOSED_TESTS = {
+    (True,): "one-group",
+    (False, True): "two-matchings",
+    (False, False, False): "forced-group",
+}
+
+
 def test_closed_spectrum_tests_are_invariant_under_edge_changes(monkeypatch):
     """Which closed test of all_matching_verdicts settles a spectrum, if one
-    does, is the same after each edge change.  Its first call of
-    `_consistent` is the one-group test, so calls returning [True] mean
-    that test settled it; at the default budget [False, False] means the
-    forced-group test did (see `_decisions` in test_cubulate.py)."""
+    does, is the same after each edge change (see CLOSED_TESTS)."""
     results = []
     decide = tubular.cubulate._consistent
 
@@ -303,13 +345,12 @@ def test_closed_spectrum_tests_are_invariant_under_edge_changes(monkeypatch):
             return None
         results.clear()
         spectrum = all_matching_verdicts(g, s)
-        return spectrum, {(True,): "one-group", (False, False): "forced-group"}.get(
-            tuple(results), "enumerated"
-        )
+        return spectrum, CLOSED_TESTS.get(tuple(results), "enumerated")
 
     rng = random.Random(20261022)
     inputs = [_random_presentation(rng) for _ in range(300)] + _corpus_presentations()
-    inputs += [_loop_input(rng) for _ in range(50)]
+    inputs += [_loop_input(rng) for _ in range(150)]
+    inputs += [_planted_spectrum_input(rng) for _ in range(200)]
     seen = Counter()
     for g in inputs:
         base = settled(g)
@@ -317,7 +358,7 @@ def test_closed_spectrum_tests_are_invariant_under_edge_changes(monkeypatch):
             seen[base[1]] += 1
             for change in (_reversed, _reordered, _renamed):
                 assert settled(change(rng, g)) == base, (change.__name__, g)
-    assert min(seen.values()) > 20 and len(seen) == 3, seen
+    assert min(seen.values()) > 20 and len(seen) == 4, seen
 
 
 def _inverse(m: IntMat2) -> IntMat2:
