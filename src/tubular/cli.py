@@ -398,15 +398,17 @@ def analyze(obj, name: str) -> list[DecisionReport]:
     return _reports(_Input(obj, name), COMMANDS["analyze"])
 
 
+def _line(r: DecisionReport) -> str:
+    line = f"{r.group} {r.property}: {r.verdict} [{r.route}]"
+    return line + " -- " + "; ".join(r.notes) if r.notes else line
+
+
 def _emit(reports: list[DecisionReport], as_json: bool):
     if as_json:
         sys.stdout.write(reports_to_json(reports))
         return
     for r in reports:
-        line = f"{r.group} {r.property}: {r.verdict} [{r.route}]"
-        if r.notes:
-            line += " -- " + "; ".join(r.notes)
-        print(line)
+        print(_line(r))
 
 
 def _parse_vec_spec(spec: str, g: TubularPresentation) -> tuple[VertexId, IntVec2]:
@@ -530,6 +532,10 @@ def _dispatch(args) -> int:
         _, wall = s.search
         if wall is None:
             props = ("equitable_set",)
+            if args.dot:  # a graph with no nodes, the report line a comment
+                lines = "".join(f"  // {_line(r)}\n" for r in _reports(s, props))
+                sys.stdout.write(f"digraph wall {{\n{lines}}}\n")
+                return 0
         elif args.dot:
             sys.stdout.write(export_dot(wall))
             return 0

@@ -316,39 +316,39 @@ class WallGraph:
 
 
 def wall_graph(g: TubularPresentation, s: EquitableSet) -> WallGraph:
-    """Build the wall graph for an equitable set.
-
-    Intersection points on each side of an edge are listed circle-by-circle in
-    circle order, and the order-preserving bijection matches them.  The points
-    it joins from left circle i to right circle j form one run, one `Arc` with
-    their count.  Point p lies on the first circle whose cumulative count A_i
-    or B_j exceeds p, so the runs are the northwest-corner rule on A and B,
-    and the work does not grow with the number of points.  A run of n points
-    from left circle i to right circle j has weight a_i / b_j.
-    """
-    arcs = []
-    for e, (a, b) in zip(g.edges, _point_counts(g, s, "wall_graph")):
-        A, B = list(itertools.accumulate(a)), list(itertools.accumulate(b))
-        for p, q in itertools.pairwise([0] + sorted({*A, *B} - {0})):
-            i, j = bisect.bisect(A, p), bisect.bisect(B, p)
-            arcs.append(Arc(e.id, (e.src, i), (e.dst, j), Fraction(a[i], b[j]), q - p))
+    """Build the wall graph for an equitable set: per edge, one `Arc` for
+    each run of its default matching (`_runs`), with the run's count.  A run
+    of n points from left circle i to right circle j has weight a_i / b_j."""
+    counts = _point_counts(g, s)
+    if counts is None:
+        raise ValueError("wall_graph requires an equitable set")
+    arcs = [
+        Arc(e.id, (e.src, i), (e.dst, j), Fraction(a[i], b[j]), n)
+        for e, (a, b) in zip(g.edges, counts)
+        for i, j, n in _runs(a, b)
+    ]
     nodes = tuple((v, i) for v in g.vertices for i in range(len(s.at(v))))
     return WallGraph(nodes, tuple(arcs))
 
 
-def _point_counts(g: TubularPresentation, s: EquitableSet, caller: str) -> tuple:
-    """Per edge, the points on each left circle and on each right circle."""
-    counts = _checked_point_counts(g, s)
-    if counts is None:
-        raise ValueError(f"{caller} requires an equitable set")
-    return counts
+def _runs(a: Sequence[int], b: Sequence[int]) -> Iterator[tuple[int, int, int]]:
+    """The runs (i, j, n) of an edge's default matching, which joins its
+    points in order, a_i on left circle i and b_j on right circle j: n points
+    joined from left circle i to right circle j.  Point p lies on the first
+    circle whose cumulative count A_i or B_j exceeds p, so the runs are the
+    northwest-corner rule on A and B, and their number does not grow with
+    the number of points."""
+    A, B = list(itertools.accumulate(a)), list(itertools.accumulate(b))
+    for p, q in itertools.pairwise([0] + sorted({*A, *B} - {0})):
+        yield bisect.bisect(A, p), bisect.bisect(B, p), q - p
 
 
 @functools.lru_cache(maxsize=16)
-def _checked_point_counts(g: TubularPresentation, s: EquitableSet) -> tuple | None:
-    """The point counts of an equitable set, or None when s is not one, so
-    that the wall graph and the spectrum of one set verify it once.  Callers
-    share the result, so it is made of tuples."""
+def _point_counts(g: TubularPresentation, s: EquitableSet) -> tuple | None:
+    """Per edge, the points on each left circle and on each right circle,
+    or None when s is not an equitable set, so that the wall graph and the
+    spectrum of one set verify it once.  Callers share the result, so it is
+    made of tuples."""
     if not verify_equitable(g, s):
         return None
     ends = [((e.src, e.v), (e.dst, e.w)) for e in g.edges]
@@ -457,21 +457,26 @@ def all_matching_verdicts(
 
     - one group per edge is consistent: no tuple is dilated, and the
       default matching is a tuple, so the spectrum is NonDilated alone;
-    - two matchings are read off the point counts: the default one
-      (`_default_grouping`), decided once, and the one group per edge, a
-      matching when each edge's n points per side satisfy n >= |L| + |R| - 1
-      and then dilated by the first step.  When they show both flags, the
-      spectrum is complete; the flags they show are kept for the last step;
+    - two matchings are read off the point counts: the wall graph's
+      matching, decided on its runs (`_runs`) as groups of two circles, and
+      the one group per edge, a matching when each edge's n points per side
+      satisfy n >= |L| + |R| - 1 and then dilated by the first step.  When
+      they show both flags, the spectrum is complete; the flags they show
+      are kept for the last step;
     - each edge has at most `budget` groupings, and their common blocks are
       inconsistent: every tuple is dilated (a consistent default tuple
       rules this out);
     - otherwise the tuples of per-edge groupings (at most budget + 1 per
       edge) are decided one at a time until both flags show, or `budget`
       tuples are decided with more left: then the result is incomplete.
+      The walk decides every tuple it reaches, so the default tuple again,
+      and the one-group tuple again when that is a matching.
 
     A set that is not equitable raises ValueError at every budget.
     """
-    counts = _point_counts(g, s, "all_matching_verdicts")
+    counts = _point_counts(g, s)
+    if counts is None:
+        raise ValueError("all_matching_verdicts requires an equitable set")
     if budget <= 0:
         return set(), False
     circles = tuple((v, i) for v in g.vertices for i in range(len(s.at(v))))
@@ -481,10 +486,10 @@ def all_matching_verdicts(
     ]
     if _consistent(circles, [[c for c in end if c[1]] for end in ends]):
         return {False}, True
-    default = (
-        [end[i] for i in L] + [end[len(a) + j] for j in R]
-        for end, (a, b) in zip(ends, counts)
-        for L, R in _default_grouping(a, b)
+    default = (  # the wall graph's arcs, as groups of two circles
+        [((e.src, i), a[i]), ((e.dst, j), b[j])]
+        for e, (a, b) in zip(g.edges, counts)
+        for i, j, _ in _runs(a, b)
     )
     verdicts = {not _consistent(circles, default)}
     if all(sum(a) >= sum(map(bool, a + b)) - 1 for a, b in counts):
@@ -524,22 +529,6 @@ def _consistent(circles: Sequence[Circle], groups: Iterable[Sequence[tuple[Circl
     member (x, n)."""
     arcs = [(y, x, m, n) for (y, m), *rest in groups for x, n in rest]
     return holonomy_cycle(circles, arcs) is None
-
-
-def _default_grouping(a: Sequence[int], b: Sequence[int]) -> tuple:
-    """The groups (left circles, right circles) of an edge's default
-    matching, which joins its points in order, a_i on left circle i and b_j
-    on right circle j, in the shape of `_groupings`' groupings.  A group
-    ends where a left and a right circle end at the same cumulative count;
-    circles without points are in no group."""
-    A, B = list(itertools.accumulate(a)), list(itertools.accumulate(b))
-    cuts = sorted(set(A) & set(B) - {0})
-    sides = [[[] for _ in cuts] for _ in "LR"]
-    for side, points, totals in zip(sides, (a, b), (A, B)):
-        for i, (n, total) in enumerate(zip(points, totals)):
-            if n:
-                side[bisect.bisect_left(cuts, total)].append(i)
-    return tuple((tuple(L), tuple(R)) for L, R in zip(*sides))
 
 
 def _groupings(a: list[int], b: list[int]) -> Iterator[tuple]:

@@ -240,6 +240,12 @@ def test_cubulate_not_found(capsys):
     assert code == 0
     assert "equitable_set: NotFound" in out
 
+    # With no set, --dot prints a graph with no nodes and the report line
+    # as a DOT comment, so a DOT reader still accepts the output.
+    code, dot, err = run(capsys, "cubulate", "--corpus", "bs12", "--dot")
+    assert code == 0 and err == ""
+    assert dot == f"digraph wall {{\n  // {out.strip()}\n}}\n"
+
 
 def test_cubulate_all_matchings(capsys):
     code, out, _ = run(capsys, "cubulate", "--corpus", "gersten", "--all-matchings")
@@ -371,7 +377,7 @@ def test_cubulate_searches_once(capsys, monkeypatch):
 
         monkeypatch.setattr(module, name, counted)
     for extra in ([], ["--json"], ["--dot"], ["--all-matchings"]):
-        tubular.cubulate._checked_point_counts.cache_clear()
+        tubular.cubulate._point_counts.cache_clear()
         calls.update(equitable_search=0, wall_graph=0, verify_equitable=0)
         code, _, _ = run(capsys, "cubulate", "--corpus", "gersten", *extra)
         assert code == 0

@@ -40,8 +40,8 @@ from tubular.cubulate import (
     _balanced_multisets,
     _candidate_vectors,
     _consistent,
-    _default_grouping,
     _groupings,
+    _runs,
     _search_table,
     all_matching_verdicts,
     dilation_decide,
@@ -665,6 +665,38 @@ def test_set_lookups_are_fast_on_a_long_path():
     assert time.process_time() - t0 < 2.0
 
 
+def test_wall_work_is_linear_on_a_long_path(monkeypatch):
+    """Beside the CPU bound above, a bound that does not depend on the
+    machine: the runs of the default matching and the arcs posed to
+    `holonomy_cycle` by the wall graph, its dilation check and the spectrum
+    grow linearly with the path."""
+    runs, holonomy_cycle = tubular.cubulate._runs, tubular.cubulate.holonomy_cycle
+    work = {"runs": 0, "arcs": 0}
+
+    def counted_runs(a, b):
+        for run in runs(a, b):
+            work["runs"] += 1
+            yield run
+
+    def counted_cycle(nodes, arcs):
+        work["arcs"] += len(arcs)
+        return holonomy_cycle(nodes, arcs)
+
+    monkeypatch.setattr(tubular.cubulate, "_runs", counted_runs)
+    monkeypatch.setattr(tubular.cubulate, "holonomy_cycle", counted_cycle)
+    counts = []
+    for n in (1000, 2000):
+        g = _path(n)
+        s = equitable_search(g, 3, 3)
+        work.update(runs=0, arcs=0)
+        assert not dilation_decide(wall_graph(g, s)).dilated
+        assert all_matching_verdicts(g, s) == ({False}, True)
+        counts.append(dict(work))
+    assert min(counts[0].values()) > 0, counts
+    for key in work:
+        assert counts[1][key] / counts[0][key] <= 2.2, (key, counts)
+
+
 def test_equitable_set_at_takes_the_first_entry_of_a_vertex():
     s = EquitableSet((("V", (V(1, 0),)), ("W", (V(0, 1),)), ("V", (V(1, 1),))))
     assert s.at("V") == (V(1, 0),) and s.at("W") == (V(0, 1),)
@@ -1055,13 +1087,51 @@ def test_all_matchings_agrees_with_grouping_tuple_oracle(monkeypatch):
     assert systems > 2000
 
 
+def _default_grouping(a, b):
+    """The groups (left circles, right circles) of an edge's default
+    matching, which joins its points in order, a_i on left circle i and b_j
+    on right circle j, in the shape of `_groupings`' groupings, read off the
+    cumulative counts.  A group ends where a left and a right circle end at
+    the same cumulative count; circles without points are in no group."""
+    A, B = list(itertools.accumulate(a)), list(itertools.accumulate(b))
+    cuts = sorted(set(A) & set(B) - {0})
+    sides = [[[] for _ in cuts] for _ in "LR"]
+    for side, points, totals in zip(sides, (a, b), (A, B)):
+        for i, (n, total) in enumerate(zip(points, totals)):
+            if n:
+                side[bisect.bisect_left(cuts, total)].append(i)
+    return tuple((tuple(L), tuple(R)) for L, R in zip(*sides))
+
+
+def _run_components(a, b):
+    """The connected groups (left circles, right circles) of `_runs`."""
+    up = {}
+
+    def root(c):
+        while up.setdefault(c, c) != c:
+            c = up[c]
+        return c
+
+    for i, j, n in _runs(a, b):
+        assert n > 0 and a[i] and b[j], (a, b)
+        up[root(("L", i))] = root(("R", j))
+    groups = {}
+    for c in sorted(up):
+        groups.setdefault(root(c), []).append(c)
+    return frozenset(
+        tuple(tuple(k for side, k in members if side == s) for s in "LR")
+        for members in groups.values()
+    )
+
+
 def test_default_grouping_is_the_wall_graphs_matching():
     """The default tuple that all_matching_verdicts decides is the wall
     graph's matching.  On the 2,348 sets with edges of 4,000 seed-5
-    invariance draws, on planted spectrum inputs and on the corpus: each
-    edge's default grouping is one of its groupings, and `_consistent` on
-    the tuple gives the wall graph's word.  Wherever the spectrum from the
-    one-group test, the forced-group test and the tuple walk alone was
+    invariance draws, on planted spectrum inputs and on the corpus: the runs
+    of each edge join its circles into the groups read off the cumulative
+    counts, that grouping is one of the edge's groupings, and `_consistent`
+    on the tuple gives the wall graph's word.  Wherever the spectrum from
+    the one-group test, the forced-group test and the tuple walk alone was
     complete, the spectrum is the same; where it was truncated, the
     spectrum holds it."""
     rng = random.Random(5)
@@ -1077,6 +1147,7 @@ def test_default_grouping_is_the_wall_graphs_matching():
         groups = []
         for e, (a, b) in zip(g.edges, _edge_counts(g, s)):
             grouping = _default_grouping(a, b)
+            assert _run_components(a, b) == frozenset(grouping), (a, b)
             assert frozenset(grouping) in {frozenset(x) for x in _groupings(a, b)}, (a, b)
             for L, R in grouping:
                 groups.append([((e.src, i), a[i]) for i in L] + [((e.dst, j), b[j]) for j in R])

@@ -1,6 +1,7 @@
 """The package's lazy export map, checked in fresh interpreters so that no
 module imported by another test is already loaded."""
 
+import ast
 import json
 import os
 import subprocess
@@ -117,3 +118,26 @@ def test_cli_import_loads_every_traced_module():
     # and raises KeyError for one that is missing, so importing the CLI must
     # still load every decider module.
     assert TRACED <= set(_run("import tubular.cli\n" + PRINT_LOADED))
+
+
+def test_every_private_helper_has_a_caller():
+    """Each module-level `def _x` or `class _X` of the package, dunders
+    aside, is named, as a name or an attribute, somewhere in the package
+    outside its own definition."""
+    package = Path(tubular.__file__).parent
+    tops = [node for p in sorted(package.glob("*.py")) for node in ast.parse(p.read_text()).body]
+    helpers = {
+        node.name
+        for node in tops
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and node.name.startswith("_")
+        and not node.name.startswith("__")
+    }
+    used = set()
+    for top in tops:
+        for node in ast.walk(top):
+            name = getattr(node, "id", None) or getattr(node, "attr", None)
+            if isinstance(node, (ast.Name, ast.Attribute)) and name != getattr(top, "name", None):
+                used.add(name)
+    assert len(helpers) > 40
+    assert sorted(helpers - used) == []

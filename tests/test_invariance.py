@@ -1,14 +1,16 @@
 """Every `analyze` row keeps its verdict word when a presentation is written
-differently: edges reversed, edges reordered, vertices and edges renamed, and
-the basis of each vertex group changed.  The last holds for every row but
-`dilation`, which describes the equitable set the bounded search finds first,
-and that set depends on the basis; its flips are counted and printed.
-Random presentations and the corpus entries both go through the changes.
+differently: edges reversed, edges reordered, vertices and edges renamed, the
+basis of each vertex group changed, and the vertices reordered.  The last two
+hold for every row but `dilation`, which describes the equitable set the
+bounded search finds first, and that set depends on the basis and on the
+vertex order; its flips are counted and printed.  Random presentations and
+the corpus entries both go through the changes.
 
 The matching spectrum of `cubulate --all-matchings` keeps its verdict and
 notes under the first three changes.  Under a basis change it describes the
 set found in the new basis, which pulled back to the old basis has the same
-spectrum there.
+spectrum there.  The spectrum and the dilation word of one fixed set do not
+depend on the vertex order.
 
 The rows must also agree with each other where a theorem ties them together,
 on random presentations and on the corpus entries:
@@ -45,7 +47,7 @@ from tubular.core import (
     single_vertex_presentation,
 )
 from tubular.corpus import corpus
-from tubular.cubulate import all_matching_verdicts, equitable_search
+from tubular.cubulate import all_matching_verdicts, dilation_decide, equitable_search, wall_graph
 from tubular.dsl import parse, unparse
 from tubular.special import gpq_to_tubular
 
@@ -106,25 +108,36 @@ def _rebased(rng, g):
     return g
 
 
+def _vertices_reordered(rng, g):
+    return TubularPresentation(tuple(rng.sample(g.vertices, len(g.vertices))), g.edges)
+
+
 def _words(g):
     return [(r.property, r.verdict) for r in analyze(g, "g")]
 
 
 def _dilation_flips(rng, g) -> list[tuple[str, str]]:
     """Check every row of g under each change once; return the dilation
-    words (before, after) that a basis change flipped."""
+    flips, as (change, "before -> after"), of a basis change and of a
+    vertex reordering."""
     base = _words(g)
     for change in (_reversed, _reordered, _renamed):
         assert _words(change(rng, g)) == base, (change.__name__, g)
-    rebased = _words(_rebased(rng, g))
-    assert [p for p, _ in rebased] == [p for p, _ in base]
     flips = []
-    for (prop, before), (_, after) in zip(base, rebased):
-        if prop != "dilation":
-            assert before == after, (prop, g)
-        elif before != after:
-            flips.append((before, after))
+    for name, change in (("basis change", _rebased), ("vertex order", _vertices_reordered)):
+        words = _words(change(rng, g))
+        assert [p for p, _ in words] == [p for p, _ in base]
+        for (prop, before), (_, after) in zip(base, words):
+            if prop != "dilation":
+                assert before == after, (name, prop, g)
+            elif before != after:
+                flips.append((name, f"{before} -> {after}"))
     return flips
+
+
+def _print_flips(flips: Counter):
+    found = ", ".join(f"{' '.join(key)}: {n}" for key, n in sorted(flips.items()))
+    print(f"dilation flips: {found or 'none'}")
 
 
 def test_verdict_words_are_invariant():
@@ -132,13 +145,12 @@ def test_verdict_words_are_invariant():
     dilation_flips = Counter()
     for _ in range(400):
         dilation_flips.update(_dilation_flips(rng, _random_presentation(rng)))
-    flips = ", ".join(f"{a} -> {b}: {n}" for (a, b), n in sorted(dilation_flips.items()))
-    print(f"dilation flips under basis change: {flips or 'none'}")
+    _print_flips(dilation_flips)
 
 
 def test_corpus_verdict_words_are_invariant():
     """The corpus entries, gpq ones as their tubular presentations, 20
-    rounds of the four changes each."""
+    rounds of the five changes each."""
     rng = random.Random(1)
     dilation_flips = Counter()
     for entry in corpus():
@@ -146,8 +158,32 @@ def test_corpus_verdict_words_are_invariant():
         g = gpq_to_tubular(g) if isinstance(g, GpqParams) else g
         for _ in range(20):
             dilation_flips.update((entry.name, *f) for f in _dilation_flips(rng, g))
-    flips = ", ".join(f"{e} {a} -> {b}: {n}" for (e, a, b), n in dilation_flips.items())
-    print(f"corpus dilation flips under basis change: {flips or 'none'}")
+    _print_flips(dilation_flips)
+
+
+def test_vertex_order_keeps_every_word_but_dilation():
+    """On 1,000 draws with two or three vertices, every row but `dilation`
+    keeps its word when the vertices are reordered.  The search walks the
+    vertices in another order and may find another set, so `dilation` may
+    flip; of one fixed set, the dilation word and the matching spectrum do
+    not depend on the vertex order."""
+    rng = random.Random(31)
+    dilation_flips, draws, fixed = Counter(), 0, 0
+    while draws < 1000:
+        g = _random_presentation(rng)
+        if len(g.vertices) == 1:
+            continue
+        draws += 1
+        dilation_flips.update(_dilation_flips(rng, g))
+        s = equitable_search(g, COORD_BOUND, SIZE_BOUND)
+        if isinstance(s, EquitableSet) and g.edges:
+            fixed += 1
+            h = _vertices_reordered(rng, g)
+            dilated = dilation_decide(wall_graph(g, s)).dilated
+            assert dilation_decide(wall_graph(h, s)).dilated == dilated, g
+            assert all_matching_verdicts(h, s) == all_matching_verdicts(g, s), g
+    _print_flips(dilation_flips)
+    assert fixed > 300, fixed
 
 
 def _corpus_inputs() -> list:
