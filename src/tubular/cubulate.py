@@ -9,7 +9,7 @@ Walls are built by joining the intersection points on the two sides of each
 edge bijectively; each arc carries the positive rational weight
 |det[v_e, s_src]| / |det[w_e, s_dst]|.  The dual cube complex is finite
 dimensional exactly when every cycle of arcs has multiplicative holonomy 1
-(the wall is non-dilated).
+(the wall is non-dilated), which `core.holonomy_cycle` decides.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import functools
 import itertools
 import math
 import operator
-from collections.abc import Hashable, Iterable, Iterator, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -31,6 +31,7 @@ from .core import (
     TubularPresentation,
     VertexId,
     det2,
+    holonomy_cycle,
     line_of,
     verify_equitable,
 )
@@ -376,68 +377,6 @@ def dilation_decide(w: WallGraph) -> DilationVerdict:
         return DilationVerdict(False)
     steps, holonomy = found
     return DilationVerdict(True, tuple((w.arcs[i], d) for i, d in steps), holonomy)
-
-
-def holonomy_cycle(
-    nodes: Sequence[Hashable], arcs: Sequence[tuple[Hashable, Hashable, int, int]]
-) -> tuple[list[tuple[int, int]], Rat] | None:
-    """The first cycle of a graph whose multiplicative holonomy is not 1, as
-    (arc index, direction) steps, with that holonomy; None when every cycle
-    has holonomy 1.  Arc (src, dst, m, n) has the weight m/n, for positive
-    integers m and n that need not be coprime.
-
-    Per connected component, taken in the order of their first node, a
-    depth-first spanning tree assigns each node a potential p/q, kept as a
-    pair of coprime integers (traversing an arc forward multiplies by its
-    weight, backward divides).  The component's non-tree arcs are then
-    checked once each, in index order, by cross-multiplying: arc i from a
-    to b closes a cycle of holonomy potential[a]·m/n/potential[b], which
-    runs from b up the tree to the common ancestor, down to a, and over arc
-    i.  Only that holonomy is returned as a Fraction.  Holonomy is a cycle
-    invariant, so whether a cycle is found does not depend on the tree.
-    """
-    adj: dict[Hashable, list[tuple[int, int, Hashable]]] = {n: [] for n in nodes}
-    for i, (src, dst, _, _) in enumerate(arcs):
-        adj[src].append((i, +1, dst))
-        adj[dst].append((i, -1, src))
-    potential: dict[Hashable, tuple[int, int]] = {}
-    parent: dict[Hashable, tuple[Hashable, int, int] | None] = {}
-
-    def path(node: Hashable) -> list[tuple[int, int]]:
-        steps = []
-        while parent[node] is not None:
-            node, i, d = parent[node]
-            steps.append((i, d))
-        return steps[::-1]
-
-    for root in nodes:
-        if root in potential:
-            continue
-        potential[root], parent[root] = (1, 1), None
-        stack, seen, tree = [root], set(), set()
-        while stack:
-            node = stack.pop()
-            for i, d, other in adj[node]:
-                seen.add(i)
-                if other not in potential:
-                    (p, q), (_, _, m, n) = potential[node], arcs[i]
-                    p, q = (p * m, q * n) if d > 0 else (p * n, q * m)
-                    k = math.gcd(p, q)
-                    potential[other] = p // k, q // k
-                    parent[other] = (node, i, d)
-                    tree.add(i)
-                    stack.append(other)
-        for i in sorted(seen - tree):
-            src, dst, m, n = arcs[i]
-            (ps, qs), (pd, qd) = potential[src], potential[dst]
-            if ps * m * qd != qs * n * pd:
-                to_src, to_dst = path(src), path(dst)
-                k = 0
-                while k < min(len(to_src), len(to_dst)) and to_src[k] == to_dst[k]:
-                    k += 1
-                back = [(j, -d) for j, d in reversed(to_dst[k:])]
-                return back + to_src[k:] + [(i, +1)], Fraction(ps * m * qd, qs * n * pd)
-    return None
 
 
 def all_matching_verdicts(

@@ -84,8 +84,8 @@ class _Parser:
     """Walks the token tuples by index; positions are found only on error.
 
     A group text reaches the walker only when the statement patterns or the
-    data model rejected it; the walker words the first error, and must reject
-    every such text too."""
+    data model rejected it; the walker builds nothing from it, words its first
+    error, and must reject every such text too."""
 
     def __init__(self, text: str):
         self.text = text
@@ -128,10 +128,10 @@ class _Parser:
         self.i += 1
         return n
 
-    def parse(self) -> TubularPresentation | GpqParams:
+    def parse(self) -> GpqParams:
         head = self.toks[0][IDENT]
         if head == "group":
-            out = self.parse_group()
+            self.parse_group()
         elif head == "gpq":
             out = self.parse_gpq()
         else:
@@ -139,27 +139,26 @@ class _Parser:
         tail = self.toks[self.i]
         if tail != _EOF:
             self.fail(f"unexpected trailing input {_shown(tail)!r}")
+        if head == "group":
+            raise AssertionError(f"only the walker accepts {self.text!r}")
         return out
 
-    def parse_group(self) -> TubularPresentation:
+    def parse_group(self) -> None:
         toks = self.toks
         self.expect(IDENT, "group")
-        name = self.ident("group name")
+        self.ident("group name")
         self.expect(PUNCT, "{")
         self.expect(IDENT, "vertex")
-        vertices = [self.ident("vertex id")]
-        vset, dup = set(vertices), None
+        vset, dup = {self.ident("vertex id")}, None
         while toks[self.i][PUNCT] == ",":
             self.i += 1
             v = self.ident("vertex id")
             if v in vset and dup is None:
                 dup = self.i - 1
             vset.add(v)
-            vertices.append(v)
         self.expect(PUNCT, ";")
         if dup is not None:
             self.fail("duplicate vertex id", dup)
-        edges: list[Edge] = []
         seen_labels: set[str] = set()
         while toks[self.i][IDENT] == "edge":
             self.i += 1
@@ -168,19 +167,17 @@ class _Parser:
                 self.fail(f"duplicate edge label {label!r}", self.i - 1)
             seen_labels.add(label)
             self.expect(PUNCT, ":")
-            src, v = self.parse_end(vset)
+            self.parse_end(vset)
             self.expect(PUNCT, "->")
-            dst, w = self.parse_end(vset)
-            edges.append(Edge(label, src, dst, v, w))
+            self.parse_end(vset)
             sep = toks[self.i][PUNCT]
             if sep == ";":
                 self.i += 1
             elif sep != "}":
                 self.fail("expected ';' or '}'")
         self.expect(PUNCT, "}")
-        return TubularPresentation(tuple(vertices), tuple(edges), name=name)
 
-    def parse_end(self, vset: set[str]) -> tuple[str, IntVec2]:
+    def parse_end(self, vset: set[str]) -> None:
         k = self.i
         vertex = self.ident("vertex id")
         if vertex not in vset:
@@ -192,7 +189,6 @@ class _Parser:
         self.expect(PUNCT, ")")
         if x == 0 and y == 0:
             self.fail("zero attaching vector", k)
-        return vertex, IntVec2(x, y)
 
     def parse_gpq(self) -> GpqParams:
         self.expect(IDENT, "gpq")

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+import tubular.cat0
 from tubular.cat0 import (
     Cat0Verdict,
     ObstructionDatum,
@@ -126,6 +127,28 @@ def test_yes_certificates_reverify_and_no_verdicts_are_complete():
         for k in range(-49, 50):
             c = Fraction(k, 50)
             assert any(a != b * c for a, b in constraints), (edges, c)
+
+
+def test_edge_loop_is_linear_in_the_loops(monkeypatch):
+    """A bound that does not depend on the machine: on n loops that the
+    identity form certifies, each rotating its vector by a quarter turn,
+    `decide_cat0` poses one cosine constraint per loop besides the base."""
+    calls = 0
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return _cos_constraint(*args)
+
+    monkeypatch.setattr(tubular.cat0, "_cos_constraint", counted)
+    counts = []
+    for n in (500, 1000):
+        calls = 0
+        edges = [(V(1, k), V(-k, 1)) for k in range(n)]
+        verdict = decide_cat0(edges)
+        assert verdict.answer and check_certificate(verdict.certificate, edges)
+        counts.append(calls)
+    assert counts[0] > 0 and counts[1] / counts[0] <= 2.2, counts
 
 
 def test_verdict_invariant_under_edge_reordering():

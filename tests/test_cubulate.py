@@ -5,6 +5,7 @@ import math
 import operator
 import random
 import re
+import sys
 import time
 from fractions import Fraction
 
@@ -612,6 +613,40 @@ def test_search_blowups_finish_quickly(name):
         assert "; ".join(f"{v} " + " ".join(map(str, c)) for v, c in out.sets) == expected
 
 
+def _calls(code, run, cap=10**4):
+    """The calls of the function whose code object is `code` while `run()`
+    runs, closures included, counted by a profile hook, which stops the run
+    once they pass `cap`."""
+    count = 0
+
+    def hook(frame, event, arg):
+        nonlocal count
+        if event == "call" and frame.f_code is code:
+            count += 1
+            if count > cap:
+                raise RuntimeError(f"over {cap} calls of {code.co_name}")
+
+    sys.setprofile(hook)
+    try:
+        run()
+    finally:
+        sys.setprofile(None)
+    return count
+
+
+def test_walk_options_are_linear_on_a_mixed_chain():
+    """Beside the CPU bound above, a bound that does not depend on the
+    machine: the options the walk asks of its vertices on chain10-mixed's
+    family grow linearly with the chain (72n - 125 calls of `option`)."""
+    consts = equitable_search.__code__.co_consts
+    option = next(c for c in consts if getattr(c, "co_name", "") == "option")
+    counts = []
+    for n in (16, 32):
+        g = parse(_chain(n, "(0,1)"))
+        counts.append(_calls(option, lambda: equitable_search(g, 3, 3)))
+    assert counts[0] > 0 and counts[1] / counts[0] <= 2.2, counts
+
+
 def test_analyze_chain_with_distorted_loop_last(capsys, tmp_path):
     path = tmp_path / "chain.tub"
     path.write_text(_chain(4))
@@ -663,6 +698,19 @@ def test_set_lookups_are_fast_on_a_long_path():
     assert len(wall_graph(g, s).arcs) == 2 * len(g.edges)
     assert all_matching_verdicts(g, s) == ({False}, True)
     assert time.process_time() - t0 < 2.0
+
+
+def test_set_index_is_built_once_per_set_on_a_long_path():
+    """Beside the CPU bound above: the wall graph and the spectrum build the
+    vertex index of `EquitableSet.at` once per set.  The count is pinned
+    exactly, since an index built on every lookup grows only linearly."""
+    build = EquitableSet.__dict__["_first"].func.__code__
+    counts = []
+    for n in (1000, 2000):
+        g = _path(n)
+        s = equitable_search(g, 3, 3)
+        counts.append(_calls(build, lambda: (wall_graph(g, s), all_matching_verdicts(g, s))))
+    assert counts == [1, 1]
 
 
 def test_wall_work_is_linear_on_a_long_path(monkeypatch):

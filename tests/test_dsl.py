@@ -366,13 +366,14 @@ def test_parser_agrees_with_oracle_on_mutated_texts(monkeypatch):
     from tubular.corpus import corpus
 
     # The statement patterns define the group texts that parse: the walker
-    # runs only on texts that they reject, and must reject each of them too.
+    # runs only on texts that they reject, must raise on each group text, and
+    # returns only a gpq text's parameters.
     real = dsl._Parser.parse
 
     def walker(self):
         out = real(self)
-        if isinstance(out, TubularPresentation):
-            pytest.fail(f"only the walker accepts {self.text!r}")
+        if not isinstance(out, GpqParams):
+            pytest.fail(f"the walker returned {out!r} on {self.text!r}")
         return out
 
     monkeypatch.setattr(dsl._Parser, "parse", walker)

@@ -70,6 +70,31 @@ def test_corpus_import_loads_only_core_and_corpus():
     assert _run("import tubular.corpus\n" + PRINT_LOADED) == ["core", "corpus"]
 
 
+# Per module, the package modules that importing it loads, itself included.
+# `holonomy_cycle` lives in `core`, so `cat0` and `special` can solve integer
+# potential systems without loading `cubulate`.
+IMPORTS = {
+    "core": ["core"],
+    "linalg": ["linalg"],
+    "dsl": ["core", "dsl"],
+    "cat0": ["cat0", "core"],
+    "vrc": ["core", "vrc"],
+    "report": ["core", "report"],
+    "corpus": ["core", "corpus"],
+    "cubulate": ["core", "cubulate"],
+    "fbc": ["core", "fbc", "linalg"],
+    "special": ["cat0", "core", "fbc", "linalg", "special"],
+    "cli": MODULES,
+}
+
+
+def test_each_module_loads_only_its_imports():
+    assert sorted(IMPORTS) == MODULES
+    loaded = {name: _run(f"import tubular.{name}\n" + PRINT_LOADED) for name in IMPORTS}
+    assert loaded == IMPORTS
+    assert tubular.cubulate.holonomy_cycle is tubular.core.holonomy_cycle
+
+
 def test_every_export_is_its_defining_modules_object_and_is_stored():
     assert {"cli", "corpus", "linalg"} < set(MODULES)
     code = """
