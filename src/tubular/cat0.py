@@ -158,7 +158,7 @@ def vertex_necessary_checks(g: TubularPresentation) -> dict[str, Cat0Verdict]:
     the loops at each vertex.  Necessary for any CAT(0) group containing the
     tubular group; a vertex without loops gets the identity form."""
     loops: dict[str, list[Pair]] = {v: [] for v in g.vertices}
-    for e in g.edges:
-        if e.src == e.dst:
-            loops[e.src].append((e.v, e.w))
+    for _, src, dst, v, w in g.edges:
+        if src == dst:
+            loops[src].append((v, w))
     return {v: decide_cat0(pairs) for v, pairs in loops.items()}

@@ -122,9 +122,9 @@ def _line_counts(g: TubularPresentation) -> dict[VertexId, int]:
     attaching vectors (both ends of loops counted): the distinct `line_of`
     vectors at the vertex, in one pass over the edges."""
     lines: dict[VertexId, set[tuple[int, int]]] = {v: set() for v in g.vertices}
-    for e in g.edges:
-        lines[e.src].add(line_of(e.v.x, e.v.y))
-        lines[e.dst].add(line_of(e.w.x, e.w.y))
+    for _, src, dst, (vx, vy), (wx, wy) in g.edges:
+        lines[src].add(line_of(vx, vy))
+        lines[dst].add(line_of(wx, wy))
     return {v: len(found) for v, found in lines.items()}
 
 

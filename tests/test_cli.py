@@ -1,3 +1,5 @@
+import argparse
+import contextlib
 import gc
 import io
 import json
@@ -80,12 +82,29 @@ def run(capsys, *argv):
     return code, out.out, out.err
 
 
+def _count_parse_args(monkeypatch) -> list:
+    """Record the arguments of every call of argparse's `parse_args`."""
+    calls = []
+    parse_args = argparse.ArgumentParser.parse_args
+
+    def counted(self, *args, **kwargs):
+        calls.append(args)
+        return parse_args(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_args", counted)
+    return calls
+
+
 @pytest.mark.parametrize("golden,argv", GOLDEN, ids=[f for f, _ in GOLDEN])
-def test_golden_output(capsys, tmp_path, golden, argv):
+def test_golden_output(capsys, monkeypatch, tmp_path, golden, argv):
+    """Each golden command line prints its file's bytes, read without
+    argparse."""
     files = {"{g}": tmp_path / "g.tub", "{t}": tmp_path / "t.tub"}
     files["{g}"].write_text(unparse(eg2_g1()))
     files["{t}"].write_text(TRUNCATED)
+    calls = _count_parse_args(monkeypatch)
     code, out, err = run(capsys, *(str(files.get(a, a)) for a in argv))
+    assert calls == []
     assert code == 0 and err == ""
     assert out.encode() == (GOLDEN_DIR / golden).read_bytes()
 
@@ -549,3 +568,71 @@ def test_parser_is_built_once_and_keeps_no_state(capsys):
     assert exc.value.code == 2
     assert "unrecognized arguments: --no-such-flag" in capsys.readouterr().err
     assert tubular.cli._parser() is tubular.cli._parser()
+
+
+@pytest.mark.parametrize(
+    "argv,status",
+    [(["cubulate", "--corpus", "bs12", "--no-such-flag"], 2), (["-h"], 0)],
+    ids=["unknown-flag", "help"],
+)
+def test_help_and_usage_errors_come_from_argparse(capsys, monkeypatch, argv, status):
+    calls = _count_parse_args(monkeypatch)
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == status and calls == [(argv,)]
+
+
+# Tokens of random command lines: every command and option, values, and what
+# only argparse reads: '--opt=value', option prefixes, help, '--', other
+# tokens that start with '-', an empty token and tokens with a space.
+COMMAND_NAMES = ["analyze", "cat0", "fbc", "special", "cubulate", "vrc", "corpus", "amalgam"]
+ARGV_TOKENS = [
+    *COMMAND_NAMES,
+    *["--corpus", "--json", "--coord-bound", "--size-bound"],
+    *["--all-matchings", "--dot", "--run"],
+    *["--coord-bound=2", "--json=1", "--corpus=gersten", "--co", "--coord", "--all", "--j"],
+    *["-h", "--help", "--", "-", "-1", "-1,0", "", " 3", "-x y"],
+    *["2", "0", "x", "gersten", "1,0", "1,-1", "V:1,0"],
+]
+
+
+def _agreement(seed: int, n: int) -> int:
+    """Check `_fast_args` against argparse on n random command lines, and
+    return how many of them it read itself."""
+    rng = random.Random(seed)
+    read = 0
+    for _ in range(n):
+        first = rng.choice(COMMAND_NAMES if rng.random() < 0.9 else ARGV_TOKENS)
+        argv = [first, *rng.choices(ARGV_TOKENS, k=rng.randint(0, 6))]
+        fast = tubular.cli._fast_args(argv)
+        if fast is None:
+            continue
+        read += 1
+        quiet = io.StringIO()
+        try:
+            with contextlib.redirect_stdout(quiet), contextlib.redirect_stderr(quiet):
+                slow = tubular.cli._parser().parse_args(argv)
+        except SystemExit:
+            raise AssertionError(f"argparse refuses {argv!r}") from None
+        assert vars(fast) == vars(slow), argv
+    return read
+
+
+def test_fast_args_agrees_with_argparse():
+    """Where `_fast_args` reads a command line itself, it returns argparse's
+    namespace; the tokens hold every command and option of the parser."""
+    table = tubular.cli._commands()
+    options = {s for _, by_string, _, _ in table.values() for s in by_string}
+    assert set(table) | options <= set(ARGV_TOKENS)
+    assert _agreement(seed=0, n=20_000) > 2_000
+
+
+def test_fast_args_reads_golden_and_benchmark_command_lines():
+    plain = [
+        *(argv for _, argv in GOLDEN),
+        ["analyze", "-", "--json"],
+        ["analyze", "--corpus", "gersten", "--json"],
+        ["cubulate", "-", "--json", "--all-matchings"],
+    ]
+    for argv in plain:
+        assert tubular.cli._fast_args(argv) == tubular.cli._parser().parse_args(argv)

@@ -66,10 +66,6 @@ def test_parse_loads_only_core_and_dsl():
     assert loaded == LOADS
 
 
-def test_corpus_import_loads_only_core_and_corpus():
-    assert _run("import tubular.corpus\n" + PRINT_LOADED) == ["core", "corpus"]
-
-
 # Per module, the package modules that importing it loads, itself included.
 # `holonomy_cycle` lives in `core`, so `cat0` and `special` can solve integer
 # potential systems without loading `cubulate`.
