@@ -21,9 +21,13 @@ Two routes are implemented and cross-checked against each other:
   step is linear; where the pivot rows fill in, the sparse form holds as
   many entries as the dense basis.
 
-The hom space and its table of edge values are built once per presentation
-and kept in a small cache, shared by Button, the retractor and the amalgam
-checks.
+The hom space, its table of edge values and Button's walk over that table
+are built once per presentation and kept in a small cache, shared by Button,
+the retractor and the amalgam checks.  A retractor adds one row, which
+changes the walk only at a step where Button's coefficient would bring the
+row's nonzero partial value back to zero; without such a step Button's
+witness is its answer, and only with one does the walk run again on the
+extended table.
 
 The same machinery certifies generalized retractors (an extra required-nonzero
 value) and decides amalgams (`core.amalgamate`); witnesses are `core.Functional`.
@@ -160,54 +164,72 @@ def _row(space: HomSpace, vertex: VertexId, vec: IntVec2) -> Sparse:
     return tuple((k, value) for k, value in row.items() if value)
 
 
+def _witness(space: HomSpace, coeffs: tuple[int, ...] | list[int]) -> FbcVerdict:
+    """The Yes verdict whose witness is the primitive form of sum c_i b_i."""
+    coords = [sum(coeffs[i] * a for i, a in column) for column in space.entries]
+    return FbcVerdict(True, witness=_integer_functional(space, coords))
+
+
 @functools.lru_cache(maxsize=16)
 def _edge_table(
     g: TubularPresentation,
-) -> tuple[HomSpace, tuple[Sparse, ...] | str]:
-    """The hom space of g, and each edge group's row of values on its basis
-    in edge order, or instead the obstruction text of the first edge on
-    which every edge-compatible functional vanishes.  Callers share the
-    result, so they must not change it."""
+) -> tuple[HomSpace, tuple[Sparse, ...], tuple[int, ...], FbcVerdict]:
+    """The hom space of g, each edge group's row of values on its basis in
+    edge order, and Button's coefficients and verdict from one greedy walk
+    over those rows.  Where Button says No, with the obstruction text of the
+    first edge on which every edge-compatible functional vanishes, the rows
+    and coefficients are empty.  A retractor returns this verdict too unless
+    its value conflicts with the walk (`_nonvanishing_functional`).  Callers
+    share the result, so they must not change it."""
     space = hom_space(g)
     rows = []
     for e in g.edges:
         row = _row(space, e.src, e.v)
         if not row:
-            return space, f"every edge-compatible functional vanishes on edge {e.id}"
+            text = f"every edge-compatible functional vanishes on edge {e.id}"
+            return space, (), (), FbcVerdict(False, obstruction=text)
         rows.append(row)
-    return space, tuple(rows)
+    if space.dim == 0:
+        # Only a presentation without vertices gets here.
+        return space, (), (), FbcVerdict(False, obstruction="empty homomorphism space")
+    coeffs = tuple(_greedy_coefficients(rows, space.dim))
+    return space, tuple(rows), coeffs, _witness(space, coeffs)
 
 
 def _nonvanishing_functional(
-    g: TubularPresentation, extra: list[tuple[VertexId, IntVec2, str]]
+    g: TubularPresentation, extra: tuple[VertexId, IntVec2, str] | None = None
 ) -> FbcVerdict:
-    """An edge-compatible functional nonzero on every edge group and on each
-    extra value, or the obstruction of the first edge or extra value on which
-    every such functional vanishes.  `extra` lists (vertex, vector, obstruction
-    text) triples.  Everything runs on the integer form of the basis: one
-    common positive denominator changes no greedy choice and no primitive
-    witness."""
-    space, rows = _edge_table(g)
-    if isinstance(rows, str):
-        return FbcVerdict(False, obstruction=rows)
-    table = list(rows)
-    for vertex, vec, obstruction in extra:
-        row = _row(space, vertex, vec)
-        if not row:
-            return FbcVerdict(False, obstruction=obstruction)
-        table.append(row)
-    if space.dim == 0:
-        # Only a presentation without vertices gets here.
-        return FbcVerdict(False, obstruction="empty homomorphism space")
-    coeffs = _greedy_coefficients(table, space.dim)
-    coords = [sum(coeffs[i] * a for i, a in column) for column in space.entries]
-    return FbcVerdict(True, witness=_integer_functional(space, coords))
+    """An edge-compatible functional nonzero on every edge group and on the
+    extra value, if any, or the obstruction of the first edge or of the extra
+    value on which every such functional vanishes.  `extra` is a (vertex,
+    vector, obstruction text) triple.  Everything runs on the integer form
+    of the basis: one common positive denominator changes no greedy choice
+    and no primitive witness.
+
+    The walk over the edge rows and the extra row makes Button's choices
+    until a step i where the extra row's partial sum `at` is nonzero and
+    at + c_i x_i == 0: only there does the extra row rule out Button's c_i.
+    Without such a step Button's witness is the answer; with one, the walk
+    runs again on the extended table."""
+    space, rows, coeffs, button = _edge_table(g)
+    if extra is None or not button.answer:
+        return button
+    vertex, vec, obstruction = extra
+    row = _row(space, vertex, vec)
+    if not row:
+        return FbcVerdict(False, obstruction=obstruction)
+    at = 0
+    for i, x in sorted(row):  # `_row` lists the values in no fixed order
+        if at and at + coeffs[i] * x == 0:
+            return _witness(space, _greedy_coefficients([*rows, row], space.dim))
+        at += coeffs[i] * x
+    return button
 
 
 def button_decide(g: TubularPresentation) -> FbcVerdict:
     """Button's criterion: free-by-cyclic iff some homomorphism to Z is
     nonzero on every edge group."""
-    return _nonvanishing_functional(g, [])
+    return _nonvanishing_functional(g)
 
 
 def decide_fbc_single_vertex(edges: list[Pair], vertex: VertexId = "V") -> FbcVerdict:
@@ -273,7 +295,7 @@ def generalized_retractor(
     obstruction = (
         f"every edge-compatible functional vanishes on {elem} at vertex {vertex}"
     )
-    return _nonvanishing_functional(g, [(vertex, elem, obstruction)])
+    return _nonvanishing_functional(g, (vertex, elem, obstruction))
 
 
 @dataclass(frozen=True)

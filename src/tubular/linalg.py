@@ -16,10 +16,11 @@ Row = dict[int, int]
 def _eliminate(r: Row, s: Row, c: int) -> Row:
     """The integer combination of r and s that is zero at column c,
     (s[c] * r - r[c] * s) / gcd(r[c], s[c]), without zero entries.  The scale
-    of r is positive when s[c] is, as it is in a stored pivot row."""
+    of r is positive when s[c] is, as it is in a stored pivot row; where it
+    is 1, r is copied."""
     g = math.gcd(r[c], s[c])
     a, b = s[c] // g, r[c] // g
-    out = {k: a * x for k, x in r.items()}
+    out = r.copy() if a == 1 else {k: a * x for k, x in r.items()}
     for k, x in s.items():
         if y := out.get(k, 0) - b * x:
             out[k] = y

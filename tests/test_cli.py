@@ -1,5 +1,4 @@
 import argparse
-import contextlib
 import gc
 import io
 import json
@@ -25,55 +24,9 @@ from tubular.corpus import bare_z2, corpus, corpus_entry, eg2_double, eg2_g1, ge
 from tubular.report import deserialize_qform
 from tubular.special import Answer, gpq_to_tubular, vspecial_fbc_decide, vspecial_sufficient
 
+from check_interpreters import ARGV_TOKENS, GOLDEN, GOLDEN_DIR, _agreement, golden_files
+
 SCHEMA_KEYS = {"group", "property", "verdict", "route", "certificate", "citation", "notes"}
-
-GOLDEN_DIR = Path(__file__).parent / "golden"
-CORPUS_NAMES = [e.name for e in corpus()]
-GPQ_NAMES = [e.name for e in corpus() if isinstance(e.presentation, GpqParams)]
-
-
-def _slug(name: str) -> str:
-    return re.sub(r"[^A-Za-z0-9]+", "-", name).strip("-")
-
-
-# (golden file, argv); "{g}" stands for a file holding the eg2-g1 presentation,
-# "{t}" for one holding TRUNCATED, whose 18-point loop has 18,564 matchings,
-# more than the spectrum's budget of 10,000, which once counted matchings and
-# cut the spectrum short; they group its circles in only two ways.
-TRUNCATED = (
-    "group G { vertex V; edge e1 : V(0,1) -> V(-1,-2); edge e2 : V(6,0) -> V(6,0); }\n"
-)
-GOLDEN = [
-    ("corpus.txt", ["corpus"]),
-    ("corpus-run.txt", ["corpus", "--run"]),
-    ("corpus-run.json", ["corpus", "--run", "--json"]),
-    *[(f"analyze-{_slug(n)}.txt", ["analyze", "--corpus", n]) for n in CORPUS_NAMES],
-    *[
-        (f"analyze-{_slug(n)}.json", ["analyze", "--corpus", n, "--json"])
-        for n in CORPUS_NAMES
-    ],
-    *[
-        (f"{cmd}-{_slug(n)}.txt", [cmd, "--corpus", n])
-        for cmd in ("cat0", "fbc", "special")
-        for n in CORPUS_NAMES
-    ],
-    *[(f"vrc-{_slug(n)}.txt", ["vrc", "--corpus", n]) for n in GPQ_NAMES],
-    ("cubulate-gersten.txt", ["cubulate", "--corpus", "gersten"]),
-    ("cubulate-gersten.json", ["cubulate", "--corpus", "gersten", "--json"]),
-    ("cubulate-gersten.dot", ["cubulate", "--corpus", "gersten", "--dot"]),
-    (
-        "cubulate-gersten-all-matchings.json",
-        ["cubulate", "--corpus", "gersten", "--all-matchings", "--json"],
-    ),
-    ("cubulate-bs12.txt", ["cubulate", "--corpus", "bs12"]),
-    ("cubulate-truncated-all-matchings.txt", ["cubulate", "{t}", "--all-matchings"]),
-    (
-        "cubulate-truncated-all-matchings.json",
-        ["cubulate", "{t}", "--all-matchings", "--json"],
-    ),
-    ("amalgam-retractor.txt", ["amalgam", "{g}", "1,0", "{g}", "1,0"]),
-    ("amalgam-button.txt", ["amalgam", "{g}", "1,-1", "{g}", "1,0"]),
-]
 
 
 def run(capsys, *argv):
@@ -99,9 +52,7 @@ def _count_parse_args(monkeypatch) -> list:
 def test_golden_output(capsys, monkeypatch, tmp_path, golden, argv):
     """Each golden command line prints its file's bytes, read without
     argparse."""
-    files = {"{g}": tmp_path / "g.tub", "{t}": tmp_path / "t.tub"}
-    files["{g}"].write_text(unparse(eg2_g1()))
-    files["{t}"].write_text(TRUNCATED)
+    files = golden_files(tmp_path)
     calls = _count_parse_args(monkeypatch)
     code, out, err = run(capsys, *(str(files.get(a, a)) for a in argv))
     assert calls == []
@@ -580,42 +531,6 @@ def test_help_and_usage_errors_come_from_argparse(capsys, monkeypatch, argv, sta
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == status and calls == [(argv,)]
-
-
-# Tokens of random command lines: every command and option, values, and what
-# only argparse reads: '--opt=value', option prefixes, help, '--', other
-# tokens that start with '-', an empty token and tokens with a space.
-COMMAND_NAMES = ["analyze", "cat0", "fbc", "special", "cubulate", "vrc", "corpus", "amalgam"]
-ARGV_TOKENS = [
-    *COMMAND_NAMES,
-    *["--corpus", "--json", "--coord-bound", "--size-bound"],
-    *["--all-matchings", "--dot", "--run"],
-    *["--coord-bound=2", "--json=1", "--corpus=gersten", "--co", "--coord", "--all", "--j"],
-    *["-h", "--help", "--", "-", "-1", "-1,0", "", " 3", "-x y"],
-    *["2", "0", "x", "gersten", "1,0", "1,-1", "V:1,0"],
-]
-
-
-def _agreement(seed: int, n: int) -> int:
-    """Check `_fast_args` against argparse on n random command lines, and
-    return how many of them it read itself."""
-    rng = random.Random(seed)
-    read = 0
-    for _ in range(n):
-        first = rng.choice(COMMAND_NAMES if rng.random() < 0.9 else ARGV_TOKENS)
-        argv = [first, *rng.choices(ARGV_TOKENS, k=rng.randint(0, 6))]
-        fast = tubular.cli._fast_args(argv)
-        if fast is None:
-            continue
-        read += 1
-        quiet = io.StringIO()
-        try:
-            with contextlib.redirect_stdout(quiet), contextlib.redirect_stderr(quiet):
-                slow = tubular.cli._parser().parse_args(argv)
-        except SystemExit:
-            raise AssertionError(f"argparse refuses {argv!r}") from None
-        assert vars(fast) == vars(slow), argv
-    return read
 
 
 def test_fast_args_agrees_with_argparse():

@@ -745,6 +745,27 @@ def test_wall_work_is_linear_on_a_long_path(monkeypatch):
         assert counts[1][key] / counts[0][key] <= 2.2, (key, counts)
 
 
+def test_balanced_multisets_calls_are_linear_on_a_long_path(monkeypatch):
+    """Beside the CPU bound on the 8,000-vertex path, a bound that does not
+    depend on the machine: the search opens one stream of balanced multisets
+    per vertex, so doubling the path at most about doubles the calls."""
+    calls = 0
+    balanced_multisets = tubular.cubulate._balanced_multisets
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return balanced_multisets(*args)
+
+    monkeypatch.setattr(tubular.cubulate, "_balanced_multisets", counted)
+    counts = []
+    for n in (500, 1000):
+        calls = 0
+        assert isinstance(equitable_search(_path(n), 3, 3), EquitableSet)
+        counts.append(calls)
+    assert counts[0] >= 500 and counts[1] / counts[0] <= 2.2, counts
+
+
 def test_equitable_set_at_takes_the_first_entry_of_a_vertex():
     s = EquitableSet((("V", (V(1, 0),)), ("W", (V(0, 1),)), ("V", (V(1, 1),))))
     assert s.at("V") == (V(1, 0),) and s.at("W") == (V(0, 1),)

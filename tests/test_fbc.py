@@ -925,3 +925,110 @@ def test_button_work_is_linear_on_a_chain(monkeypatch, work):
     small, large = (_work_on_path(monkeypatch, n)[work] for n in (300, 600))
     assert small >= 298
     assert large / small <= 2.2, (small, large)
+
+
+def _changes_buttons_walk(g, vertex, elem):
+    """Whether the greedy walk with elem's row added to Button's table picks
+    some coefficient other than Button's walk, on dense rows of the basis;
+    None where Button says No or elem's row is zero, so nothing walks the
+    extended table."""
+    numerators = _numerators(hom_space(g))
+    columns = {v: 2 * i for i, v in enumerate(g.vertices)}
+
+    def dense(vertex, vec):
+        i = columns[vertex]
+        return [b[i] * vec.x + b[i + 1] * vec.y for b in numerators]
+
+    table, extra = [dense(e.src, e.v) for e in g.edges], dense(vertex, elem)
+    if not numerators or not all(map(any, table)) or not any(extra):
+        return None
+    dim = len(numerators)
+    return _dense_greedy_coefficients([*table, extra], dim) != _dense_greedy_coefficients(
+        table, dim
+    )
+
+
+def _small_vec(rng):
+    """A nonzero vector with coordinates in [-2, 2]: its row rules out one
+    of Button's coefficients more often than `_vec`'s do."""
+    while True:
+        v = V(rng.randint(-2, 2), rng.randint(-2, 2))
+        if not v.is_zero():
+            return v
+
+
+def _count_walks(monkeypatch) -> Counter:
+    """Count the calls of the sparse greedy walk under key "walks"."""
+    counts = Counter()
+    walk = fbc._greedy_coefficients
+
+    def counted(table, dim):
+        counts["walks"] += 1
+        return walk(table, dim)
+
+    monkeypatch.setattr(fbc, "_greedy_coefficients", counted)
+    return counts
+
+
+def test_button_and_a_retractor_share_one_walk(monkeypatch):
+    """The cached table holds Button's walk.  A retractor walks again only
+    where its row rules out one of Button's coefficients, and so changes the
+    walk on the extended table; otherwise it returns Button's witness.  The
+    verdicts are the per-call oracle's in every call order."""
+    counts = _count_walks(monkeypatch)
+    rng = random.Random(20261022)
+    cases = Counter()
+    for n in range(2, 9):
+        for extra in range(n + 1):
+            for _ in range(24):
+                g = _workload_graph(rng, n, extra)
+                vertex, elem = rng.choice(g.vertices), _small_vec(rng)
+                expected = [
+                    _per_call_oracle(g, []),
+                    _per_call_oracle(g, [(vertex, elem, _text(vertex, elem))]),
+                ]
+                conflict = _changes_buttons_walk(g, vertex, elem)
+                button_walks = int(expected[0].answer)
+                orders = {
+                    "forward": ([0, 1], button_walks + bool(conflict)),
+                    "backward": ([1, 0], button_walks + bool(conflict)),
+                    "cold": ([0, None, 1], 2 * button_walks + bool(conflict)),
+                }
+                for name, (order, walks) in orders.items():
+                    fbc._edge_table.cache_clear()
+                    counts["walks"] = 0
+                    got = [None, None]
+                    for k in order:
+                        if k is None:
+                            fbc._edge_table.cache_clear()
+                        elif k == 0:
+                            got[0] = button_decide(g)
+                        else:
+                            got[1] = generalized_retractor(g, vertex, elem)
+                    assert got == expected, (name, g, vertex, elem)
+                    assert counts["walks"] == walks, (name, g, vertex, elem)
+                cases[conflict] += 1
+    assert cases[True] > 30 and cases[False] > 500, cases
+
+
+def test_a_retractor_walks_again_where_its_value_conflicts(monkeypatch):
+    """On V - W glued along alpha_V = alpha_W, Button's coefficients are all
+    1, so its witness alpha + beta vanishes on (1,-1) at V: that row's
+    partial sum is -1 when Button picks 1 at alpha_W's basis vector, and the
+    walk on the extended table picks 2 there instead."""
+    counts = _count_walks(monkeypatch)
+    g = parse("group g { vertex V, W; edge e : V(1,0) -> W(1,0); }\n")
+    fbc._edge_table.cache_clear()
+    button = button_decide(g)
+    assert button.witness == Functional((("V", (1, 1)), ("W", (1, 1))))
+    assert counts["walks"] == 1
+    retractor = generalized_retractor(g, "V", V(1, -1))
+    assert retractor.witness == Functional((("V", (2, 1)), ("W", (2, 1))))
+    assert counts["walks"] == 2
+    assert _changes_buttons_walk(g, "V", V(1, -1))
+    assert [button, retractor] == [
+        _per_call_oracle(g, []),
+        _per_call_oracle(g, [("V", V(1, -1), _text("V", V(1, -1)))]),
+    ]
+    assert generalized_retractor(g, "V", V(1, 1)) == button
+    assert counts["walks"] == 2
