@@ -197,14 +197,14 @@ def _edge_table(
 
 
 def _nonvanishing_functional(
-    g: TubularPresentation, extra: tuple[VertexId, IntVec2, str] | None = None
+    g: TubularPresentation, extra: tuple[VertexId, IntVec2, str]
 ) -> FbcVerdict:
     """An edge-compatible functional nonzero on every edge group and on the
-    extra value, if any, or the obstruction of the first edge or of the extra
-    value on which every such functional vanishes.  `extra` is a (vertex,
-    vector, obstruction text) triple.  Everything runs on the integer form
-    of the basis: one common positive denominator changes no greedy choice
-    and no primitive witness.
+    extra value, or the obstruction of the first edge or of the extra value
+    on which every such functional vanishes.  `extra` is a (vertex, vector,
+    obstruction text) triple.  Everything runs on the integer form of the
+    basis: one common positive denominator changes no greedy choice and no
+    primitive witness.
 
     The walk over the edge rows and the extra row makes Button's choices
     until a step i where the extra row's partial sum `at` is nonzero and
@@ -212,7 +212,7 @@ def _nonvanishing_functional(
     Without such a step Button's witness is the answer; with one, the walk
     runs again on the extended table."""
     space, rows, coeffs, button = _edge_table(g)
-    if extra is None or not button.answer:
+    if not button.answer:
         return button
     vertex, vec, obstruction = extra
     row = _row(space, vertex, vec)
@@ -229,7 +229,7 @@ def _nonvanishing_functional(
 def button_decide(g: TubularPresentation) -> FbcVerdict:
     """Button's criterion: free-by-cyclic iff some homomorphism to Z is
     nonzero on every edge group."""
-    return _nonvanishing_functional(g)
+    return _edge_table(g)[3]
 
 
 def decide_fbc_single_vertex(edges: list[Pair], vertex: VertexId = "V") -> FbcVerdict:
