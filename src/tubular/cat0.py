@@ -11,11 +11,16 @@ decider works in integers and builds Fractions only for the datum it returns.
 A Yes verdict carries the positive-definite rational form Q = A^T A, which
 `core.check_certificate` verifies in exact arithmetic.  Without an independent
 pair (no edges, which is Z^2, or every v_i = +-w_i) Q is the identity form.
+
+The verdicts of the last 16 edge lists are kept in a small cache, so a caller
+that asks again, as `special.vspecial_fbc_decide` does after a caller's own
+`decide_cat0`, pays for a lookup.  Verdicts are frozen and shared.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -85,6 +90,13 @@ def _cos_constraint(
 
 def decide_cat0(edges: list[Pair]) -> Cat0Verdict:
     """Decide CAT(0)ness of the single-vertex tubular group with these edges."""
+    return _decide_cat0(tuple(edges))
+
+
+@functools.lru_cache(maxsize=16)
+def _decide_cat0(edges: tuple[Pair, ...]) -> Cat0Verdict:
+    """The verdict of `decide_cat0`, kept for the last 16 edge tuples.  A
+    verdict is frozen, so its callers share it."""
     require_nonzero(edges)
 
     # A parallel pair is consistent only when v = +-w (conjugate elements have

@@ -27,7 +27,9 @@ the retractor and the amalgam checks.  A retractor adds one row, which
 changes the walk only at a step where Button's coefficient would bring the
 row's nonzero partial value back to zero; without such a step Button's
 witness is its answer, and only with one does the walk run again on the
-extended table.
+extended table.  The line criterion keeps its verdicts the same way, for
+the last 16 (edges, vertex) inputs, so `special.vspecial_fbc_decide` asking
+again after a caller's own `decide_fbc_single_vertex` pays for a lookup.
 
 The same machinery certifies generalized retractors (an extra required-nonzero
 value) and decides amalgams (`core.amalgamate`); witnesses are `core.Functional`.
@@ -236,6 +238,13 @@ def decide_fbc_single_vertex(edges: list[Pair], vertex: VertexId = "V") -> FbcVe
     """The line criterion: all differences v_i - w_i parallel, and their common
     line avoids every v_i.  Witness at `vertex`, built by projecting along the
     line."""
+    return _decide_fbc_single_vertex(tuple(edges), vertex)
+
+
+@functools.lru_cache(maxsize=16)
+def _decide_fbc_single_vertex(edges: tuple[Pair, ...], vertex: VertexId) -> FbcVerdict:
+    """The verdict of `decide_fbc_single_vertex`, kept for the last 16
+    (edges, vertex) inputs.  A verdict is frozen, so its callers share it."""
     require_nonzero(edges)
     diffs = [v - w for v, w in edges]
     nonzero = [d for d in diffs if not d.is_zero()]

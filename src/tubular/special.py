@@ -19,6 +19,7 @@ Routes, from weakest to strongest:
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass
 
 from .cat0 import Cat0Verdict, decide_cat0
@@ -98,7 +99,8 @@ def vspecial_fbc_decide(edges: list[Pair]) -> SpecialVerdict:
     """For free-by-cyclic single-vertex inputs, virtual specialness is
     equivalent to CAT(0)ness; a No on this route is a genuine No.  Decides
     free-by-cyclicity, and CAT(0)ness only after a Yes, and reads the two
-    verdicts with `vspecial_from_verdicts`."""
+    verdicts with `vspecial_from_verdicts`.  Both deciders keep their recent
+    verdicts, so after a caller has asked them this costs two lookups."""
     fbc = decide_fbc_single_vertex(edges)
     return vspecial_from_verdicts(fbc, decide_cat0(edges) if fbc.answer else None)
 
@@ -171,12 +173,16 @@ def gpq_to_tubular(params: GpqParams) -> TubularPresentation:
     return single_vertex_presentation(pairs, name="gpq")
 
 
+@functools.lru_cache(maxsize=16)
 def gpq_vspecial_decide(params: GpqParams) -> SpecialVerdict:
     """Complete characterization of virtual specialness (equivalently,
     CAT(0)ness) for the family: either p_i = -q_i for all i, or, evaluated at
     the first s with p_s != -q_s,
 
         q_i (q_i + p_s - q_s) = p_i (p_i - p_s + q_s)   for all i.
+
+    The verdicts of the last 16 parameter sets are kept, so
+    `gpq_compact_special_decide` asking again costs a lookup.
     """
     p, q = params.p, params.q
     if all(pi == -qi for pi, qi in zip(p, q)):

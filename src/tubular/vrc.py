@@ -41,19 +41,14 @@ def vrc_obstruction(params: GpqParams) -> VrcVerdict:
     equal (p_i - q_i)/2.  Obstructed exactly when >= 2 distinct values are
     forced.
     """
-    forced: list[Rat] = []
-    first_index: dict[Rat, int] = {}
+    # Each distinct p - q, twice a forced value, to the first index forcing it.
+    first_index: dict[int, int] = {}
     for i, (p, q) in enumerate(zip(params.p, params.q)):
-        if p + q == 0:
-            continue
-        val = Fraction(p - q, 2)
-        if val not in first_index:
-            first_index[val] = i
-            forced.append(val)
+        if p + q != 0 and p - q not in first_index:
+            first_index[p - q] = i
+    forced = tuple(Fraction(d, 2) for d in first_index)
     if len(forced) >= 2:
         return VrcVerdict(
-            OBSTRUCTED,
-            tuple(forced),
-            witness_indices=(first_index[forced[0]], first_index[forced[1]]),
+            OBSTRUCTED, forced, witness_indices=tuple(first_index.values())[:2]
         )
-    return VrcVerdict(INCONCLUSIVE, tuple(forced))
+    return VrcVerdict(INCONCLUSIVE, forced)

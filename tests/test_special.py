@@ -1,9 +1,21 @@
 import itertools
 import random
+import sys
+from pathlib import Path
+
+import pytest
 
 from test_invariance import _random_presentation
+from tubular import cat0, fbc, special
 from tubular.cat0 import decide_cat0
-from tubular.core import Edge, GpqParams, IntVec2, TubularPresentation, primitive_of
+from tubular.core import (
+    Edge,
+    GpqParams,
+    IntVec2,
+    TubularPresentation,
+    primitive_of,
+    single_vertex_presentation,
+)
 from tubular.corpus import (
     bs12_shape,
     eg2_g1,
@@ -13,6 +25,8 @@ from tubular.corpus import (
     lyman_phi,
     lyman_psi,
 )
+from tubular.dsl import unparse
+from tubular.fbc import decide_fbc_single_vertex
 from tubular.special import (
     Answer,
     _line_counts,
@@ -23,6 +37,12 @@ from tubular.special import (
     vspecial_fbc_decide,
     vspecial_sufficient,
 )
+
+PERFBENCH = str(Path(__file__).resolve().parents[1] / "perfbench")
+if PERFBENCH not in sys.path:
+    sys.path.insert(0, PERFBENCH)
+
+import ops  # noqa: E402
 
 V = IntVec2
 
@@ -183,3 +203,82 @@ def test_cocompact_cubulation_routes():
 
     unknown = cocompact_cubulation_decide(lyman_phi(), cat0_known=False)
     assert unknown.answer is Answer.UNKNOWN
+
+
+# The cached one-vertex deciders; a run of one is a miss of its cache.
+CACHED = (cat0._decide_cat0, fbc._decide_fbc_single_vertex, special.gpq_vspecial_decide)
+
+
+def _clear_caches():
+    for cached in CACHED:
+        cached.cache_clear()
+
+
+def _sweep_texts(seed: int, n: int) -> list[str]:
+    """n gpq texts and n texts of one vertex with 1-4 loops, alternating,
+    none of whose edge lists or parameters repeats an earlier one."""
+    rng = random.Random(seed)
+
+    def vec():
+        x, y = 0, 0
+        while (x, y) == (0, 0):
+            x, y = rng.randint(-3, 3), rng.randint(-3, 3)
+        return V(x, y)
+
+    texts, seen = [], set()
+    while len(texts) < 2 * n:
+        k = rng.randint(1, 4)
+        if len(texts) % 2 == 0:
+            p = tuple(rng.randint(-4, 4) for _ in range(k))
+            params = GpqParams(p, tuple(rng.randint(-4, 4) for _ in range(k)))
+            pairs, text = gpq_to_tubular(params).single_vertex_pairs(), unparse(params)
+            keys = {params, tuple(pairs)}
+        else:
+            pairs = [(vec(), vec()) for _ in range(k)]
+            text = unparse(single_vertex_presentation(pairs, name="s"))
+            keys = {tuple(pairs)}
+        if not keys & seen:
+            seen |= keys
+            texts.append(text)
+    return texts
+
+
+def test_sweep_runs_each_one_vertex_decider_once_per_input():
+    """perfbench's sweep operation asks `decide_fbc_single_vertex` again in
+    `vspecial_fbc_decide`, `decide_cat0` again there after a free-by-cyclic
+    Yes, and `gpq_vspecial_decide` again in `gpq_compact_special_decide`.
+    Each repeat is a cache hit: every decider runs once per distinct input."""
+    texts = _sweep_texts(1, 60)
+    _clear_caches()
+    outs = [ops.sweep(text) for text in texts]
+    fbc_yes = sum(out["fbc"].answer for out in outs)
+    gpqs = sum("gpq_vspecial" in out for out in outs)
+    runs = {f.__name__: (f.cache_info().misses, f.cache_info().hits) for f in CACHED}
+    assert runs == {
+        "_decide_cat0": (len(texts), fbc_yes),
+        "_decide_fbc_single_vertex": (len(texts), len(texts)),
+        "gpq_vspecial_decide": (gpqs, gpqs),
+    }
+    assert gpqs == 60 and 60 < fbc_yes < 120
+
+
+def test_warm_verdicts_equal_cold_ones():
+    """Every verdict of the sweep operation is the same whether its caches
+    are cold, or warm from the inputs before it in forward or backward
+    order, each input asked twice in a row, over more inputs than a cache
+    holds.  A zero vector raises on every call: no exception is cached."""
+    texts = _sweep_texts(2, 20)
+    cold = {}
+    for text in texts:
+        _clear_caches()
+        cold[text] = ops.sweep(text)
+    for order in (texts, texts[::-1]):
+        _clear_caches()
+        for text in order:
+            assert ops.sweep(text) == cold[text], text
+            assert ops.sweep(text) == cold[text], text
+    zero = [(V(1, 2), V(2, 1)), (V(0, 0), V(1, 0))]
+    for _ in range(2):
+        for decide in (decide_cat0, decide_fbc_single_vertex, vspecial_fbc_decide):
+            with pytest.raises(ValueError, match="must be nonzero"):
+                decide(zero)
