@@ -55,6 +55,21 @@ class NotFound:
 
 TABLE_LIMIT = 10**6
 
+# A vertex answers its first LOOKUPS distinct needs (the sums that its
+# earlier neighbours fixed on its edges back) by a stream of its own, and
+# only then lists its whole stream and groups it by need.  A lookup scans
+# every prefix again, so it loses where a vertex is asked many needs.  Best
+# of 5 runs, Python 3.11 on 2 CPUs, at the CLI bounds:
+#
+# | switch after           | 1,500 seed-11 invariance draws | 720 balanced analyze inputs |
+# |------------------------|--------------------------------|-----------------------------|
+# | 0, without `_abs_dets` | 0.31 s                         | 155 us per search           |
+# | 2                      | 0.29 s                         | 116 us                      |
+# | 3                      | 0.29-0.30 s                    | 78 us                       |
+# | 4                      | 0.30-0.31 s                    | 77 us                       |
+# | never (all lookups)    | 0.50 s                         | 78 us                       |
+LOOKUPS = 3
+
 
 @functools.lru_cache(maxsize=16)
 def _search_table(
@@ -86,17 +101,29 @@ def _search_table(
     return cands, blocks
 
 
+@functools.lru_cache(maxsize=256)
+def _abs_dets(coord_bound: int, u: IntVec2) -> tuple[int, ...]:
+    """Each candidate's |det| against u.  The streams of every vertex and
+    every search at this coordinate bound share the column; the cache keeps
+    at most 256 columns of one entry per candidate."""
+    ux, uy = u.x, u.y
+    return tuple(abs(x * uy - y * ux) for x, y in _search_table(coord_bound, 1)[0])
+
+
 def _balanced_multisets(
     coord_bound: int,
     size_bound: int,
     loops: list[Edge],
     back: list[IntVec2],
     ahead: list[IntVec2],
+    need: tuple[int, ...] | None = None,
 ) -> Iterator[tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]]:
     """A vertex's multisets of candidate indices that balance its loops and
     hold an independent pair, in (size, lexicographic) order, with their
     intersection sums against the vectors `back` and `ahead`; of multisets
-    with the same sums only the first is listed.
+    with the same sums only the first is listed.  Given `need`, only the
+    multisets whose sums against `back` equal it are listed: the same
+    multisets, in the same order, as the full stream filtered to `need`.
 
     Each candidate gets two integers: its imbalances |det(c, v)| - |det(c, w)|
     on the loops, and its |det| against the back and ahead vectors, both
@@ -107,35 +134,39 @@ def _balanced_multisets(
     linear map is one-to-one and an equality of integers is an equality of
     vectors.  A multiset balances its loops when its imbalances sum to zero,
     so the last circle after a prefix is any candidate from the prefix's
-    last one on whose imbalance is the negated total of the prefix.  Each
-    size's block of prefixes has its totals added up column by column, and
-    the prefixes with a closing candidate picked out, by `map` and
+    last one on whose imbalance is the negated total of the prefix.  Given
+    `need`, the sums against `back` are packed under the imbalances, and the
+    closing key is `need` less a candidate's packed vector, so one lookup
+    asks for both.  No sum reaches B / 2, so a need with an entry that does
+    reach it lists nothing; packed, it would alias an unbalanced multiset.
+    Each size's block of prefixes has its totals added up column by column,
+    and the prefixes with a closing candidate picked out, by `map` and
     `itertools.compress`; the sums are unpacked into tuples only for a
     multiset that is listed.
     """
     cands, blocks = _search_table(coord_bound, size_bound)
-    coords = [(c.x, c.y) for c in cands]
-
-    def abs_dets(u: IntVec2) -> list[int]:
-        """Each candidate's |det| against u."""
-        ux, uy = u.x, u.y
-        return [abs(x * uy - y * ux) for x, y in coords]
-
     vectors = [u for e in loops for u in (e.v, e.w)] + back + ahead
     norm = max((abs(u.x) + abs(u.y) for u in vectors), default=0)
     base = 2 * size_bound * coord_bound * norm + 2
+    if need is not None and any(s >= base // 2 for s in need):
+        return
     imbalances = [0] * len(cands)
     for e in loops:
-        digits = zip(imbalances, abs_dets(e.v), abs_dets(e.w))
+        digits = zip(imbalances, _abs_dets(coord_bound, e.v), _abs_dets(coord_bound, e.w))
         imbalances = [t * base + a - b for t, a, b in digits]
-    ends = [abs_dets(u) for u in back + ahead]  # the digits of `sums`
+    ends = [_abs_dets(coord_bound, u) for u in back + ahead]  # the digits of `sums`
     sums = [0] * len(cands)
     for dets in ends:
         sums = [t * base + d for t, d in zip(sums, dets)]
+    b = len(back)
+    target = 0  # the packed total of a multiset that is listed
+    if need is not None:  # the sums against `back` go under the imbalances
+        for dets, s in zip(ends[:b], need):
+            imbalances = [t * base + d for t, d in zip(imbalances, dets)]
+            target = target * base + s
     closing: dict[int, list[int]] = {}
     for k, imbalance in enumerate(imbalances):
-        closing.setdefault(-imbalance, []).append(k)
-    b = len(back)
+        closing.setdefault(target - imbalance, []).append(k)
     seen = set()
     for columns in blocks:
         totals = list(map(imbalances.__getitem__, columns[0]))
@@ -172,19 +203,24 @@ def equitable_search(
 
     - The candidates and the shorter multisets are tabled once per pair of
       bounds, the multisets as one block of index columns per size.  A
-      vertex's multisets that balance its loops come from one lazy stream
-      that packs each candidate's vectors into integers, adds up a block's
-      columns at a time, and finds each multiset's last circle by a lookup
-      (`_balanced_multisets`).
+      vertex's multisets that balance its loops come from lazy streams
+      that pack each candidate's vectors into integers, add up a block's
+      columns at a time, and find each multiset's last circle by a lookup
+      (`_balanced_multisets`), on its loop imbalances alone or also on its
+      sums against the edges back.
     - Connected components do not constrain each other, and the first set
       of a product is made of the first set of each factor, so the vertices
       are walked with each component contiguous: components in the order of
       their first vertex, presentation order inside each.  The edges are
       read once, into each vertex's loops, edges back and frontier.
     - The vertices are walked in that order, depth first.  A vertex's
-      options are its stream grouped by the sums against its edges to
-      earlier vertices, as it is consumed, so each such edge is checked
-      once, by a key lookup at its later end.
+      options are its multisets with the sums that its earlier neighbours
+      fixed on its edges back (its need), so each such edge is checked
+      once, by a key lookup at its later end.  A vertex answers its first
+      LOOKUPS distinct needs by a stream of its own that lists only the
+      multisets with that need; after them, and from the start at a vertex
+      with early checks, its whole stream is grouped by need as it is
+      consumed.
     - A vertex's frontier key is the tuple of sums at the earlier ends of
       the edges that cross into it or past it.  The later vertices depend
       on the earlier choices only through it.  So a key whose subtree
@@ -234,22 +270,34 @@ def equitable_search(
             crossed.append(len(spans))
         spans.append((a, b, u, w))
     starts = [a for a, _, _, _ in spans]
-    ahead, streams = [], []
+    ahead, args = [], []
     for i, ks in enumerate(back):
         ahead.append(slice(bisect.bisect_left(starts, i), bisect.bisect_right(starts, i)))
         ends = [spans[k][3] for k in ks], [u for _, _, u, _ in spans[ahead[i]]]
-        streams.append(_balanced_multisets(coord_bound, size_bound, loops[i], *ends))
+        args.append((coord_bound, size_bound, loops[i], *ends))
     grouped: list[dict] = [{} for _ in order]  # per vertex: need -> options
+    lookups: list[dict] = [{} for _ in order]  # per vertex: need -> its own stream
+    streams: list = [None] * len(order)  # per vertex: its whole stream, once opened
 
     def option(i: int, need: tuple[int, ...] | None, k: int) -> tuple | None:
         """Vertex i's k-th (multiset, sums at its edges forward) among those
         with sums `need` at its edges back, or None."""
         group = grouped[i].setdefault(need, [])
         if k == len(group):  # an exhausted stream lists nothing more
-            for combo, sums, forward in streams[i]:
-                grouped[i].setdefault(sums, []).append((combo, forward))
-                if sums == need:
+            own = lookups[i]
+            if need not in own and need is not None and not streams[i] and len(own) < LOOKUPS:
+                own[need] = _balanced_multisets(*args[i], need)
+            if need in own:
+                for combo, _, forward in own[need]:
+                    group.append((combo, forward))
                     break
+            else:  # the needs with a stream of their own are skipped
+                streams[i] = streams[i] or _balanced_multisets(*args[i])
+                for combo, sums, forward in streams[i]:
+                    if sums not in own:
+                        grouped[i].setdefault(sums, []).append((combo, forward))
+                        if sums == need:
+                            break
         return group[k] if k < len(group) else None
 
     # Per vertex i, the early checks due after it: a later vertex j's edges

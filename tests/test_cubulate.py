@@ -8,6 +8,7 @@ import re
 import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from test_invariance import CLOSED_TESTS, _corpus_presentations, _planted_spectrum_input
@@ -60,6 +61,12 @@ from tubular.special import (
     gpq_to_tubular,
     vspecial_sufficient,
 )
+
+PERFBENCH = str(Path(__file__).resolve().parents[1] / "perfbench")
+if PERFBENCH not in sys.path:
+    sys.path.insert(0, PERFBENCH)
+
+import workloads  # noqa: E402
 
 V = IntVec2
 
@@ -255,6 +262,38 @@ def test_balanced_multisets_at_the_largest_bounds(bounds):
     assert got and got == list(_balanced_multisets_oracle(*args))
 
 
+def test_balanced_multisets_by_need_agree_with_tuple_oracle():
+    """Given a need, the stream lists the oracle's multisets whose sums
+    against the edges back equal it, in the oracle's order, on the draws of
+    the test above: the first two and the last two needs the oracle lists,
+    and one that it may not list."""
+    rng = random.Random(2110)
+    bounds = [(c, s) for c in range(1, 5) for s in range(1, 5)]
+    several = 0
+    for i in range(320):
+        loops, back, ahead = _stream_vertex(rng, i % 2 == 1)
+        args = *bounds[i % len(bounds)], loops, back, ahead
+        oracle = list(_balanced_multisets_oracle(*args))
+        needs = list(dict.fromkeys(sums for _, sums, _ in oracle))
+        several += len(needs) > 1
+        for need in {*needs[:2], *needs[-2:], tuple(s + 1 for s in needs[0]) if needs else ()}:
+            got = list(_balanced_multisets(*args, need))
+            assert got == [x for x in oracle if x[1] == need], (args, need)
+    assert several > 60, several
+
+
+def test_balanced_multisets_list_nothing_for_a_need_past_half_the_base():
+    """No sum reaches half the packing base B, here 2·3·3·2 + 2 = 38, so a
+    need of 40 lists nothing; packed, it would read as the sum 2 with an
+    imbalance of 1, and {(0,1), (1,1)} has both."""
+    loop = Edge("e", "V", "V", V(1, 0), V(1, 1))
+    args = 3, 3, [loop], [V(1, 0)], []
+    assert list(_balanced_multisets(*args, (40,))) == []
+    pair = [V(0, 1), V(1, 1)]
+    imbalance = sum(abs(det2(c, loop.v)) - abs(det2(c, loop.w)) for c in pair)
+    assert imbalance * 38 + sum(abs(det2(c, V(1, 0))) for c in pair) == 40
+
+
 def _equitable_search_oracle(g, coord_bound, size_bound):
     """The product enumerator that equitable_search replaced: every vertex's
     full option list, their Cartesian product in vertex order, and every edge
@@ -385,6 +424,47 @@ def test_equitable_search_agrees_with_product_oracle():
         assert isinstance(out, EquitableSet) and out.at("A") == out.at("B")
 
 
+def _mixed_presentation(rng):
+    """Two vertices and 1-4 edges: one vertex's vectors are scaled by a
+    factor of 1 to 10^9, drawn with a uniform number of digits (a loop's two
+    ends by the same one), or drawn with coordinates up to 10^9, and the
+    other's have coordinates up to 3.  The large vertex comes first about
+    half the time, and then the sums it fixes on a bridge pass half the
+    small vertex's packing base, some by a little and some by far."""
+    large = rng.choice(["V0", "V1"])
+    vecs = [V(x, y) for x in range(-3, 4) for y in range(-3, 4) if (x, y) != (0, 0)]
+
+    def vec(vertex, scale):
+        if vertex != large:
+            return rng.choice(vecs)
+        if rng.random() < 0.2:
+            return V(rng.randint(-(10**9), 10**9), rng.randint(1, 10**9))
+        u = rng.choice(vecs)
+        return V(u.x * scale, u.y * scale)
+
+    edges = []
+    for k in range(rng.randint(1, 4)):
+        src, dst = rng.choice(["V0", "V1"]), rng.choice(["V0", "V1"])
+        scale = rng.randint(1, 10 ** rng.randint(1, 9))
+        edges.append(Edge(f"e{k}", src, dst, vec(src, scale), vec(dst, scale)))
+    return TubularPresentation(("V0", "V1"), tuple(edges))
+
+
+def test_equitable_search_agrees_with_product_oracle_at_mixed_magnitudes():
+    rng = random.Random(20261023)
+    seen = dict.fromkeys(("large first", "found", "none"), 0)
+    for _ in range(400):
+        g = _mixed_presentation(rng)
+        bounds = rng.choice([(1, 2), (1, 3), (2, 2)])
+        out = equitable_search(g, *bounds)
+        assert out == _equitable_search_oracle(g, *bounds), (g, bounds)
+        at_v0 = [e.v for e in g.edges if e.src == "V0"] + [e.w for e in g.edges if e.dst == "V0"]
+        large_first = any(max(abs(u.x), abs(u.y)) > 3 for u in at_v0)
+        seen["large first"] += large_first and any(e.src != e.dst for e in g.edges)
+        seen["found" if isinstance(out, EquitableSet) else "none"] += 1
+    assert min(seen.values()) > 25, seen
+
+
 def _cli_traffic(rng):
     """Presentations shaped like `analyze` and `cubulate --all-matchings`
     traffic: the corpus, one vertex with 1-4 edges and coordinates up to 6,
@@ -472,25 +552,36 @@ def _interleaved(g):
     )
 
 
+def _counted_streams(monkeypatch):
+    """Wrap `_balanced_multisets`: the streams opened and the multisets they
+    listed, counted in the dict returned."""
+    balanced_multisets = tubular.cubulate._balanced_multisets
+    work = {"streams": 0, "listed": 0}
+
+    def listed(stream):
+        for multiset in stream:
+            work["listed"] += 1
+            yield multiset
+
+    def counted(*args):
+        work["streams"] += 1
+        return listed(balanced_multisets(*args))
+
+    monkeypatch.setattr(tubular.cubulate, "_balanced_multisets", counted)
+    return work
+
+
 def test_equitable_search_stops_at_a_failing_component(monkeypatch):
     """Z's loop is balanced by no multiset, and Z begins its component in the
     walk, so the search stops there instead of going back into A0 - A1 - A2,
     whose choices cannot help it (170 multisets listed when it went back)."""
-    listed = 0
-
-    def counted(*args):
-        nonlocal listed
-        for multiset in _balanced_multisets(*args):
-            listed += 1
-            yield multiset
-
-    monkeypatch.setattr(tubular.cubulate, "_balanced_multisets", counted)
+    work = _counted_streams(monkeypatch)
     g = parse(
         "group t { vertex A0, Z, A1, A2; edge a : A0(1,1) -> A1(1,2); "
         "edge b : A1(1,1) -> A2(1,2); edge d : Z(1,0) -> Z(2,0); }\n"
     )
     assert equitable_search(g, 3, 3) == NotFound(3, 3)
-    assert listed <= 6, listed
+    assert work["listed"] <= 6, work
 
 
 def _far_graph(rng):
@@ -749,21 +840,44 @@ def test_balanced_multisets_calls_are_linear_on_a_long_path(monkeypatch):
     """Beside the CPU bound on the 8,000-vertex path, a bound that does not
     depend on the machine: the search opens one stream of balanced multisets
     per vertex, so doubling the path at most about doubles the calls."""
-    calls = 0
-    balanced_multisets = tubular.cubulate._balanced_multisets
-
-    def counted(*args):
-        nonlocal calls
-        calls += 1
-        return balanced_multisets(*args)
-
-    monkeypatch.setattr(tubular.cubulate, "_balanced_multisets", counted)
+    work = _counted_streams(monkeypatch)
     counts = []
     for n in (500, 1000):
-        calls = 0
+        work["streams"] = 0
         assert isinstance(equitable_search(_path(n), 3, 3), EquitableSet)
-        counts.append(calls)
+        counts.append(work["streams"])
     assert counts[0] >= 500 and counts[1] / counts[0] <= 2.2, counts
+
+
+def test_balanced_two_vertex_inputs_list_few_multisets(monkeypatch):
+    """Beside the CPU bounds, a bound that does not depend on the machine:
+    on the 720 balanced two-vertex inputs of the benchmark's analyze passes
+    0-3 at seed 7, the search lists 2,027 multisets.  When the later vertex
+    listed its whole stream until its neighbour's need came up, it listed
+    16,771."""
+    analyze = workloads.WORKLOADS["analyze"]
+    texts = [i.args[1] for k in range(4) for i in analyze.inputs(7, k) if i.kind == "balanced2"]
+    assert len(texts) == 720
+    work = _counted_streams(monkeypatch)
+    for text in texts:
+        assert isinstance(equitable_search(parse(text), 3, 3), EquitableSet)
+    assert 0 < work["listed"] <= 2500, work
+
+
+def test_each_vertex_opens_few_streams_on_random_draws(monkeypatch):
+    """Beside the CPU bounds: on the 4,000 seed-11 invariance draws a vertex
+    opens at most 4 streams, one per need for its first 3 (`LOOKUPS`) and
+    then its whole stream (9,815 streams for these 7,900 vertices).
+    Lookups for every need opened 31,455, and 727 for the two vertices of
+    one draw."""
+    rng = random.Random(11)
+    draws = [_invariance_presentation(rng) for _ in range(4000)]
+    work = _counted_streams(monkeypatch)
+    for g in draws:
+        before = work["streams"]
+        equitable_search(g, 3, 3)
+        assert work["streams"] - before <= 4 * len(g.vertices), g
+    assert work["streams"] >= len(draws), work
 
 
 def test_equitable_set_at_takes_the_first_entry_of_a_vertex():
