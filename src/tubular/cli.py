@@ -10,11 +10,6 @@ Every report comes from one row of the PROPERTIES table.  Deciders are called
 by their module-global names at call time, never held in the table, so
 anything that patches those names sees every call.
 
-Plain command lines (a command, exact option strings, their values and the
-positionals) are read by `_fast_args` without argparse, into the namespace
-argparse would return.  Every other command line goes to argparse, which
-alone produces help, usage errors and their bytes on stderr.
-
 Unlike the package's lazy `tubular/__init__`, this module imports every
 decider module when it loads.  perfbench's tracer (`Tracer.install` in
 `perfbench/spans.py`) patches functions only in modules present in
@@ -25,6 +20,7 @@ importing the decider modules on first use here would break traced runs.
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -42,7 +38,7 @@ from .cubulate import (
     export_dot,
     wall_graph,
 )
-from .dsl import parse
+from .dsl import _INT, parse
 from .fbc import (
     AmalgamAnalysis,
     FbcVerdict,
@@ -416,6 +412,10 @@ def _emit(reports: list[DecisionReport], as_json: bool):
         print(_line(r))
 
 
+# The coordinates of a vector spec: two integers as the DSL writes them.
+_COORDS = re.compile(rf"({_INT}),({_INT})")
+
+
 def _parse_vec_spec(spec: str, g: TubularPresentation) -> tuple[VertexId, IntVec2]:
     """Vector specs look like 'V:1,0', or '1,0' for single-vertex inputs."""
     if ":" in spec:
@@ -424,10 +424,14 @@ def _parse_vec_spec(spec: str, g: TubularPresentation) -> tuple[VertexId, IntVec
         if len(g.vertices) != 1:
             raise ValueError(f"vector spec {spec!r} needs a vertex prefix")
         vertex, coords = g.vertices[0], spec
+    bad = ValueError(f"bad vector spec {spec!r} (expected V:x,y)")
+    match = _COORDS.fullmatch(coords)
+    if match is None:
+        raise bad
     try:
-        x, y = (int(t) for t in coords.split(","))
-    except ValueError:
-        raise ValueError(f"bad vector spec {spec!r} (expected V:x,y)") from None
+        x, y = int(match[1]), int(match[2])
+    except ValueError:  # more digits than sys.get_int_max_str_digits()
+        raise bad from None
     if x == 0 and y == 0:
         raise ValueError(f"gluing vector {spec!r} must be nonzero")
     return vertex, IntVec2(x, y)
@@ -437,9 +441,7 @@ def _parse_vec_spec(spec: str, g: TubularPresentation) -> tuple[VertexId, IntVec
 def _parser() -> argparse.ArgumentParser:
     """The argument parser, built on the first call and reused: parsing
     leaves it unchanged, and building it costs more than most commands.
-    Plain command lines do not go through its `parse_args` (see
-    `_fast_args`); help, usage errors and their bytes on stderr come from it
-    alone."""
+    Command lines reach its `parse_args` through `_parse`."""
     ap = argparse.ArgumentParser(
         prog="tubular",
         description="Decision procedures for tubular groups.",
@@ -482,69 +484,19 @@ def _parser() -> argparse.ArgumentParser:
     return ap
 
 
-@lru_cache(maxsize=None)
-def _commands() -> dict:
-    """Per command of `_parser()`: the namespace it starts from, its store
-    actions by exact option string, its positional actions and how many of
-    those are required.  Read from the parser's own actions, so no option is
-    written down twice.  Help is left out, so '-h' and '--help' go to
-    argparse."""
-    sub = next(a for a in _parser()._actions if isinstance(a, argparse._SubParsersAction))
-    table = {}
-    for name, p in sub.choices.items():
-        start, options, positionals = {sub.dest: name}, {}, []
-        for a in p._actions:
-            if type(a) not in (argparse._StoreAction, argparse._StoreTrueAction):
-                continue
-            start[a.dest] = a.default
-            if a.option_strings:
-                options.update(dict.fromkeys(a.option_strings, a))
-            else:
-                positionals.append(a)
-        required = sum(a.nargs is None for a in positionals)
-        table[name] = start, options, positionals, required
-    return table
-
-
-def _fast_args(argv: list[str]) -> argparse.Namespace | None:
-    """What `_parser().parse_args(argv)` returns, for a command name followed
-    by exact option strings, their values and positionals; None wherever
-    argparse must decide: help, abbreviations, '--opt=value', '--', any other
-    token that starts with '-' but '-' itself, an option value that starts
-    with '-' or that its type rejects, and a wrong number of positionals."""
-    table = _commands()
-    if not argv or argv[0] not in table:
-        return None
-    start, options, positionals, required = table[argv[0]]
-    values, given, stored = dict(start), [], []
-    tokens = iter(argv[1:])
-    for token in tokens:
-        a = options.get(token)
-        if a is None:
-            if token.startswith("-") and token != "-":
-                return None
-            given.append(token)
-        elif a.nargs == 0:
-            values[a.dest] = a.const
-        else:
-            value = next(tokens, "-")  # a missing value defers, as '-' does
-            if value.startswith("-"):
-                return None
-            stored.append((a, value))
-    if not required <= len(given) <= len(positionals):
-        return None
-    try:
-        for a, value in [*stored, *zip(positionals, given)]:
-            values[a.dest] = a.type(value) if a.type else value
-    except (TypeError, ValueError):
-        return None
-    return argparse.Namespace(**values)
+@lru_cache(maxsize=16)
+def _parse(argv: tuple[str, ...]) -> argparse.Namespace:
+    """`_parser().parse_args(argv)`, kept for the last 16 command lines that
+    parse, so a repeated one costs a lookup.  Help and usage errors raise
+    SystemExit, which is never kept, so argparse prints them on every call.
+    The namespace is shared between calls: callers must not change it."""
+    return _parser().parse_args(list(argv))
 
 
 def main(argv: list[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    args = _fast_args(argv) or _parser().parse_args(argv)
+    args = _parse(tuple(argv))
     limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
     try:
         return _dispatch(args)

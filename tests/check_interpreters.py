@@ -2,19 +2,21 @@
 
     PYTHONPATH=src python tests/check_interpreters.py
 
-Runs every golden command line through `cli.main` in-process and compares
-its output with its golden file, then checks that `cli._fast_args` returns
-argparse's namespace wherever it reads a command line itself: on every
-golden command line and on random ones.  It prints one line per check and
-exits nonzero if any fails.  Without pytest, it runs on any interpreter the
-package supports, where `cli._fast_args` reads argparse's private classes.
+Runs every golden command line through `cli.main` twice in-process and
+compares both runs' output with its golden file, then runs 20,000 random
+command lines for each of two seeds twice each.  Every line must give the
+same status and bytes both times; argparse must parse a line that parses at
+most once, and a line that it rejects on every run, where it prints help or
+the usage error.  It prints one line per check and exits nonzero if any
+fails.  Without pytest, it runs on any interpreter the package supports.
 
-`tests/test_cli.py` imports its tables and `_agreement` from here and runs
-the same checks under pytest.
+`tests/test_cli.py` imports its tables, `random_argv` and `run_twice` from
+here and runs the same checks under pytest.
 """
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import io
 import random
@@ -85,9 +87,9 @@ def golden_files(directory: Path) -> dict[str, Path]:
     return files
 
 
-# Tokens of random command lines: every command and option, values, and what
-# only argparse reads: '--opt=value', option prefixes, help, '--', other
-# tokens that start with '-', an empty token and tokens with a space.
+# Tokens of random command lines: every command and option, values, and the
+# other forms argparse reads: '--opt=value', option prefixes, help, '--',
+# other tokens that start with '-', an empty token and tokens with a space.
 COMMAND_NAMES = ["analyze", "cat0", "fbc", "special", "cubulate", "vrc", "corpus", "amalgam"]
 ARGV_TOKENS = [
     *COMMAND_NAMES,
@@ -99,26 +101,59 @@ ARGV_TOKENS = [
 ]
 
 
-def _agreement(seed: int, n: int) -> int:
-    """Check `_fast_args` against argparse on n random command lines, and
-    return how many of them it read itself."""
-    rng = random.Random(seed)
-    read = 0
-    for _ in range(n):
-        first = rng.choice(COMMAND_NAMES if rng.random() < 0.9 else ARGV_TOKENS)
-        argv = [first, *rng.choices(ARGV_TOKENS, k=rng.randint(0, 6))]
-        fast = tubular.cli._fast_args(argv)
-        if fast is None:
-            continue
-        read += 1
-        quiet = io.StringIO()
-        try:
-            with contextlib.redirect_stdout(quiet), contextlib.redirect_stderr(quiet):
-                slow = tubular.cli._parser().parse_args(argv)
-        except SystemExit:
-            raise AssertionError(f"argparse refuses {argv!r}") from None
-        assert vars(fast) == vars(slow), argv
-    return read
+def random_argv(rng: random.Random) -> list[str]:
+    """A random command line, usually led by a command name."""
+    first = rng.choice(COMMAND_NAMES if rng.random() < 0.9 else ARGV_TOKENS)
+    return [first, *rng.choices(ARGV_TOKENS, k=rng.randint(0, 6))]
+
+
+@contextlib.contextmanager
+def counted_parse_args():
+    """Record the arguments of every call of argparse's `parse_args`."""
+    calls = []
+    parse_args = argparse.ArgumentParser.parse_args
+
+    def counted(self, *args, **kwargs):
+        calls.append(args)
+        return parse_args(self, *args, **kwargs)
+
+    argparse.ArgumentParser.parse_args = counted
+    try:
+        yield calls
+    finally:
+        argparse.ArgumentParser.parse_args = parse_args
+
+
+def run_main(argv: list[str], stdin: str = "") -> tuple[str, str, str]:
+    """`cli.main(argv)` in-process with the given stdin: its status, which
+    tells a returned code from argparse's SystemExit, its stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    saved, sys.stdin = sys.stdin, io.StringIO(stdin)
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            status = f"return {tubular.cli.main(argv)}"
+    except SystemExit as e:
+        status = f"SystemExit {e.code}"
+    finally:
+        sys.stdin = saved
+    return status, out.getvalue(), err.getvalue()
+
+
+def run_twice(argv: list[str], stdin: str = "") -> tuple[str, str, str]:
+    """Run argv through `cli.main` twice and return the first run's
+    `run_main` result.  Both runs must give the same status and bytes.  A
+    line that parses calls `parse_args` at most once, never on its second
+    run; a line that argparse rejects calls it on both."""
+    with counted_parse_args() as calls:
+        first = run_main(argv, stdin)
+        parsed = len(calls)
+        second = run_main(argv, stdin)
+    assert second == first, (argv, first, second)
+    if first[0].startswith("SystemExit"):
+        assert (parsed, len(calls)) == (1, 2), (argv, calls)
+    else:
+        assert parsed <= 1 and len(calls) == parsed, (argv, calls)
+    return first
 
 
 def main() -> int:
@@ -127,26 +162,27 @@ def main() -> int:
         files = golden_files(Path(tmp))
         for golden, argv in GOLDEN:
             argv = [str(files.get(a, a)) for a in argv]
-            out, err = io.StringIO(), io.StringIO()
-            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                code = tubular.cli.main(argv)
-            fast = tubular.cli._fast_args(argv)
-            ok = (
-                code == 0
-                and err.getvalue() == ""
-                and out.getvalue().encode() == (GOLDEN_DIR / golden).read_bytes()
-                and fast == tubular.cli._parser().parse_args(argv)
+            try:
+                status, out, err = run_twice(argv)
+            except AssertionError:
+                status = out = err = None
+            ok = (status, err) == ("return 0", "") and (
+                out.encode() == (GOLDEN_DIR / golden).read_bytes()
             )
             failed += not ok
             print(f"{'ok' if ok else 'FAIL'} golden {golden}")
     for seed in (0, 1):
+        rng = random.Random(seed)
         try:
-            read = _agreement(seed, 20_000)
+            rejected = sum(
+                run_twice(random_argv(rng))[0].startswith("SystemExit")
+                for _ in range(20_000)
+            )
         except AssertionError as e:
             failed += 1
-            print(f"FAIL agreement seed {seed}: {e}")
+            print(f"FAIL run twice seed {seed}: {e}")
         else:
-            print(f"ok agreement seed {seed}: {read} of 20000 read without argparse")
+            print(f"ok run twice seed {seed}: 20000 lines, {rejected} rejected by argparse")
     print(f"Python {sys.version.split()[0]}: {failed} failed")
     return 1 if failed else 0
 

@@ -24,7 +24,7 @@ from tubular.corpus import bare_z2, corpus, corpus_entry, eg2_double, eg2_g1, ge
 from tubular.report import deserialize_qform
 from tubular.special import Answer, gpq_to_tubular, vspecial_fbc_decide, vspecial_sufficient
 
-from check_interpreters import ARGV_TOKENS, GOLDEN, GOLDEN_DIR, _agreement, golden_files
+from check_interpreters import GOLDEN, GOLDEN_DIR, golden_files, random_argv, run_twice
 
 SCHEMA_KEYS = {"group", "property", "verdict", "route", "certificate", "citation", "notes"}
 
@@ -49,14 +49,12 @@ def _count_parse_args(monkeypatch) -> list:
 
 
 @pytest.mark.parametrize("golden,argv", GOLDEN, ids=[f for f, _ in GOLDEN])
-def test_golden_output(capsys, monkeypatch, tmp_path, golden, argv):
-    """Each golden command line prints its file's bytes, read without
-    argparse."""
+def test_golden_output(tmp_path, golden, argv):
+    """Each golden command line prints its file's bytes on each of two runs;
+    argparse parses it at most once, never on the second run."""
     files = golden_files(tmp_path)
-    calls = _count_parse_args(monkeypatch)
-    code, out, err = run(capsys, *(str(files.get(a, a)) for a in argv))
-    assert calls == []
-    assert code == 0 and err == ""
+    status, out, err = run_twice([str(files.get(a, a)) for a in argv])
+    assert status == "return 0" and err == ""
     assert out.encode() == (GOLDEN_DIR / golden).read_bytes()
 
 
@@ -441,6 +439,22 @@ def test_analyze_decides_z2():
             "error: bad vector spec 'nonsense' (expected V:x,y)\n",
         ),
         (
+            ["amalgam", "{g}", "V:1_0,2", "{g}", "V:1,0"],
+            "error: bad vector spec 'V:1_0,2' (expected V:x,y)\n",
+        ),
+        (
+            ["amalgam", "{g}", "V:\u0661,0", "{g}", "V:1,0"],
+            "error: bad vector spec 'V:\u0661,0' (expected V:x,y)\n",
+        ),
+        (
+            ["amalgam", "{g}", "V: +1 , 0", "{g}", "V:1,0"],
+            "error: bad vector spec 'V: +1 , 0' (expected V:x,y)\n",
+        ),
+        (
+            ["amalgam", "{g}", f"V:{'1' * 5000},0", "{g}", "V:1,0"],
+            f"error: bad vector spec 'V:{'1' * 5000},0' (expected V:x,y)\n",
+        ),
+        (
             ["amalgam", "{h}", "1,0", "{g}", "1,0"],
             "error: vector spec '1,0' needs a vertex prefix\n",
         ),
@@ -463,6 +477,10 @@ def test_analyze_decides_z2():
         "missing-input",
         "file-and-corpus",
         "bad-vector-spec",
+        "underscore-digits",
+        "arabic-indic-digit",
+        "signs-and-spaces",
+        "past-the-digit-limit",
         "vertex-prefix",
         "dot-json",
         "dot-all-matchings",
@@ -533,21 +551,26 @@ def test_help_and_usage_errors_come_from_argparse(capsys, monkeypatch, argv, sta
     assert exc.value.code == status and calls == [(argv,)]
 
 
-def test_fast_args_agrees_with_argparse():
-    """Where `_fast_args` reads a command line itself, it returns argparse's
-    namespace; the tokens hold every command and option of the parser."""
-    table = tubular.cli._commands()
-    options = {s for _, by_string, _, _ in table.values() for s in by_string}
-    assert set(table) | options <= set(ARGV_TOKENS)
-    assert _agreement(seed=0, n=20_000) > 2_000
-
-
-def test_fast_args_reads_golden_and_benchmark_command_lines():
-    plain = [
-        *(argv for _, argv in GOLDEN),
-        ["analyze", "-", "--json"],
+@pytest.mark.parametrize(
+    "argv",
+    [
         ["analyze", "--corpus", "gersten", "--json"],
+        ["analyze", "-", "--json"],
         ["cubulate", "-", "--json", "--all-matchings"],
-    ]
-    for argv in plain:
-        assert tubular.cli._fast_args(argv) == tubular.cli._parser().parse_args(argv)
+    ],
+    ids=["analyze-corpus", "analyze-stdin", "spectrum"],
+)
+def test_benchmark_command_lines_are_parsed_once(argv):
+    """The command-line shapes of the analyze and spectrum benchmarks: two
+    runs give the same bytes, and argparse parses the line at most once."""
+    status, out, err = run_twice(argv, unparse(gersten_presentation()))
+    assert status == "return 0" and err == "" and out
+
+
+def test_random_command_lines_twice():
+    """On 2,000 random command lines, run twice each with stdin empty, both
+    runs give the same status and bytes; argparse parses a line that parses
+    at most once, and a line that it rejects on both runs."""
+    rng = random.Random(0)
+    statuses = {run_twice(random_argv(rng))[0].split()[0] for _ in range(2_000)}
+    assert statuses == {"return", "SystemExit"}
