@@ -21,8 +21,8 @@ from __future__ import annotations
 
 import enum
 import functools
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .core import IntVec2, Pair, QForm2, Rat, TubularPresentation, det2, require_nonzero
 
@@ -33,8 +33,7 @@ class ObstructionKind(enum.Enum):
     COS_OUT_OF_RANGE = "CosOutOfRange"
 
 
-@dataclass(frozen=True)
-class ObstructionDatum:
+class ObstructionDatum(NamedTuple):
     """Enough data to re-derive the contradiction by hand.
 
     For PARALLEL_MISMATCH, `indices` holds the offending edge (0-based) whose
@@ -59,8 +58,7 @@ class ObstructionDatum:
         return f"edges {list(self.indices)} force incompatible values of cos(phi): {vals}"
 
 
-@dataclass(frozen=True)
-class Cat0Verdict:
+class Cat0Verdict(NamedTuple):
     answer: bool
     certificate: QForm2 | None = None
     obstruction: ObstructionDatum | None = None
@@ -70,6 +68,10 @@ class Cat0Verdict:
 # The verdict for loops that are all parallel with v = +-w, and for a vertex
 # without loops: the identity form works.
 _IDENTITY_YES = Cat0Verdict(True, QForm2.identity(), cos_phi=Fraction(0))
+
+
+def _obstructed(kind: ObstructionKind, indices: tuple[int, ...], values=()) -> Cat0Verdict:
+    return Cat0Verdict(False, obstruction=ObstructionDatum(kind, indices, values))
 
 
 def _cos_constraint(
@@ -103,12 +105,7 @@ def _decide_cat0(edges: tuple[Pair, ...]) -> Cat0Verdict:
     # equal translation length).
     for i, (v, w) in enumerate(edges):
         if det2(v, w) == 0 and v != w and v != -w:
-            return Cat0Verdict(
-                False,
-                obstruction=ObstructionDatum(
-                    ObstructionKind.PARALLEL_MISMATCH, (i,)
-                ),
-            )
+            return _obstructed(ObstructionKind.PARALLEL_MISMATCH, (i,))
 
     base = next((i for i, (v, w) in enumerate(edges) if det2(v, w) != 0), None)
     if base is None:
@@ -125,34 +122,20 @@ def _decide_cat0(edges: tuple[Pair, ...]) -> Cat0Verdict:
         a, b = _cos_constraint(v1, w1, v, w)
         if b == 0:
             if a != 0:
-                return Cat0Verdict(
-                    False,
-                    obstruction=ObstructionDatum(
-                        ObstructionKind.INCONSISTENT_COS, (base, i), (Fraction(a, d2),)
-                    ),
-                )
+                return _obstructed(ObstructionKind.INCONSISTENT_COS, (base, i), (Fraction(a, d2),))
         elif not forced or (len(forced) == 1 and a * forced[0][1] != forced[0][0] * b):
             forced.append((a, b, i))
 
     if len(forced) > 1:
         (a1, b1, i1), (a2, b2, i2) = forced
-        return Cat0Verdict(
-            False,
-            obstruction=ObstructionDatum(
-                ObstructionKind.INCONSISTENT_COS,
-                (i1, i2),
-                (Fraction(a1, b1), Fraction(a2, b2)),
-            ),
-        )
+        values = (Fraction(a1, b1), Fraction(a2, b2))
+        return _obstructed(ObstructionKind.INCONSISTENT_COS, (i1, i2), values)
 
     # Unconstrained: phi = pi/2 gives the simplest certificate.
     ca, cb, i = forced[0] if forced else (0, 1, None)
     c = Fraction(ca, cb)
     if not (-1 < c < 1):
-        return Cat0Verdict(
-            False,
-            obstruction=ObstructionDatum(ObstructionKind.COS_OUT_OF_RANGE, (i,), (c,)),
-        )
+        return _obstructed(ObstructionKind.COS_OUT_OF_RANGE, (i,), (c,))
 
     # Q(u) = X^2 + 2c XY + Y^2 over D^2, with X = det2(u, w1), Y = det2(v1, u).
     (x1, y1), (x2, y2) = (v1.x, v1.y), (w1.x, w1.y)

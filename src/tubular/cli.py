@@ -19,10 +19,8 @@ importing the decider modules on first use here would break traced runs.
 
 from __future__ import annotations
 
-import argparse
 import re
 import sys
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 from .cat0 import Cat0Verdict, decide_cat0, vertex_necessary_checks
@@ -107,17 +105,14 @@ def _as_tubular(obj) -> TubularPresentation:
 COORD_BOUND, SIZE_BOUND = 3, 3
 
 
-@dataclass
 class _Input:
     """One input to report on: a tubular presentation, gpq parameters, or an
     amalgam analysis.  The one-vertex free-by-cyclic and CAT(0) decisions,
     the equitable-set search and its wall graph run at most once and are
     shared by every report and export."""
 
-    obj: TubularPresentation | GpqParams | AmalgamAnalysis
-    name: str
-    coord_bound: int = COORD_BOUND
-    size_bound: int = SIZE_BOUND
+    def __init__(self, obj, name: str, coord_bound=COORD_BOUND, size_bound=SIZE_BOUND):
+        self.obj, self.name, self.coord_bound, self.size_bound = obj, name, coord_bound, size_bound
 
     @cached_property
     def g(self) -> TubularPresentation:
@@ -441,7 +436,10 @@ def _parse_vec_spec(spec: str, g: TubularPresentation) -> tuple[VertexId, IntVec
 def _parser() -> argparse.ArgumentParser:
     """The argument parser, built on the first call and reused: parsing
     leaves it unchanged, and building it costs more than most commands.
-    Command lines reach its `parse_args` through `_parse`."""
+    Command lines reach its `parse_args` through `_parse`.  A library
+    import of this module does not load `argparse`."""
+    import argparse
+
     ap = argparse.ArgumentParser(
         prog="tubular",
         description="Decision procedures for tubular groups.",

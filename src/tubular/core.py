@@ -12,7 +12,6 @@ from __future__ import annotations
 import functools
 import math
 from collections.abc import Hashable, Sequence
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -87,8 +86,7 @@ def line_of(x: int, y: int) -> tuple[int, int]:
     return x // g, y // g
 
 
-@dataclass(frozen=True)
-class IntMat2:
+class IntMat2(NamedTuple):
     """A 2x2 integer matrix, row-major, used for basis changes."""
 
     a: int
@@ -103,6 +101,22 @@ class IntMat2:
         return IntVec2(self.a * v.x + self.b * v.y, self.c * v.x + self.d * v.y)
 
 
+class _Validated:
+    """Sends `_make`, `_replace` and `copy.replace` through the validating `__new__`."""
+
+    __slots__ = ()
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
+
+    def _replace(self, **changes):
+        new = self._make(map(changes.pop, self._fields, self))
+        if changes:
+            raise ValueError(f"Got unexpected field names: {list(changes)!r}")
+        return new
+
+
 class _EdgeFields(NamedTuple):
     id: EdgeId
     src: VertexId
@@ -111,7 +125,7 @@ class _EdgeFields(NamedTuple):
     w: IntVec2
 
 
-class Edge(_EdgeFields):
+class Edge(_Validated, _EdgeFields):
     """A directed edge: the relation s v s^-1 = w between the endpoint Z^2 groups.
 
     `v` is the attaching vector at the initial vertex `src`, `w` the attaching
@@ -128,39 +142,33 @@ class Edge(_EdgeFields):
             raise ValueError(f"edge {id}: attaching vectors must be nonzero")
         return tuple.__new__(cls, (id, src, dst, v, w))
 
-    @classmethod
-    def _make(cls, iterable) -> "Edge":
-        return cls(*iterable)
 
-    def _replace(self, **changes) -> "Edge":
-        edge = self._make(map(changes.pop, self._fields, self))
-        if changes:
-            raise ValueError(f"Got unexpected field names: {list(changes)!r}")
-        return edge
-
-
-@dataclass(frozen=True)
-class TubularPresentation:
-    """A finite multigraph with Z^2 vertices and vector-decorated edges.
-
-    Self-loops and parallel edges are allowed.  Vertex order and edge order are
-    part of the data and all operations are deterministic with respect to them.
-    """
-
+class _PresentationFields(NamedTuple):
     vertices: tuple[VertexId, ...]
     edges: tuple[Edge, ...]
     name: str = ""
 
-    def __post_init__(self):
-        if len(set(self.vertices)) != len(self.vertices):
+
+class TubularPresentation(_Validated, _PresentationFields):
+    """A finite multigraph with Z^2 vertices and vector-decorated edges.
+
+    Self-loops and parallel edges are allowed.  Vertex order and edge order are
+    part of the data and all operations are deterministic with respect to them.
+    Every way to build one, as for `Edge`, checks the ids and endpoints.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, vertices: tuple[VertexId, ...], edges: tuple[Edge, ...], name: str = ""):
+        vset = set(vertices)
+        if len(vset) != len(vertices):
             raise ValueError("duplicate vertex ids")
-        ids = [e.id for e in self.edges]
-        if len(set(ids)) != len(ids):
+        if len({e.id for e in edges}) != len(edges):
             raise ValueError("duplicate edge ids")
-        vset = set(self.vertices)
-        for e in self.edges:
+        for e in edges:
             if e.src not in vset or e.dst not in vset:
                 raise ValueError(f"edge {e.id}: unknown vertex {e.src!r} or {e.dst!r}")
+        return tuple.__new__(cls, (vertices, edges, name))
 
     def single_vertex_pairs(self) -> list[Pair]:
         if len(self.vertices) != 1:
@@ -195,25 +203,28 @@ def change_basis(
         v = u.apply(e.v) if e.src == vertex else e.v
         w = u.apply(e.w) if e.dst == vertex else e.w
         new_edges.append(Edge(e.id, e.src, e.dst, v, w))
-    return replace(g, edges=tuple(new_edges))
+    return g._replace(edges=tuple(new_edges))
 
 
-@dataclass(frozen=True)
-class GpqParams:
+class _GpqFields(NamedTuple):
+    p: tuple[int, ...]
+    q: tuple[int, ...]
+
+
+class GpqParams(_Validated, _GpqFields):
     """Integer parameters p[i], q[i] of the one-relator-per-generator family
     where a fixed generator a0 is central in the vertex group and the i-th
     stable letter conjugates a0^q[i]*t to a0^-p[i]*t."""
 
-    p: tuple[int, ...]
-    q: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if len(self.p) != len(self.q) or not self.p:
+    def __new__(cls, p: tuple[int, ...], q: tuple[int, ...]):
+        if len(p) != len(q) or not p:
             raise ValueError("p and q must have equal positive length")
+        return tuple.__new__(cls, (p, q))
 
 
-@dataclass(frozen=True)
-class QForm2:
+class QForm2(NamedTuple):
     """A binary quadratic form Q(x,y) = a x^2 + 2 b xy + c y^2 with rational
     coefficients; used as a CAT(0) certificate, playing the role of A^T A."""
 
@@ -240,8 +251,7 @@ def check_certificate(q: QForm2, edges: list[Pair]) -> bool:
     return all(q.value(v) == q.value(w) for v, w in edges)
 
 
-@dataclass(frozen=True)
-class Functional:
+class Functional(NamedTuple):
     """A homomorphism Z^2 -> Z per vertex: f_v(x, y) = alpha_v x + beta_v y.
 
     Well-defined on the whole tubular group (sending stable letters to 0)
@@ -293,12 +303,14 @@ def amalgamate(
     )
 
 
-@dataclass(frozen=True)
-class EquitableSet:
-    """Per-vertex circle lists.  Repeated vectors are allowed; a repeated
-    primitive vector is equivalent to a single longer multiple of it."""
-
+class _EquitableSetFields(NamedTuple):
     sets: tuple[tuple[VertexId, tuple[IntVec2, ...]], ...]
+
+
+class EquitableSet(_EquitableSetFields):
+    """Per-vertex circle lists.  Repeated vectors are allowed; a repeated
+    primitive vector is equivalent to a single longer multiple of it.
+    Without `__slots__`, so that `_first` can be cached on the instance."""
 
     @functools.cached_property
     def _first(self) -> dict[VertexId, tuple[IntVec2, ...]]:

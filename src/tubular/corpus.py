@@ -6,16 +6,22 @@ the expected verdicts used by the regression and acceptance suites.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .core import GpqParams, IntVec2, TubularPresentation, amalgamate, single_vertex_presentation
 
 
-@dataclass(frozen=True)
-class CorpusEntry:
+class _CorpusEntryFields(NamedTuple):
     name: str
     presentation: TubularPresentation | GpqParams
-    expected: dict = field(default_factory=dict)
+    expected: dict
+
+
+class CorpusEntry(_CorpusEntryFields):
+    __slots__ = ()
+
+    def __new__(cls, name, presentation, expected=None):  # by default, a dict of its own
+        return tuple.__new__(cls, (name, presentation, {} if expected is None else expected))
 
 
 def gersten_params() -> GpqParams:

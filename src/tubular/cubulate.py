@@ -20,8 +20,8 @@ import itertools
 import math
 import operator
 from collections.abc import Iterable, Iterator, Sequence
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .core import (
     Edge,
@@ -47,8 +47,7 @@ def _candidate_vectors(coord_bound: int) -> list[IntVec2]:
     return [IntVec2(x, y) for x, y in sorted(lines)]
 
 
-@dataclass(frozen=True)
-class NotFound:
+class NotFound(NamedTuple):
     coord_bound: int
     size_bound: int
 
@@ -343,8 +342,7 @@ def equitable_search(
     )
 
 
-@dataclass(frozen=True)
-class Arc:
+class Arc(NamedTuple):
     """The connecting arcs of an immersed wall that join `count` intersection
     points of one circle pair across an edge, directed with the edge.  They
     share their ends and weight, so one stands for all in every holonomy."""
@@ -356,8 +354,7 @@ class Arc:
     count: int = 1
 
 
-@dataclass(frozen=True)
-class WallGraph:
+class WallGraph(NamedTuple):
     """Circles as nodes, connecting arcs as weighted directed edges."""
 
     nodes: tuple[Circle, ...]
@@ -405,8 +402,7 @@ def _point_counts(g: TubularPresentation, s: EquitableSet) -> tuple | None:
     return tuple(counts)
 
 
-@dataclass(frozen=True)
-class DilationVerdict:
+class DilationVerdict(NamedTuple):
     dilated: bool
     # (arc, direction) pairs forming a closed cycle whose weight product
     # differs from 1; present exactly when dilated.

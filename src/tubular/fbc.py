@@ -40,7 +40,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .core import (
     Functional,
@@ -60,8 +60,7 @@ from .linalg import nullspace
 Sparse = tuple[tuple[int, int], ...]
 
 
-@dataclass(frozen=True)
-class HomSpace:
+class HomSpace(NamedTuple):
     """A rational basis of the space of edge-compatible functionals.
 
     Coordinates are ordered (alpha_v1, beta_v1, alpha_v2, beta_v2, ...) in
@@ -71,22 +70,33 @@ class HomSpace:
     common positive `denominator`, the least common denominator of the
     basis, stored by coordinate: `entries[j]` lists the pairs (i, numerator
     of basis vector i at coordinate j) that are nonzero, by increasing i.
-    `columns` maps each vertex to the column of its alpha coordinate.
+    `columns` maps each vertex to the column of its alpha coordinate; it
+    follows from `vertices`, so equality, hash and repr leave it out.
     """
 
     vertices: tuple[VertexId, ...]
     denominator: int
     free: tuple[int, ...]
     entries: tuple[Sparse, ...]
-    columns: dict[VertexId, int] = field(compare=False, repr=False)
+    columns: dict[VertexId, int]
+
+    def __eq__(self, other):
+        return isinstance(other, HomSpace) and self[:4] == other[:4]
+
+    __ne__ = object.__ne__  # the negation of `__eq__`, not tuple's `!=`
+
+    def __hash__(self):
+        return hash(self[:4])
+
+    def __repr__(self) -> str:
+        return "HomSpace(" + ", ".join(f"{k}={v!r}" for k, v in zip(self._fields, self[:4])) + ")"
 
     @property
     def dim(self) -> int:
         return len(self.free)
 
 
-@dataclass(frozen=True)
-class FbcVerdict:
+class FbcVerdict(NamedTuple):
     answer: bool
     witness: Functional | None = None
     obstruction: str | None = None
@@ -307,8 +317,7 @@ def generalized_retractor(
     return _nonvanishing_functional(g, (vertex, elem, obstruction))
 
 
-@dataclass(frozen=True)
-class AmalgamAnalysis:
+class AmalgamAnalysis(NamedTuple):
     """The retractor rule and the Button verdict on the glued presentation,
     which always agree: `rule_applies == button.answer`."""
 

@@ -9,10 +9,9 @@ round-trip exactly, never through floating point.  Reports are built only here
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .core import EquitableSet, Functional, IntVec2, QForm2, Rat, TubularPresentation, VertexId
 
@@ -23,8 +22,7 @@ if TYPE_CHECKING:
 YES, NO, UNKNOWN = "Yes", "No", "Unknown"
 
 
-@dataclass(frozen=True)
-class DecisionReport:
+class DecisionReport(NamedTuple):
     group: str
     property: str
     verdict: str  # Yes / No / Unknown, or a decider-specific word (e.g. Obstructed)
@@ -36,11 +34,11 @@ class DecisionReport:
 
 def reports_to_json(reports: list[DecisionReport]) -> str:
     """The reports as a JSON array of objects keyed by field, in field order:
-    the bytes of `json.dumps([vars(r) for r in reports], indent=2)` and a
+    the bytes of `json.dumps([r._asdict() for r in reports], indent=2)` and a
     newline.  `json.dumps` with an indent runs CPython's pure-Python
     encoder, so `_json` writes the same text itself and quotes each string
     with the C function that `json.dumps` uses."""
-    return _json([vars(r) for r in reports], "\n") + "\n"
+    return _json([r._asdict() for r in reports], "\n") + "\n"
 
 
 def _json(o, newline: str) -> str:

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import enum
 import functools
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .cat0 import Cat0Verdict, decide_cat0
 from .core import (
@@ -44,8 +44,7 @@ class Answer(enum.Enum):
     UNKNOWN = "Unknown"
 
 
-@dataclass(frozen=True)
-class SpecialVerdict:
+class SpecialVerdict(NamedTuple):
     answer: Answer
     route: str  # the route name a report prints, e.g. "DetSufficient"
     citation: str

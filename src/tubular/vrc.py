@@ -13,8 +13,8 @@ inconclusive verdict never asserts the property holds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .core import GpqParams, Rat
 
@@ -22,8 +22,7 @@ OBSTRUCTED = "Obstructed"
 INCONCLUSIVE = "Inconclusive"
 
 
-@dataclass(frozen=True)
-class VrcVerdict:
+class VrcVerdict(NamedTuple):
     answer: str  # Obstructed / Inconclusive
     forced_values: tuple[Rat, ...]  # distinct forced values, in first-seen order
     # A witnessing pair of indices forcing distinct values, when obstructed.

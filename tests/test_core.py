@@ -1,6 +1,7 @@
 import copy
 import math
 import pickle
+import sys
 import pytest
 from fractions import Fraction
 
@@ -19,6 +20,8 @@ from tubular.core import (
     primitive_of,
     single_vertex_presentation,
 )
+from tubular.corpus import CorpusEntry
+from tubular.fbc import hom_space
 from tubular.special import _line_counts
 
 nonzero_vec = st.builds(IntVec2, st.integers(-50, 50), st.integers(-50, 50)).filter(
@@ -79,6 +82,54 @@ def test_edge_rejects_zero_vectors():
         e._replace(label="f")
     assert e._replace(src="W") == Edge("e", "W", "V", IntVec2(1, 0), IntVec2(1, 0))
     assert Edge._make(e) == e and type(Edge._make(e)) is Edge
+
+
+def test_presentation_and_gpq_reject_bad_data_on_every_path():
+    """Like `Edge`, on the constructor, `_make`, `_replace` and, from
+    Python 3.13, `copy.replace`."""
+    e = Edge("e", "V", "V", IntVec2(1, 0), IntVec2(1, 0))
+    g = TubularPresentation(("V",), (e,), "g")
+    gpq = GpqParams((1, 2), (3, 4))
+    bad = [
+        (lambda: TubularPresentation(("V", "V"), ()), "duplicate vertex ids"),
+        (lambda: TubularPresentation._make((("V",), (e, e), "g")), "duplicate edge ids"),
+        (lambda: g._replace(vertices=("W",)), "unknown vertex"),
+        (lambda: GpqParams((1,), ()), "equal positive length"),
+        (lambda: GpqParams._make(((), ())), "equal positive length"),
+        (lambda: gpq._replace(q=(1,)), "equal positive length"),
+    ]
+    if sys.version_info >= (3, 13):
+        bad += [
+            (lambda: copy.replace(g, edges=(e, e)), "duplicate edge ids"),
+            (lambda: copy.replace(gpq, p=(1, 2, 3)), "equal positive length"),
+        ]
+    for build, message in bad:
+        with pytest.raises(ValueError, match=message):
+            build()
+    assert g._replace(name="h") == (("V",), (e,), "h") and type(g._replace(name="h")) is TubularPresentation
+    assert GpqParams._make(gpq) == gpq == ((1, 2), (3, 4)) and type(gpq._replace()) is GpqParams
+    assert g == TubularPresentation(vertices=("V",), edges=(e,), name="g")
+    assert repr(gpq) == "GpqParams(p=(1, 2), q=(3, 4))"
+
+
+def test_hom_space_hashes_and_compares_without_columns():
+    g = TubularPresentation(("A", "B"), (Edge("e", "A", "B", IntVec2(1, 0), IntVec2(0, 1)),))
+    space = hom_space(g)
+    other = space._replace(columns={})
+    assert other == space and not other != space and hash(other) == hash(space)
+    assert space != space._replace(denominator=2 * space.denominator)
+    assert {space: 1}[hom_space(g)] == 1
+    assert repr(space) == (
+        "HomSpace(vertices=('A', 'B'), denominator=1, free=(1, 2, 3), "
+        "entries=(((2, 1),), ((0, 1),), ((1, 1),), ((2, 1),)))"
+    )
+
+
+def test_corpus_entries_built_without_expected_do_not_share_it():
+    g = single_vertex_presentation([(IntVec2(1, 0), IntVec2(1, 0))])
+    a, b = CorpusEntry("a", g), CorpusEntry(name="b", presentation=g)
+    assert a.expected == b.expected == {} and a.expected is not b.expected
+    assert CorpusEntry("c", g, {"cat0": "Yes"}).expected == {"cat0": "Yes"}
 
 
 def test_value_types_are_tuples():

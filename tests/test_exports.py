@@ -141,6 +141,24 @@ def test_cli_import_loads_every_traced_module():
     assert TRACED <= set(_run("import tubular.cli\n" + PRINT_LOADED))
 
 
+def test_cli_import_loads_no_dataclasses_inspect_or_argparse():
+    """The records are NamedTuples, so a cold start loads neither
+    `dataclasses` nor the `inspect` it imports; `argparse` loads on the
+    first command line, not on import."""
+    code = "import tubular.cli\nprint(json.dumps(sorted({'dataclasses', 'inspect', 'argparse'} & set(sys.modules))))"
+    assert _run(code) == []
+    package = Path(tubular.__file__).parent
+    imports = [
+        (p.name, alias.name if isinstance(node, ast.Import) else node.module)
+        for p in sorted(package.glob("*.py"))
+        for node in ast.walk(ast.parse(p.read_text()))
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        for alias in node.names
+    ]
+    assert len(imports) > 50
+    assert [(f, m) for f, m in imports if m and m.split(".")[0] == "dataclasses"] == []
+
+
 def test_every_private_helper_has_a_caller():
     """Each module-level `def _x` or `class _X` of the package, dunders
     aside, is named, as a name or an attribute, somewhere in the package

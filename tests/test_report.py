@@ -64,7 +64,7 @@ def test_report_json_schema_keys():
 
 
 def _dumps(reports):
-    return json.dumps([vars(r) for r in reports], indent=2) + "\n"
+    return json.dumps([r._asdict() for r in reports], indent=2) + "\n"
 
 
 # Every subcommand with --json, and its extra flags, run on each corpus entry.
