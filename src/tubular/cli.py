@@ -23,7 +23,7 @@ import re
 import sys
 from functools import cached_property, lru_cache
 
-from .cat0 import Cat0Verdict, decide_cat0, vertex_necessary_checks
+from .cat0 import decide_cat0, vertex_necessary_checks
 from .core import EquitableSet, GpqParams, IntVec2, TubularPresentation, VertexId
 from .corpus import corpus, corpus_entry
 from .cubulate import (
@@ -64,7 +64,7 @@ from .special import (
     gpq_compact_special_decide,
     gpq_to_tubular,
     gpq_vspecial_decide,
-    vspecial_from_verdicts,
+    vspecial_fbc_decide,
     vspecial_sufficient,
 )
 from .vrc import vrc_obstruction
@@ -79,7 +79,7 @@ def _read(path: str) -> str:
 
 
 def _load(args) -> tuple[TubularPresentation | GpqParams, str]:
-    if getattr(args, "corpus_name", None):
+    if getattr(args, "corpus_name", None) is not None:
         if args.input is not None:
             raise ValueError("give an input file or --corpus NAME, not both")
         try:
@@ -107,9 +107,10 @@ COORD_BOUND, SIZE_BOUND = 3, 3
 
 class _Input:
     """One input to report on: a tubular presentation, gpq parameters, or an
-    amalgam analysis.  The one-vertex free-by-cyclic and CAT(0) decisions,
-    the equitable-set search and its wall graph run at most once and are
-    shared by every report and export."""
+    amalgam analysis.  The equitable-set search and its wall graph run at
+    most once and are shared by every report and export.  The one-vertex
+    free-by-cyclic and CAT(0) rows ask their deciders directly: those keep
+    their recent verdicts, so the rows that ask again cost lookups."""
 
     def __init__(self, obj, name: str, coord_bound=COORD_BOUND, size_bound=SIZE_BOUND):
         self.obj, self.name, self.coord_bound, self.size_bound = obj, name, coord_bound, size_bound
@@ -117,20 +118,6 @@ class _Input:
     @cached_property
     def g(self) -> TubularPresentation:
         return _as_tubular(self.obj)
-
-    @cached_property
-    def fbc_single(self) -> FbcVerdict | None:
-        """The verdict of `decide_fbc_single_vertex` on a one-vertex input."""
-        if len(self.g.vertices) == 1:
-            return decide_fbc_single_vertex(self.g.single_vertex_pairs(), self.g.vertices[0])
-        return None
-
-    @cached_property
-    def cat0(self) -> Cat0Verdict | None:
-        """The verdict of `decide_cat0` on a one-vertex input."""
-        if len(self.g.vertices) == 1:
-            return decide_cat0(self.g.single_vertex_pairs())
-        return None
 
     @cached_property
     def search(self) -> tuple[EquitableSet | NotFound, WallGraph | None]:
@@ -174,9 +161,11 @@ def _from_special(v: SpecialVerdict) -> dict:
 def _fbc(s: _Input) -> dict:
     if isinstance(s.obj, AmalgamAnalysis):
         return _amalgam_fbc(s.obj)
-    if s.fbc_single is not None:
-        return _from_fbc(s.fbc_single, *LINE)
-    return _from_fbc(button_decide(s.g), *BUTTON)
+    g = s.g
+    if len(g.vertices) == 1:
+        verdict = decide_fbc_single_vertex(g.single_vertex_pairs(), g.vertices[0])
+        return _from_fbc(verdict, *LINE)
+    return _from_fbc(button_decide(g), *BUTTON)
 
 
 def _amalgam_fbc(a: AmalgamAnalysis) -> dict:
@@ -200,8 +189,8 @@ def _amalgam_fbc(a: AmalgamAnalysis) -> dict:
 
 
 def _cat0(s: _Input) -> dict:
-    verdict = s.cat0
-    if verdict is not None:
+    if len(s.g.vertices) == 1:
+        verdict = decide_cat0(s.g.single_vertex_pairs())
         fields = dict(
             route="QuadraticFormEqualization",
             citation="positive-definite form equalizing each edge's attaching vectors",
@@ -244,10 +233,11 @@ def _vspecial(s: _Input) -> dict:
             route="None",
             notes=("no implemented criterion applies to this presentation",),
         )
-    v = vspecial_sufficient(g.single_vertex_pairs())
+    pairs = g.single_vertex_pairs()
+    v = vspecial_sufficient(pairs)
     if v.answer is Answer.YES:
         return _from_special(v)
-    v = vspecial_from_verdicts(s.fbc_single, s.cat0)
+    v = vspecial_fbc_decide(pairs)
     if v.answer is not Answer.UNKNOWN:
         return _from_special(v)
     notes = (
@@ -264,8 +254,9 @@ def _compact_special(s: _Input) -> dict | None:
 
 
 def _cocompact(s: _Input) -> dict:
-    cat0 = s.cat0 is not None and s.cat0.answer
-    return _from_special(cocompact_cubulation_decide(s.g, cat0))
+    g = s.g
+    cat0 = len(g.vertices) == 1 and decide_cat0(g.single_vertex_pairs()).answer
+    return _from_special(cocompact_cubulation_decide(g, cat0))
 
 
 def _equitable_set(s: _Input) -> dict:

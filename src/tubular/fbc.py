@@ -28,8 +28,9 @@ changes the walk only at a step where Button's coefficient would bring the
 row's nonzero partial value back to zero; without such a step Button's
 witness is its answer, and only with one does the walk run again on the
 extended table.  The line criterion keeps its verdicts the same way, for
-the last 16 (edges, vertex) inputs, so `special.vspecial_fbc_decide` asking
-again after a caller's own `decide_fbc_single_vertex` pays for a lookup.
+the last 16 edge lists, whatever vertex the caller names, so
+`special.vspecial_fbc_decide` asking again after a caller's own
+`decide_fbc_single_vertex` pays for a lookup.
 
 The same machinery certifies generalized retractors (an extra required-nonzero
 value) and decides amalgams (`core.amalgamate`); witnesses are `core.Functional`.
@@ -70,26 +71,12 @@ class HomSpace(NamedTuple):
     common positive `denominator`, the least common denominator of the
     basis, stored by coordinate: `entries[j]` lists the pairs (i, numerator
     of basis vector i at coordinate j) that are nonzero, by increasing i.
-    `columns` maps each vertex to the column of its alpha coordinate; it
-    follows from `vertices`, so equality, hash and repr leave it out.
     """
 
     vertices: tuple[VertexId, ...]
     denominator: int
     free: tuple[int, ...]
     entries: tuple[Sparse, ...]
-    columns: dict[VertexId, int]
-
-    def __eq__(self, other):
-        return isinstance(other, HomSpace) and self[:4] == other[:4]
-
-    __ne__ = object.__ne__  # the negation of `__eq__`, not tuple's `!=`
-
-    def __hash__(self):
-        return hash(self[:4])
-
-    def __repr__(self) -> str:
-        return "HomSpace(" + ", ".join(f"{k}={v!r}" for k, v in zip(self._fields, self[:4])) + ")"
 
     @property
     def dim(self) -> int:
@@ -124,7 +111,7 @@ def hom_space(g: TubularPresentation) -> HomSpace:
     for p, s in pivots.items():
         scale = denominator // s[p]
         entries[p] = tuple(sorted((index[c], -x * scale) for c, x in s.items() if c != p))
-    return HomSpace(g.vertices, denominator, tuple(free), tuple(entries), columns)
+    return HomSpace(g.vertices, denominator, tuple(free), tuple(entries))
 
 
 def _integer_functional(space: HomSpace, coords: list[int]) -> Functional:
@@ -166,10 +153,11 @@ def _greedy_coefficients(table: list[Sparse], dim: int) -> list[int]:
     return coeffs
 
 
-def _row(space: HomSpace, vertex: VertexId, vec: IntVec2) -> Sparse:
-    """The nonzero values at `vec` in the vertex group of `vertex` of the
-    basis functionals, on their integer form, as (basis index, value)."""
-    i, (x, y) = space.columns[vertex], vec
+def _row(space: HomSpace, i: int, vec: IntVec2) -> Sparse:
+    """The nonzero values at `vec` in the vertex group whose alpha coordinate
+    is column i of the basis functionals, on their integer form, as (basis
+    index, value)."""
+    x, y = vec
     row = {k: a * x for k, a in space.entries[i]}
     for k, b in space.entries[i + 1]:
         row[k] = row.get(k, 0) + b * y
@@ -194,9 +182,10 @@ def _edge_table(
     its value conflicts with the walk (`_nonvanishing_functional`).  Callers
     share the result, so they must not change it."""
     space = hom_space(g)
+    columns = {v: 2 * i for i, v in enumerate(g.vertices)}
     rows = []
     for e in g.edges:
-        row = _row(space, e.src, e.v)
+        row = _row(space, columns[e.src], e.v)
         if not row:
             text = f"every edge-compatible functional vanishes on edge {e.id}"
             return space, (), (), FbcVerdict(False, obstruction=text)
@@ -227,7 +216,7 @@ def _nonvanishing_functional(
     if not button.answer:
         return button
     vertex, vec, obstruction = extra
-    row = _row(space, vertex, vec)
+    row = _row(space, 2 * g.vertices.index(vertex), vec)
     if not row:
         return FbcVerdict(False, obstruction=obstruction)
     at = 0
@@ -248,13 +237,17 @@ def decide_fbc_single_vertex(edges: list[Pair], vertex: VertexId = "V") -> FbcVe
     """The line criterion: all differences v_i - w_i parallel, and their common
     line avoids every v_i.  Witness at `vertex`, built by projecting along the
     line."""
-    return _decide_fbc_single_vertex(tuple(edges), vertex)
+    verdict = _decide_fbc_single_vertex(tuple(edges))
+    if not verdict.answer or vertex == "V":
+        return verdict
+    return verdict._replace(witness=Functional(((vertex, verdict.witness.at("V")),)))
 
 
 @functools.lru_cache(maxsize=16)
-def _decide_fbc_single_vertex(edges: tuple[Pair, ...], vertex: VertexId) -> FbcVerdict:
-    """The verdict of `decide_fbc_single_vertex`, kept for the last 16
-    (edges, vertex) inputs.  A verdict is frozen, so its callers share it."""
+def _decide_fbc_single_vertex(edges: tuple[Pair, ...]) -> FbcVerdict:
+    """The verdict of `decide_fbc_single_vertex` with its witness at "V",
+    kept for the last 16 edge tuples.  A verdict is frozen, so its callers
+    share it."""
     require_nonzero(edges)
     diffs = [v - w for v, w in edges]
     nonzero = [d for d in diffs if not d.is_zero()]
@@ -281,7 +274,7 @@ def _decide_fbc_single_vertex(edges: tuple[Pair, ...], vertex: VertexId) -> FbcV
         direction = _line_avoiding([v for v, _ in edges])
     # Projection onto the completed basis vector: f(x) = det2(direction, x),
     # normalized so the first nonzero coefficient is positive.
-    witness = Functional(((vertex, line_of(-direction.y, direction.x)),))
+    witness = Functional((("V", line_of(-direction.y, direction.x)),))
     return FbcVerdict(True, witness=witness)
 
 

@@ -22,7 +22,7 @@ import enum
 import functools
 from typing import NamedTuple
 
-from .cat0 import Cat0Verdict, decide_cat0
+from .cat0 import decide_cat0
 from .core import (
     EquitableSet,
     GpqParams,
@@ -35,7 +35,7 @@ from .core import (
     require_nonzero,
     single_vertex_presentation,
 )
-from .fbc import FbcVerdict, decide_fbc_single_vertex
+from .fbc import decide_fbc_single_vertex
 
 
 class Answer(enum.Enum):
@@ -97,25 +97,19 @@ def vspecial_sufficient(edges: list[Pair]) -> SpecialVerdict:
 def vspecial_fbc_decide(edges: list[Pair]) -> SpecialVerdict:
     """For free-by-cyclic single-vertex inputs, virtual specialness is
     equivalent to CAT(0)ness; a No on this route is a genuine No.  Decides
-    free-by-cyclicity, and CAT(0)ness only after a Yes, and reads the two
-    verdicts with `vspecial_from_verdicts`.  Both deciders keep their recent
-    verdicts, so after a caller has asked them this costs two lookups."""
-    fbc = decide_fbc_single_vertex(edges)
-    return vspecial_from_verdicts(fbc, decide_cat0(edges) if fbc.answer else None)
-
-
-def vspecial_from_verdicts(fbc: FbcVerdict, cat0: Cat0Verdict | None) -> SpecialVerdict:
-    """The verdict of `vspecial_fbc_decide` from a one-vertex input's
-    free-by-cyclic verdict and, when that says Yes, its CAT(0) verdict."""
+    free-by-cyclicity, and CAT(0)ness only after a Yes.  Both deciders keep
+    their recent verdicts, so after a caller (`cli.analyze`'s fbc and cat0
+    rows, or perfbench's sweep) has asked them this costs two lookups."""
     citation = "CAT(0) <=> virtually special for free-by-cyclic one-vertex groups"
-    if not fbc.answer:
+    if not decide_fbc_single_vertex(edges).answer:
         return SpecialVerdict(
             Answer.UNKNOWN,
             "FbcCat0Equiv",
             citation,
             notes=("input is not free-by-cyclic; equivalence route not applicable",),
         )
-    return SpecialVerdict(Answer.YES if cat0.answer else Answer.NO, "FbcCat0Equiv", citation)
+    answer = Answer.YES if decide_cat0(edges).answer else Answer.NO
+    return SpecialVerdict(answer, "FbcCat0Equiv", citation)
 
 
 def _line_counts(g: TubularPresentation) -> dict[VertexId, int]:

@@ -14,8 +14,10 @@ from pathlib import Path
 
 import pytest
 
+import tubular.cat0
 import tubular.cli
 import tubular.cubulate
+import tubular.fbc
 from tubular.cli import main
 from tubular.core import GpqParams, QForm2, check_certificate, det2
 from tubular.cubulate import equitable_search, wall_graph
@@ -352,7 +354,7 @@ def test_cubulate_searches_once(capsys, monkeypatch):
         assert calls == {"equitable_search": 1, "wall_graph": 1, "verify_equitable": 1}, extra
 
 
-def _random_one_vertex(rng):
+def _random_one_vertex(rng, vertex="V"):
     """A one-vertex presentation with 1-4 loops, coordinates up to 3."""
 
     def vec():
@@ -361,23 +363,17 @@ def _random_one_vertex(rng):
             x, y = rng.randint(-3, 3), rng.randint(-3, 3)
         return f"({x},{y})"
 
-    edges = " ".join(f"edge e{i} : V{vec()} -> V{vec()};" for i in range(rng.randint(1, 4)))
-    return parse(f"group G {{ vertex V; {edges} }}")
+    loops = (f"edge e{i} : {vertex}{vec()} -> {vertex}{vec()};" for i in range(rng.randint(1, 4)))
+    return parse(f"group G {{ vertex {vertex}; {' '.join(loops)} }}")
 
 
-def test_analyze_decides_each_one_vertex_verdict_once(monkeypatch):
-    """The fbc, cat0 and vspecial rows of a one-vertex analyze share one
-    `decide_fbc_single_vertex` and one `decide_cat0` verdict, whichever
-    namespace calls them."""
-    calls = {"decide_fbc_single_vertex": 0, "decide_cat0": 0}
-    for module in (tubular.cli, tubular.special):
-        for name in calls:
-
-            def counted(*args, _name=name, _orig=getattr(module, name), **kwargs):
-                calls[_name] += 1
-                return _orig(*args, **kwargs)
-
-            monkeypatch.setattr(module, name, counted)
+def test_analyze_decides_each_one_vertex_verdict_once():
+    """The fbc, cat0, vspecial and cocompact_cubulation rows of a one-vertex
+    analyze ask the line criterion and `decide_cat0` more than once, but each
+    decider runs once per input, whatever its vertex is named and for gpq
+    inputs too: every later ask is a hit of the decider's own cache.  The
+    fbc row's witness sits at the input's vertex."""
+    workers = (tubular.fbc._decide_fbc_single_vertex, tubular.cat0._decide_cat0)
     entries = [
         (e.presentation, e.name)
         for e in corpus()
@@ -385,15 +381,24 @@ def test_analyze_decides_each_one_vertex_verdict_once(monkeypatch):
     ]
     rng = random.Random(1204)
     inputs = entries + [(bare_z2(), "z2")]
-    inputs += [(_random_one_vertex(rng), "G") for _ in range(50)]
-    equivalence = 0
+    for vertex in ("V", "X", "w2"):
+        inputs += [(_random_one_vertex(rng, vertex), "G") for _ in range(25)]
+    for k in (1, 2, 3, 4) * 5:
+        p, q = (tuple(rng.randint(-4, 4) for _ in range(k)) for _ in "pq")
+        inputs.append((GpqParams(p, q), "gpq"))
+    equivalence = renamed = 0
     for obj, name in inputs:
-        calls.update(decide_fbc_single_vertex=0, decide_cat0=0)
+        for worker in workers:
+            worker.cache_clear()
         reports = tubular.cli.analyze(obj, name)
-        assert calls == {"decide_fbc_single_vertex": 1, "decide_cat0": 1}, name
-        vspecial = next(r for r in reports if r.property == "vspecial")
-        equivalence += vspecial.route in ("FbcCat0Equiv", "None")
-    assert len(entries) >= 5 and equivalence >= 10
+        assert tuple(w.cache_info().misses for w in workers) == (1, 1), name
+        vertex = tubular.cli._as_tubular(obj).vertices[0]
+        by_property = {r.property: r for r in reports}
+        if by_property["fbc"].verdict == "Yes":
+            assert list(by_property["fbc"].certificate["coefficients"]) == [vertex]
+        equivalence += by_property["vspecial"].route in ("FbcCat0Equiv", "None")
+        renamed += vertex != "V" and by_property["vspecial"].route != "DetSufficient"
+    assert len(entries) >= 5 and equivalence >= 10 and renamed >= 10
 
 
 def test_analyze_decides_z2():
@@ -434,6 +439,11 @@ def test_analyze_decides_z2():
             ["cat0", "{g}", "--corpus", "gersten"],
             "error: give an input file or --corpus NAME, not both\n",
         ),
+        (
+            ["analyze", "--corpus", "", "{g}"],
+            "error: give an input file or --corpus NAME, not both\n",
+        ),
+        (["analyze", "--corpus", ""], "error: unknown corpus entry '' (entries: gersten,"),
         (
             ["amalgam", "{g}", "nonsense", "{g}", "1,0"],
             "error: bad vector spec 'nonsense' (expected V:x,y)\n",
@@ -476,6 +486,8 @@ def test_analyze_decides_z2():
         "unknown-corpus-entry",
         "missing-input",
         "file-and-corpus",
+        "file-and-empty-corpus",
+        "empty-corpus-name",
         "bad-vector-spec",
         "underscore-digits",
         "arabic-indic-digit",

@@ -470,7 +470,7 @@ def _dense_hom_space(g):
     entries = tuple(
         tuple((i, int(b[j] * den)) for i, b in enumerate(basis) if b[j]) for j in range(ncols)
     )
-    return basis, fbc.HomSpace(g.vertices, den, tuple(free), entries, columns)
+    return basis, fbc.HomSpace(g.vertices, den, tuple(free), entries)
 
 
 def _fraction_downstream(g, basis, extra):
